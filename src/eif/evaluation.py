@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import build_forest, score_batch
+from .forest import _batch_path_lengths, _scores_from_depth_totals, as_dataset, build_forest
 from .rng import fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -148,22 +148,37 @@ def convergence_curve(
 ) -> ConvergenceSeries:
     """Probe-score mean and variance as the forest grows.
 
-    One forest is trained per entry of ``t_values`` from the same seed, so
-    the per-tree streams (and therefore the first trees) are shared across
-    forest sizes.
+    One forest of ``max(t_values)`` trees is trained; the curve point for t
+    scores the probes with its first t trees. Tree i consumes only its own
+    derived stream, so that prefix is exactly the forest ``build_forest``
+    returns for t, and the per-tree depths are summed in tree order, so
+    every point equals scoring a separately trained t-tree forest
+    bit-for-bit.
     """
     t_values = [int(t) for t in t_values]
     if not t_values or any(t < 1 for t in t_values):
         raise ValueError("t_values must be nonempty with every entry >= 1")
     if any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {t_values}")
-    probe = np.asarray(probe_points, dtype=np.float64)
+    x = as_dataset(data)
+    probe = as_dataset(probe_points, "probe_points")
+    if probe.shape[0] == 0:
+        raise ValueError("probe_points must have at least one row")
+    if probe.shape[1] != x.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: probe_points have {probe.shape[1]} columns, "
+            f"data has {x.shape[1]}"
+        )
+    forest = build_forest(x, t_values[-1], psi, extension_level, seed)
+    wanted = set(t_values)
+    total = np.zeros(probe.shape[0])
     means, variances = [], []
-    for t in t_values:
-        forest = build_forest(data, t, psi, extension_level, seed)
-        s = score_batch(probe, forest)
-        means.append(float(s.mean()))
-        variances.append(_population_variance(s))
+    for t, tree in enumerate(forest.trees, start=1):
+        total += _batch_path_lengths(probe, tree)
+        if t in wanted:
+            s = _scores_from_depth_totals(total, t, forest.normalizer)
+            means.append(float(s.mean()))
+            variances.append(_population_variance(s))
     return ConvergenceSeries(t_values=t_values, means=means, variances=variances)
 
 

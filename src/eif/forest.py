@@ -113,9 +113,18 @@ def as_dataset(data, name: str = "data") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D (rows, dimension), got shape {arr.shape}")
     if arr.shape[1] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+    _require_finite(arr, name)
     return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite cell (0-based row, column)."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(
+            f"{name} contains non-finite value {arr[row, col]} at row {row}, column {col}"
+        )
 
 
 def _margins(points: np.ndarray, normal: np.ndarray, intercept: np.ndarray) -> np.ndarray:
@@ -355,10 +364,16 @@ def score_batch(data, forest: Forest) -> np.ndarray:
             f"dimension mismatch: data has {x.shape[1]} columns, "
             f"forest dimension is {forest.dimension}"
         )
+    _require_finite(x, "data")
     if not forest.trees:
         raise ValueError("forest has no trees")
     total = np.zeros(x.shape[0])
     for tree in forest.trees:
         total += _batch_path_lengths(x, tree)
-    exponents = -(total / len(forest.trees)) / forest.normalizer
+    return _scores_from_depth_totals(total, len(forest.trees), forest.normalizer)
+
+
+def _scores_from_depth_totals(total: np.ndarray, t: int, normalizer: float) -> np.ndarray:
+    """Scores from per-row path lengths summed in tree order over t trees."""
+    exponents = -(total / t) / normalizer
     return np.array([_pow2(e) for e in exponents])

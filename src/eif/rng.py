@@ -90,6 +90,14 @@ class RngStream:
         """One integer uniform on [lo, hi)."""
         return int(self._gen.integers(lo, hi))
 
+    def integers_from(self, lows: np.ndarray, hi: int) -> np.ndarray:
+        """One integer uniform on [lows[i], hi) per entry, drawn in order.
+
+        Same values, and the same stream state afterwards, as calling
+        :meth:`integers` once per entry of ``lows``.
+        """
+        return self._gen.integers(lows, hi)
+
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
@@ -128,16 +136,20 @@ def draw_uniform(rng: RngStream, lo: float, hi: float) -> float:
 def choose_indices(rng: RngStream, n: int, k: int) -> np.ndarray:
     """k distinct indices uniform over range(n), by partial Fisher-Yates.
 
-    O(k) swaps over an index table: exact uniformity without materializing
-    a full permutation.
+    Swap i exchanges slots i and j_i with j_i uniform on [i, n). All k
+    targets are drawn in one call, and the swaps run over a sparse table of
+    the slots moved so far: O(k) work, no length-n index array.
     """
     if k < 0 or k > n:
         raise ValueError(f"cannot choose {k} indices from {n}")
-    idx = np.arange(n)
-    for i in range(k):
-        j = rng.integers(i, n)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k].copy()
+    targets = rng.integers_from(np.arange(k), n).tolist()
+    moved: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        # Slot i is final once swapped: every later target is above it.
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(out, dtype=np.int64)
 
 
 def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:

@@ -22,6 +22,8 @@ from .forest import (
     _batch_path_lengths,
     _grow,
     _pow2,
+    _require_finite,
+    _scores_from_depth_totals,
     as_dataset,
     c_factor,
     height_limit_for,
@@ -157,10 +159,10 @@ def rotated_score_batch(data, forest: RotatedForest) -> np.ndarray:
         return np.empty(0)
     if x.shape[1] != 2:
         raise ValueError(f"dimension mismatch: rotated forest scores 2-D data, got {x.shape[1]} columns")
+    _require_finite(x, "data")
     if not forest.trees:
         raise ValueError("forest has no trees")
     total = np.zeros(x.shape[0])
     for rt in forest.trees:
         total += _batch_path_lengths(_rotate_rows(x, rt.angle), rt.tree)
-    exponents = -(total / len(forest.trees)) / forest.normalizer
-    return np.array([_pow2(e) for e in exponents])
+    return _scores_from_depth_totals(total, len(forest.trees), forest.normalizer)

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from eif.evaluation import ConvergenceSeries, _population_variance
+from eif.forest import build_forest, score_batch
+
 
 def auroc_oracle(scores, labels):
     """Exhaustive pairwise count: anomaly beats nominal, ties worth 1/2."""
@@ -51,3 +54,22 @@ def random_labeled_instance(rng, max_size=50, allow_ties=True):
     else:
         scores = rng.uniform(0.0, 1.0, n)
     return scores, labels
+
+
+def choose_indices_oracle(rng, n, k):
+    """Partial Fisher-Yates with one scalar bounded-integer draw per swap."""
+    idx = np.arange(n)
+    for i in range(k):
+        j = rng.integers(i, n)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k].copy()
+
+
+def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level, seed):
+    """One forest trained and fully scored per entry of t_values."""
+    means, variances = [], []
+    for t in t_values:
+        s = score_batch(probe_points, build_forest(data, t, psi, extension_level, seed))
+        means.append(float(s.mean()))
+        variances.append(_population_variance(s))
+    return ConvergenceSeries(t_values=list(t_values), means=means, variances=variances)

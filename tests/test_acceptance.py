@@ -128,6 +128,7 @@ def test_criterion_4_auc_oracle_equivalence():
            f"auroc/auprc match brute-force oracles exactly on {checked} instances")
 
 
+@pytest.mark.slow
 def test_criterion_5_table_direction_at_desk_scale():
     results = {}
     single_full = []
@@ -156,6 +157,7 @@ def _disk_probes(center, radius, n, seed):
     return np.column_stack([center[0] + rad * np.cos(theta), center[1] + rad * np.sin(theta)])
 
 
+@pytest.mark.slow
 def test_criterion_6_ghost_regions():
     wins = 0
     for seed in range(1, 11):
@@ -171,6 +173,7 @@ def test_criterion_6_ghost_regions():
            f"ghost-site probes score higher at full extension in {wins}/10 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_7_levelset_variance():
     per_dim = {}
     for dim in (2, 3, 4):
@@ -199,6 +202,7 @@ def test_criterion_7_levelset_variance():
            f"axis>full variance wins {per_dim}; 4-D level chain holds in {chain_wins}/10")
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence_band():
     train = gen_gaussian_blob(2000, 2, seed=42)
     probe = gen_sphere_levelset(3.0, 500, 2, seed=43)

@@ -255,6 +255,16 @@ class TestConverge:
         assert code == 1
         assert not (tmp_path / "c.csv").exists()
 
+    def test_probe_width_mismatch_is_data_error(self, tmp_path, blob_csv, capsys):
+        probe = tmp_path / "probe.csv"
+        write_dataset_csv(probe, gen_gaussian_blob(10, 3, seed=9))
+        code, _, err = invoke(capsys, "converge", "--data", str(blob_csv), "--probe", str(probe),
+                              "--t-values", "5,10", "--psi", "64", "--extension", "0",
+                              "--seed", "2", "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "dimension mismatch" in err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestBench:
     def test_prints_metrics_matching_library(self, tmp_path, capsys):

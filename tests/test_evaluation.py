@@ -19,7 +19,12 @@ from eif.rotation import build_rotated_forest
 from eif.synthetic import gen_double_blob, gen_gaussian_blob
 
 
-from oracles import auprc_oracle, auroc_oracle, random_labeled_instance
+from oracles import (
+    auprc_oracle,
+    auroc_oracle,
+    convergence_curve_oracle,
+    random_labeled_instance,
+)
 
 
 class TestAuroc:
@@ -245,6 +250,34 @@ class TestConvergence:
             convergence_curve(blob_2d, probe, [10, 10, 20], 64, 1, seed=1)
         with pytest.raises(ValueError):
             convergence_curve(blob_2d, probe, [0, 5], 64, 1, seed=1)
+
+    @pytest.mark.parametrize("t_values", [[1], [1, 2, 3], [3, 7, 50]])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_equals_per_t_retrain_bitwise(self, level, seed, t_values):
+        data = gen_gaussian_blob(400, 3, seed=seed + 10)
+        probe = np.vstack([gen_gaussian_blob(20, 3, seed=seed + 20),
+                           gen_gaussian_blob(10, 3, sigma=4.0, seed=seed + 30)])
+        got = convergence_curve(data, probe, t_values, 64, level, seed=seed)
+        want = convergence_curve_oracle(data, probe, t_values, 64, level, seed)
+        assert got.t_values == want.t_values
+        assert [m.hex() for m in got.means] == [m.hex() for m in want.means]
+        assert [v.hex() for v in got.variances] == [v.hex() for v in want.variances]
+
+    @pytest.mark.parametrize("probe, message", [
+        (np.empty((0, 2)), "at least one row"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), "non-finite value nan at row 1, column 0"),
+        (np.array([[0.0, np.inf]]), "non-finite value inf at row 0, column 1"),
+        (np.zeros(2), "must be 2-D"),
+        (np.zeros((4, 3)), "dimension mismatch"),
+    ])
+    def test_rejects_bad_probes_before_building(self, blob_2d, monkeypatch, probe, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a forest was built before the probes were checked")
+
+        monkeypatch.setattr("eif.evaluation.build_forest", no_build)
+        with pytest.raises(ValueError, match=message):
+            convergence_curve(blob_2d, probe, [5, 10], 64, 1, seed=1)
 
 
 @given(shift=st.floats(-10, 10), scale=st.floats(0.1, 10))

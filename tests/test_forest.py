@@ -309,6 +309,13 @@ class TestScoreBatch:
         with pytest.raises(ValueError, match="dimension mismatch"):
             score_batch(np.zeros((4, 3)), small_forest)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_row(self, small_forest, bad):
+        rows = np.zeros((3, 2))
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite value .* at row 1, column 0"):
+            score_batch(rows, small_forest)
+
     def test_scores_within_open_unit_interval(self, small_forest, blob_2d):
         s = score_batch(blob_2d, small_forest)
         assert np.all(s > 0.0) and np.all(s < 1.0)

@@ -19,6 +19,7 @@ from eif.model_io import (
 )
 from eif.rotation import build_rotated_forest, rotated_score_batch
 from eif.synthetic import gen_gaussian_blob
+from oracles import choose_indices_oracle
 
 
 @pytest.fixture()
@@ -278,3 +279,19 @@ class TestWriteCsv:
         assert all(f"{v:.9g}" == s for v, s in zip(
             reparsed, (line.split(",")[1] for line in first.splitlines()[1:])
         ))
+
+
+@pytest.mark.parametrize("build", [
+    lambda data: build_forest(data, 12, 64, 0, seed=21),
+    lambda data: build_forest(data, 12, 64, 3, seed=22),
+    lambda data: build_rotated_forest(data[:, :2], 12, 64, seed=23),
+], ids=["level-0", "full", "rotated"])
+def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
+    # Pins stream consumption: the batched index draw must build the same
+    # model file as one scalar draw per Fisher-Yates swap.
+    data = gen_gaussian_blob(500, 4, seed=20)
+    save_forest(build(data), tmp_path / "batched.json")
+    monkeypatch.setattr("eif.rng.choose_indices", choose_indices_oracle)
+    monkeypatch.setattr("eif.forest.choose_indices", choose_indices_oracle)
+    save_forest(build(data), tmp_path / "scalar.json")
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()

@@ -13,6 +13,7 @@ from eif.rng import (
     make_rng,
     subsample,
 )
+from oracles import choose_indices_oracle
 
 
 def draws(stream, n):
@@ -190,3 +191,20 @@ def test_replay_any_seed_bitwise(seed):
     ops_a = [draw_standard_normal(a), draw_uniform(a, -2.0, 5.0), a.integers(0, 1000)]
     ops_b = [draw_standard_normal(b), draw_uniform(b, -2.0, 5.0), b.integers(0, 1000)]
     assert ops_a == ops_b
+
+
+@st.composite
+def population_and_count(draw):
+    n = draw(st.integers(1, 300))
+    return n, draw(st.sampled_from([0, n]) | st.integers(0, n))
+
+
+@given(seed=st.integers(0, 2**64 - 1), nk=population_and_count())
+@settings(max_examples=200, deadline=None)
+def test_choose_indices_matches_scalar_fisher_yates(seed, nk):
+    n, k = nk
+    a, b = RngStream(seed, 5), RngStream(seed, 5)
+    assert choose_indices(a, n, k).tolist() == choose_indices_oracle(b, n, k).tolist()
+    # the stream is left in the same state: later draws agree too
+    assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist()
+    assert draw_uniform(a, 0.0, 1.0) == draw_uniform(b, 0.0, 1.0)

@@ -108,6 +108,14 @@ class TestRotatedScoring:
         s = rotated_score_batch(blob_2d[:200], f)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_row(self, blob_2d, bad):
+        f = build_rotated_forest(blob_2d, 4, 64, seed=6)
+        rows = np.zeros((3, 2))
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite value .* at row 2, column 1"):
+            rotated_score_batch(rows, f)
+
 
 def test_rotation_averages_out_axis_parallel_banding():
     # along a circle, per-tree random rotation removes most of the angular
