@@ -28,10 +28,8 @@ from .evaluation import (
     score_map,
 )
 from .forest import (
-    External,
     Forest,
     Hyperplane,
-    Internal,
     IsolationTree,
     anomaly_score,
     branch_left,
@@ -47,8 +45,6 @@ from .forest import (
 from .model_io import load_forest, read_csv, save_forest
 from .rng import RngStream, derive_stream, draw_standard_normal, draw_uniform, make_rng, subsample
 from .rotation import (
-    RotatedForest,
-    RotatedTree,
     build_rotated_forest,
     rotate_point,
     rotated_score,

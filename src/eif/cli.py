@@ -13,7 +13,6 @@ failed run never leaves a partial output) or stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -122,8 +121,6 @@ def _build_parser() -> _Parser:
                    help="extension level 0..N-1, or 'full' (default: full)")
     p.add_argument("--variant", choices=["extended", "rotated"], default="extended")
     p.add_argument("--seed", type=_seed_type, default=1)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="tree-build threads; output is independent of this")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -248,8 +245,6 @@ def _resolve_extension(text: str | None, dimension: int) -> int:
 def _cmd_train(args) -> int:
     if args.trees < 1:
         raise UsageError(f"--trees must be at least 1, got {args.trees}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     data, _ = read_csv(args.data)
     n, dim = data.shape
     psi = args.psi if args.psi is not None else min(256, n)
@@ -258,10 +253,10 @@ def _cmd_train(args) -> int:
             raise UsageError("--extension does not apply to --variant rotated")
         if dim != 2:
             raise UsageError(f"--variant rotated requires 2-D data, got {dim}-D")
-        forest = build_rotated_forest(data, args.trees, psi, args.seed, threads=args.threads)
+        forest = build_rotated_forest(data, args.trees, psi, args.seed)
     else:
         level = _resolve_extension(args.extension, dim)
-        forest = build_forest(data, args.trees, psi, level, args.seed, threads=args.threads)
+        forest = build_forest(data, args.trees, psi, level, args.seed)
     save_forest(forest, args.out)
     return 0
 

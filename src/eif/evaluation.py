@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import _batch_path_lengths, _scores_from_depth_totals, as_dataset, build_forest
+from .forest import _path_lengths, _scores_from_depth_totals, as_dataset, build_forest
 from .rng import fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -174,7 +174,7 @@ def convergence_curve(
     total = np.zeros(probe.shape[0])
     means, variances = [], []
     for t, tree in enumerate(forest.trees, start=1):
-        total += _batch_path_lengths(probe, tree)
+        total += _path_lengths(probe, tree)
         if t in wanted:
             s = _scores_from_depth_totals(total, t, forest.normalizer)
             means.append(float(s.mean()))

@@ -5,6 +5,9 @@ goes left when ``(x - p) . n <= 0``. The extension level controls how many
 normal coordinates stay nonzero: level 0 leaves exactly one, which makes
 every split an axis-parallel threshold (the classic isolation forest), while
 level N-1 draws all N coordinates from N(0, 1) so splits can slope freely.
+The rotated baseline is the same forest at level 0 whose trees each carry an
+angle: a tree's sample is turned by it before growth, and so is every query
+point before it enters that tree.
 
 Scores follow ``s(x) = 2 ** (-E[h(x)] / c(psi))`` where h(x) is the depth at
 which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
@@ -12,18 +15,16 @@ population, and c(n) is the expected unsuccessful-search depth in a binary
 search tree of n points.
 
 Numerical contract: dot products are accumulated coordinate-by-coordinate in
-index order, and per-tree depths are summed in tree order, in both the
-single-point and the batch code paths. Batch scoring is therefore
-bit-identical to a per-point loop, and replays with an equal seed reproduce
-every output bit-for-bit.
+index order, and per-tree depths are summed in tree order. ``score_batch`` is
+the only scorer; the single-point functions are 1-row calls of it, so batch
+scoring equals a per-point loop by construction, and replays with an equal
+seed reproduce every output bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -32,8 +33,12 @@ from .rng import RngStream, choose_indices, make_rng, subsample
 #: Euler-Mascheroni constant, at the precision used by the harmonic estimate.
 EULER_GAMMA = 0.5772156649
 
+TWO_PI = 2.0 * math.pi
+
 VARIANT_STANDARD = "standard-equivalent"
 VARIANT_EXTENDED = "extended"
+VARIANT_ROTATED = "rotated"
+VARIANTS = (VARIANT_STANDARD, VARIANT_EXTENDED, VARIANT_ROTATED)
 
 
 @dataclass(frozen=True)
@@ -45,27 +50,24 @@ class Hyperplane:
 
 
 @dataclass
-class Internal:
-    split: Hyperplane
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-@dataclass
-class External:
-    """Leaf holding the count of training points that reached it."""
-
-    size: int
-
-
-TreeNode = Union[Internal, External]
-
-
-@dataclass
 class IsolationTree:
-    root: TreeNode
+    """One tree as the node arrays the model file stores, in preorder.
+
+    The root is node 0 and an internal node k has its left child at k + 1.
+    ``normal[k]`` and ``intercept[k]`` (shape ``(nodes, N)``) hold node k's
+    split, zeros at leaves; ``left[k]`` and ``right[k]`` are its children,
+    -1 at leaves; ``size[k]`` is the number of training points a leaf holds,
+    0 at internal nodes. ``angle`` is set on rotated-baseline trees only.
+    """
+
+    normal: np.ndarray
+    intercept: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    size: np.ndarray
     height_limit: int
     psi: int
+    angle: float | None = None
 
 
 @dataclass
@@ -135,6 +137,16 @@ def _margins(points: np.ndarray, normal: np.ndarray, intercept: np.ndarray) -> n
     return acc
 
 
+def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
+    """Turn each 2-D row by ``angle`` radians about the origin."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    out = np.empty_like(x)
+    out[:, 0] = x[:, 0] * c - x[:, 1] * s
+    out[:, 1] = x[:, 0] * s + x[:, 1] * c
+    return out
+
+
 def branch_left(x, h: Hyperplane) -> bool:
     """True when x belongs to the left branch: (x - p) . n <= 0."""
     x = np.asarray(x, dtype=np.float64)
@@ -190,8 +202,8 @@ def build_tree(
     height_limit: int,
     extension_level: int,
     rng: RngStream,
-) -> TreeNode:
-    """Grow a tree node recursively.
+) -> IsolationTree:
+    """Grow a tree whose root sits at ``current_height``.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
@@ -200,18 +212,46 @@ def build_tree(
     x = np.asarray(subsample_data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"subsample must be 2-D, got shape {x.shape}")
-    return _grow(x, current_height, height_limit, extension_level, rng)
+    return _grow(x, current_height, height_limit, extension_level, rng, x.shape[0])
 
 
-def _grow(x, height, limit, extension_level, rng) -> TreeNode:
-    n = x.shape[0]
-    if height >= limit or n <= 1 or bool((x == x[0]).all()):
-        return External(size=n)
-    split = sample_hyperplane(x, extension_level, rng)
-    went_left = _margins(x, split.normal, split.intercept) <= 0.0
-    left = _grow(x[went_left], height + 1, limit, extension_level, rng)
-    right = _grow(x[~went_left], height + 1, limit, extension_level, rng)
-    return Internal(split=split, left=left, right=right)
+def _grow(x, height, limit, extension_level, rng, psi, angle=None) -> IsolationTree:
+    rows = []
+
+    def grow(x, height) -> None:
+        n = x.shape[0]
+        if height >= limit or n <= 1 or bool((x == x[0]).all()):
+            rows.append([None, None, -1, -1, n])
+            return
+        split = sample_hyperplane(x, extension_level, rng)
+        row = [split.normal, split.intercept, len(rows) + 1, -1, 0]
+        rows.append(row)
+        went_left = _margins(x, split.normal, split.intercept) <= 0.0
+        grow(x[went_left], height + 1)
+        row[3] = len(rows)
+        grow(x[~went_left], height + 1)
+
+    grow(x, height)
+    return tree_from_rows(rows, x.shape[1], limit, psi, angle)
+
+
+def tree_from_rows(rows, dimension: int, height_limit: int, psi: int, angle: float | None = None) -> IsolationTree:
+    """Tree from per-node ``[normal, intercept, left, right, size]`` rows in preorder.
+
+    Leaf rows carry None vectors and get zeros. A lone leaf has no split to
+    confirm ``dimension``, so its zero row is a read-only view of one value.
+    """
+    _, _, left, right, size = zip(*rows)
+    normal = intercept = np.broadcast_to(np.float64(0.0), (len(rows), dimension))
+    if len(rows) > 1:
+        normal, intercept = np.zeros(normal.shape), np.zeros(normal.shape)
+        for k in np.flatnonzero(np.array(left) >= 0):
+            normal[k], intercept[k] = rows[k][0], rows[k][1]
+    return IsolationTree(
+        normal=normal, intercept=intercept,
+        left=np.array(left), right=np.array(right), size=np.array(size),
+        height_limit=height_limit, psi=psi, angle=angle,
+    )
 
 
 def height_limit_for(psi: int) -> int:
@@ -228,13 +268,20 @@ def _build_one_tree(
     psi: int,
     limit: int,
     extension_level: int,
+    rotated: bool = False,
+    angle: float | None = None,
 ) -> IsolationTree:
-    # Each tree owns its derived stream, so build order (or thread
-    # scheduling) cannot change the result.
+    # Each tree owns its derived stream, so build order cannot change the
+    # result.
     stream = root.derive(tree_index)
     sample = subsample(stream, data, psi)
-    node = _grow(sample, 0, limit, extension_level, stream)
-    return IsolationTree(root=node, height_limit=limit, psi=psi)
+    if rotated:
+        # A forced angle skips the draw, leaving the rest of the stream as
+        # an unrotated level-0 tree would consume it.
+        if angle is None:
+            angle = float(stream.uniform(0.0, TWO_PI))
+        sample = _rotate_rows(sample, angle)
+    return _grow(sample, 0, limit, extension_level, stream, psi, angle)
 
 
 def build_forest(
@@ -243,16 +290,17 @@ def build_forest(
     psi: int,
     extension_level: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> Forest:
     """Train a forest of t trees, each on its own psi-point subsample.
 
-    Tree i consumes only the child stream derived at index i, which makes
-    training embarrassingly parallel; ``threads`` > 1 builds trees on a
-    thread pool with output identical to the sequential build.
+    Tree i consumes only the child stream derived at index i, so any prefix
+    of the forest is the forest trained with that many trees.
     """
-    x = as_dataset(data)
+    variant = VARIANT_STANDARD if extension_level == 0 else VARIANT_EXTENDED
+    return _build_forest(as_dataset(data), t, psi, extension_level, seed, variant)
+
+
+def _build_forest(x, t, psi, extension_level, seed, variant, angles=None) -> Forest:
     n, dim = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 training rows, got {n}")
@@ -270,17 +318,12 @@ def build_forest(
 
     limit = height_limit_for(psi)
     root = make_rng(seed)
-
-    def build(i: int) -> IsolationTree:
-        return _build_one_tree(x, i, root, psi, limit, extension_level)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(t)))
-    else:
-        trees = [build(i) for i in range(t)]
-
-    variant = VARIANT_STANDARD if extension_level == 0 else VARIANT_EXTENDED
+    rotated = variant == VARIANT_ROTATED
+    trees = [
+        _build_one_tree(x, i, root, psi, limit, extension_level, rotated,
+                        None if angles is None else float(angles[i]))
+        for i in range(t)
+    ]
     return Forest(
         trees=trees,
         psi=psi,
@@ -292,43 +335,38 @@ def build_forest(
     )
 
 
-def _tree_dimension(tree: IsolationTree) -> int | None:
-    node = tree.root
-    if isinstance(node, Internal):
-        return node.split.normal.shape[0]
-    return None
+def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
+    """Per row: depth at which it lands, plus c(size) credit for the leaf."""
+    if tree.angle is not None:
+        x = _rotate_rows(x, tree.angle)
+    left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
+    out = np.empty(x.shape[0])
+    stack = [(0, np.arange(x.shape[0]), 0)]
+    while stack:
+        k, idx, depth = stack.pop()
+        if idx.size == 0:
+            continue
+        if left[k] < 0:
+            out[idx] = depth + c_factor(size[k])
+            continue
+        went_left = _margins(x[idx], tree.normal[k], tree.intercept[k]) <= 0.0
+        stack.append((left[k], idx[went_left], depth + 1))
+        stack.append((right[k], idx[~went_left], depth + 1))
+    return out
+
+
+def _one_row(x, dimension: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != dimension:
+        raise ValueError(f"dimension mismatch: point shape {x.shape}, dimension is {dimension}")
+    return x[np.newaxis, :]
 
 
 def path_length(x, tree: IsolationTree) -> float:
     """Depth at which x lands, plus c(size) credit for the leaf population."""
-    x = np.asarray(x, dtype=np.float64)
-    dim = _tree_dimension(tree)
-    if dim is not None and (x.ndim != 1 or x.shape[0] != dim):
-        raise ValueError(f"dimension mismatch: point shape {x.shape}, tree dimension {dim}")
-    row = x[np.newaxis, :]
-    node = tree.root
-    depth = 0
-    while isinstance(node, Internal):
-        margin = _margins(row, node.split.normal, node.split.intercept)[0]
-        node = node.left if margin <= 0.0 else node.right
-        depth += 1
-    return depth + c_factor(node.size)
-
-
-def _batch_path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    stack = [(tree.root, np.arange(x.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if isinstance(node, External):
-            out[idx] = depth + c_factor(node.size)
-            continue
-        went_left = _margins(x[idx], node.split.normal, node.split.intercept) <= 0.0
-        stack.append((node.left, idx[went_left], depth + 1))
-        stack.append((node.right, idx[~went_left], depth + 1))
-    return out
+    row = _one_row(x, tree.normal.shape[1])
+    _require_finite(row, "x")
+    return float(_path_lengths(row, tree)[0])
 
 
 def _pow2(exponent: float) -> float:
@@ -339,26 +377,25 @@ def _pow2(exponent: float) -> float:
 
 def expected_depth(x, forest: Forest) -> float:
     """Mean path length over all trees (summed in tree order)."""
-    if not forest.trees:
-        raise ValueError("forest has no trees")
-    total = 0.0
-    for tree in forest.trees:
-        total += path_length(x, tree)
-    return total / len(forest.trees)
+    return float(_depth_totals(_one_row(x, forest.dimension), forest)[0]) / forest.t
 
 
 def anomaly_score(x, forest: Forest) -> float:
     """2 ** (-expected_depth / c(psi)); near 1 is anomalous, near 0.5 nominal."""
-    return _pow2(-expected_depth(x, forest) / forest.normalizer)
+    return float(score_batch(_one_row(x, forest.dimension), forest)[0])
 
 
 def score_batch(data, forest: Forest) -> np.ndarray:
-    """Scores for every row, order preserved; bit-identical to a per-point loop."""
+    """Scores for every row, order preserved."""
+    total = _depth_totals(data, forest)
+    return _scores_from_depth_totals(total, forest.t, forest.normalizer)
+
+
+def _depth_totals(data, forest: Forest) -> np.ndarray:
+    """Per-row path lengths summed over the trees in tree order."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {x.shape}")
-    if x.shape[0] == 0:
-        return np.empty(0)
     if x.shape[1] != forest.dimension:
         raise ValueError(
             f"dimension mismatch: data has {x.shape[1]} columns, "
@@ -369,8 +406,8 @@ def score_batch(data, forest: Forest) -> np.ndarray:
         raise ValueError("forest has no trees")
     total = np.zeros(x.shape[0])
     for tree in forest.trees:
-        total += _batch_path_lengths(x, tree)
-    return _scores_from_depth_totals(total, len(forest.trees), forest.normalizer)
+        total += _path_lengths(x, tree)
+    return total
 
 
 def _scores_from_depth_totals(total: np.ndarray, t: int, normalizer: float) -> np.ndarray:

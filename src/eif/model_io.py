@@ -10,13 +10,17 @@ Model file: a single UTF-8 JSON document,
       "trees": [{"height_limit": ..., "nodes": [...], "angle": ...}, ...]
     }
 
-Each tree is a flattened node array with the root at index 0; a node is
+Each tree is its node array in preorder with the root at index 0; a node is
 either ``{"kind": "internal", "normal": [...], "intercept": [...],
 "left_index": i, "right_index": j}`` or ``{"kind": "external", "size": n}``.
-Rotated trees additionally carry their angle. Floats are written in
-Python's shortest round-trip form, so load(save(f)) scores bit-for-bit
-like f. Loading validates structure (bounds, acyclicity, leaf counts)
-and reports the first violation.
+These are the arrays an in-memory tree holds, so saving writes them out and
+loading fills them. Rotated trees additionally carry their angle. Floats are
+written in Python's shortest round-trip form, so load(save(f)) scores
+bit-for-bit like f. Loading validates structure (types, bounds, a single
+visit per node, reachability) and the invariants every built tree has (depth
+at most height_limit = ceil(log2 psi), leaf sizes summing to psi, exactly
+extension_level + 1 nonzero entries per normal), and reports the first
+violation by tree and node.
 
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
@@ -34,9 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
-from .forest import External, Forest, Hyperplane, Internal, IsolationTree, TreeNode, c_factor
+from .forest import VARIANT_ROTATED, VARIANTS, Forest, IsolationTree, c_factor, height_limit_for, tree_from_rows
 from .rng import RNG_FAMILY
-from .rotation import RotatedForest, RotatedTree
 
 FORMAT_MAGIC = "eif-model"
 FORMAT_VERSION = 1
@@ -60,68 +63,38 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _flatten_tree(root: TreeNode) -> list[dict]:
-    nodes: list[dict] = []
-    stack = [(root, None, None)]  # (node, parent slot dict, "left_index"/"right_index")
-    while stack:
-        node, parent, slot = stack.pop()
-        index = len(nodes)
-        if parent is not None:
-            parent[slot] = index
-        if isinstance(node, External):
-            nodes.append({"kind": "external", "size": int(node.size)})
-        else:
-            rec = {
-                "kind": "internal",
-                "normal": [float(v) for v in node.split.normal],
-                "intercept": [float(v) for v in node.split.intercept],
-                "left_index": None,
-                "right_index": None,
-            }
-            nodes.append(rec)
-            # Right pushed first so the left child lands at index + 1 (preorder).
-            stack.append((node.right, rec, "right_index"))
-            stack.append((node.left, rec, "left_index"))
-    return nodes
+def _tree_document(tree: IsolationTree) -> dict:
+    doc = {"height_limit": tree.height_limit}
+    if tree.angle is not None:
+        doc["angle"] = tree.angle
+    normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
+    left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
+    doc["nodes"] = [
+        {"kind": "internal", "normal": normal[k], "intercept": intercept[k],
+         "left_index": left[k], "right_index": right[k]}
+        if left[k] >= 0 else {"kind": "external", "size": size[k]}
+        for k in range(len(left))
+    ]
+    return doc
 
 
-def forest_to_document(forest) -> dict:
+def forest_to_document(forest: Forest) -> dict:
     """Plain-dict form of a trained forest, ready for JSON."""
-    if isinstance(forest, Forest):
-        variant = forest.variant
-        extension_level = forest.extension_level
-        trees = [
-            {"height_limit": tr.height_limit, "nodes": _flatten_tree(tr.root)}
-            for tr in forest.trees
-        ]
-    elif isinstance(forest, RotatedForest):
-        variant = "rotated"
-        extension_level = 0
-        trees = [
-            {
-                "height_limit": rt.tree.height_limit,
-                "angle": float(rt.angle),
-                "nodes": _flatten_tree(rt.tree.root),
-            }
-            for rt in forest.trees
-        ]
-    else:
-        raise ValueError(f"cannot serialize {type(forest).__name__}")
     return {
         "format": FORMAT_MAGIC,
         "version": FORMAT_VERSION,
-        "variant": variant,
+        "variant": forest.variant,
         "dimension": forest.dimension,
         "t": forest.t,
         "psi": forest.psi,
-        "extension_level": extension_level,
+        "extension_level": forest.extension_level,
         "seed": forest.seed,
         "rng_family": RNG_FAMILY,
-        "trees": trees,
+        "trees": [_tree_document(tree) for tree in forest.trees],
     }
 
 
-def save_forest(forest, path) -> None:
+def save_forest(forest: Forest, path) -> None:
     """Write the model document to ``path`` (fsynced, never partial)."""
     try:
         _atomic_write_text(path, json.dumps(forest_to_document(forest), indent=1))
@@ -142,73 +115,91 @@ def _require(doc: dict, key: str, types, where: str):
     return value
 
 
-def _rebuild_tree(nodes: list, dimension: int, where: str) -> tuple[TreeNode, int]:
-    """Rebuild node 0's subtree, validating bounds/acyclicity/shape."""
+def _finite_floats(values: list, what: str) -> list[float]:
+    try:
+        floats = [float(v) for v in values if isinstance(v, (int, float))]
+    except OverflowError:  # an integer beyond the float range
+        floats = []
+    if len(floats) != len(values) or not all(map(math.isfinite, floats)):
+        raise _fail(f"{what} has non-numeric or non-finite entries")
+    return floats
+
+
+def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotated: bool):
+    """Validate tree k's document and fill its node arrays in preorder."""
+    where = f"tree {k}"
+    if not isinstance(td, dict):
+        raise _fail(f"{where} is not an object")
+    height_limit = _require(td, "height_limit", int, where)
+    limit = height_limit_for(psi)
+    if height_limit != limit:
+        raise _fail(f"{where} has height_limit {height_limit}, expected {limit} for psi={psi}")
+    angle = None
+    if rotated:
+        angle = _finite_floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
+    nodes = _require(td, "nodes", list, where)
     count = len(nodes)
     if count == 0:
         raise _fail(f"{where} has no nodes")
-    built: dict[int, TreeNode] = {}
-    visiting: set[int] = set()
-    order: list[tuple[int, bool]] = [(0, False)]
-    n_leaves = 0
-    while order:
-        i, expanded = order.pop()
-        if expanded:
-            rec = nodes[i]
-            built[i] = Internal(
-                split=Hyperplane(
-                    normal=np.asarray(rec["normal"], dtype=np.float64),
-                    intercept=np.asarray(rec["intercept"], dtype=np.float64),
-                ),
-                left=built[rec["left_index"]],
-                right=built[rec["right_index"]],
-            )
-            visiting.discard(i)
-            continue
-        if i in visiting or i in built:
-            raise _fail(f"node {i} in {where} is reached twice (cycle or shared subtree)")
+
+    rows = []  # [normal, intercept, left, right, size] per node, in preorder
+    seen: set[int] = set()
+    # (file index, depth, row of the parent whose right child this is)
+    stack: list[tuple[int, int, list | None]] = [(0, 0, None)]
+    while stack:
+        i, depth, parent = stack.pop()
+        node = f"node {i} of {where}"
+        if i in seen:
+            raise _fail(f"{node} is reached twice (cycle or shared subtree)")
+        seen.add(i)
+        if depth > height_limit:
+            raise _fail(f"{node} is at depth {depth}, beyond height_limit {height_limit}")
+        if parent is not None:
+            parent[3] = len(rows)
         rec = nodes[i]
         if not isinstance(rec, dict):
-            raise _fail(f"node {i} in {where} is not an object")
-        kind = _require(rec, "kind", str, f"node {i} of {where}")
+            raise _fail(f"{node} is not an object")
+        kind = _require(rec, "kind", str, node)
         if kind == "external":
-            size = _require(rec, "size", int, f"node {i} of {where}")
-            if isinstance(size, bool) or size < 0:
-                raise _fail(f"node {i} of {where} has negative or non-integer size")
-            built[i] = External(size=size)
-            n_leaves += 1
+            n = _require(rec, "size", int, node)
+            if isinstance(n, bool) or n < 0:
+                raise _fail(f"{node} has negative or non-integer size")
+            rows.append([None, None, -1, -1, n])
         elif kind == "internal":
-            normal = _require(rec, "normal", list, f"node {i} of {where}")
-            intercept = _require(rec, "intercept", list, f"node {i} of {where}")
-            if len(normal) != dimension or len(intercept) != dimension:
-                raise _fail(f"node {i} of {where} has vectors of length != dimension {dimension}")
-            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in normal + intercept):
-                raise _fail(f"node {i} of {where} has non-finite split coordinates")
-            if not any(v != 0 for v in normal):
-                raise _fail(f"node {i} of {where} has an all-zero normal")
-            left = _require(rec, "left_index", int, f"node {i} of {where}")
-            right = _require(rec, "right_index", int, f"node {i} of {where}")
-            for child in (left, right):
+            n_vec = _require(rec, "normal", list, node)
+            p_vec = _require(rec, "intercept", list, node)
+            if len(n_vec) != dimension or len(p_vec) != dimension:
+                raise _fail(f"{node} has vectors of length != dimension {dimension}")
+            n_vec = _finite_floats(n_vec, f"split normal of {node}")
+            p_vec = _finite_floats(p_vec, f"split intercept of {node}")
+            nonzero = sum(v != 0.0 for v in n_vec)
+            if nonzero == 0:
+                raise _fail(f"{node} has an all-zero normal")
+            if nonzero != extension_level + 1:
+                raise _fail(f"{node} has {nonzero} nonzero normal entries, "
+                            f"expected {extension_level + 1}")
+            children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
+            for child in children:
                 if isinstance(child, bool) or not 0 <= child < count:
-                    raise _fail(f"node {i} of {where} has child index {child} out of range")
-            if left == right:
-                raise _fail(f"node {i} of {where} has identical children")
-            visiting.add(i)
-            order.append((i, True))
-            order.append((right, False))
-            order.append((left, False))
+                    raise _fail(f"{node} has child index {child} out of range")
+            if children[0] == children[1]:
+                raise _fail(f"{node} has identical children")
+            rows.append([n_vec, p_vec, len(rows) + 1, -1, 0])
+            # Left popped first, so it lands at the next preorder index.
+            stack.append((children[1], depth + 1, rows[-1]))
+            stack.append((children[0], depth + 1, None))
         else:
-            raise _fail(f"node {i} of {where} has unknown kind {kind!r}")
-    if len(built) != count:
-        raise _fail(f"{where} has {count - len(built)} unreachable node(s)")
-    n_internal = count - n_leaves
-    if n_leaves != n_internal + 1:
-        raise _fail(f"{where} has {n_leaves} leaves for {n_internal} internal nodes")
-    return built[0], n_leaves
+            raise _fail(f"{node} has unknown kind {kind!r}")
+    if len(seen) != count:
+        raise _fail(f"{where} has {count - len(seen)} unreachable node(s)")
+    mass = sum(row[4] for row in rows)
+    if mass != psi:
+        raise _fail(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
+    return tree_from_rows(rows, dimension, height_limit, psi, angle)
 
 
-def load_forest(path):
-    """Read and validate a model document; returns a Forest or RotatedForest."""
+def load_forest(path) -> Forest:
+    """Read and validate a model document; returns a Forest of any variant."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -234,10 +225,14 @@ def load_forest(path):
     seed = _require(doc, "seed", int, "document")
     _require(doc, "rng_family", str, "document")
     tree_docs = _require(doc, "trees", list, "document")
-    if dimension < 1:
-        raise _fail(f"dimension must be >= 1, got {dimension}")
-    if psi < 1:
-        raise _fail(f"psi must be >= 1, got {psi}")
+    if variant not in VARIANTS:
+        raise _fail(f"unknown variant {variant!r}")
+    if not 1 <= dimension < 2**60:  # 2**60 float64 values fill numpy's largest array
+        raise _fail(f"dimension must be in [1, 2**60), got {dimension}")
+    if variant == VARIANT_ROTATED and dimension != 2:
+        raise _fail(f"rotated variant requires dimension 2, got {dimension}")
+    if not 2 <= psi < 2**63:
+        raise _fail(f"psi must be in [2, 2**63), got {psi}")
     if not tree_docs:
         raise _fail("document has no trees")
     if not 0 <= extension_level <= dimension - 1:
@@ -245,33 +240,11 @@ def load_forest(path):
     if doc.get("t") != len(tree_docs):
         raise _fail(f"t={doc.get('t')} does not match {len(tree_docs)} serialized trees")
 
-    trees = []
-    angles = []
-    for k, td in enumerate(tree_docs):
-        where = f"tree {k}"
-        if not isinstance(td, dict):
-            raise _fail(f"{where} is not an object")
-        height_limit = _require(td, "height_limit", int, where)
-        if height_limit < 0:
-            raise _fail(f"{where} has negative height_limit")
-        nodes = _require(td, "nodes", list, where)
-        root, _ = _rebuild_tree(nodes, dimension, where)
-        trees.append(IsolationTree(root=root, height_limit=height_limit, psi=psi))
-        if variant == "rotated":
-            angle = _require(td, "angle", (int, float), where)
-            if not math.isfinite(angle):
-                raise _fail(f"{where} has non-finite angle")
-            angles.append(float(angle))
-
-    if variant == "rotated":
-        if dimension != 2:
-            raise _fail(f"rotated variant requires dimension 2, got {dimension}")
-        return RotatedForest(
-            trees=[RotatedTree(tree=tr, angle=a) for tr, a in zip(trees, angles)],
-            psi=psi, dimension=2, normalizer=c_factor(psi), seed=seed,
-        )
-    if variant not in ("extended", "standard-equivalent"):
-        raise _fail(f"unknown variant {variant!r}")
+    rotated = variant == VARIANT_ROTATED
+    trees = [
+        _read_tree(td, k, dimension, psi, extension_level, rotated)
+        for k, td in enumerate(tree_docs)
+    ]
     return Forest(
         trees=trees, psi=psi, dimension=dimension, extension_level=extension_level,
         normalizer=c_factor(psi), variant=variant, seed=seed,

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to pin metric behavior."""
 
+import math
+
 import numpy as np
 
 from eif.evaluation import ConvergenceSeries, _population_variance
-from eif.forest import build_forest, score_batch
+from eif.forest import IsolationTree, build_forest, c_factor, score_batch
 
 
 def auroc_oracle(scores, labels):
@@ -73,3 +75,73 @@ def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level,
         means.append(float(s.mean()))
         variances.append(_population_variance(s))
     return ConvergenceSeries(t_values=list(t_values), means=means, variances=variances)
+
+
+def tree_from_nested(node, height_limit, psi, dimension=None, angle=None):
+    """Node arrays, in preorder, of a tree written as nested values: a leaf
+    is its size, an internal node is ``(normal, intercept, left, right)``."""
+    normal, intercept, left, right, size = [], [], [], [], []
+
+    def add(node):
+        k = len(left)
+        if isinstance(node, int):
+            normal.append(None)
+            intercept.append(None)
+            left.append(-1)
+            right.append(-1)
+            size.append(node)
+            return
+        n, p, lo, hi = node
+        normal.append(list(n))
+        intercept.append(list(p))
+        left.append(k + 1)
+        right.append(-1)
+        size.append(0)
+        add(lo)
+        right[k] = len(left)
+        add(hi)
+
+    add(node)
+    if dimension is None:
+        dimension = len(next(v for v in normal if v is not None))
+    zeros = [0.0] * dimension
+    return IsolationTree(
+        normal=np.array([zeros if v is None else v for v in normal], dtype=float),
+        intercept=np.array([zeros if v is None else v for v in intercept], dtype=float),
+        left=np.array(left), right=np.array(right), size=np.array(size),
+        height_limit=height_limit, psi=psi, angle=angle,
+    )
+
+
+def leaf_depths(tree):
+    """{leaf node index: depth}, found by walking the child arrays from node 0."""
+    depths = {}
+    stack = [(0, 0)]
+    while stack:
+        k, depth = stack.pop()
+        if tree.left[k] < 0:
+            depths[k] = depth
+        else:
+            stack.extend([(int(tree.left[k]), depth + 1), (int(tree.right[k]), depth + 1)])
+    return depths
+
+
+def score_oracle(x, forest):
+    """One point's score by a scalar walk over each tree's node arrays:
+    Python floats, each margin accumulated in coordinate order, per-tree
+    depths summed in tree order."""
+    total = 0.0
+    for tree in forest.trees:
+        p = [float(v) for v in x]
+        if tree.angle is not None:
+            c, s = math.cos(tree.angle), math.sin(tree.angle)
+            p = [p[0] * c - p[1] * s, p[0] * s + p[1] * c]
+        k, depth = 0, 0
+        while tree.left[k] >= 0:
+            margin = 0.0
+            for d in range(len(p)):
+                margin += (p[d] - float(tree.intercept[k, d])) * float(tree.normal[k, d])
+            k = int(tree.left[k] if margin <= 0.0 else tree.right[k])
+            depth += 1
+        total += depth + c_factor(int(tree.size[k]))
+    return 2.0 ** (-(total / forest.t) / forest.normalizer)

@@ -15,10 +15,7 @@ import pytest
 from eif.cli import run as cli_run
 from eif.evaluation import auprc, auroc, convergence_curve, levelset_stats
 from eif.forest import (
-    External,
     Forest,
-    Internal,
-    IsolationTree,
     anomaly_score,
     build_forest,
     c_factor,
@@ -34,7 +31,7 @@ from eif.synthetic import (
     gen_gaussian_blob,
     gen_sphere_levelset,
 )
-from oracles import auprc_oracle, auroc_oracle, random_labeled_instance
+from oracles import auprc_oracle, auroc_oracle, random_labeled_instance, tree_from_nested
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -47,7 +44,7 @@ def test_criterion_1_formula_unit_suite():
     ok_c = abs(c_factor(256) - 10.24477) < 1e-5
     # a single root leaf of size psi gives every point depth c(psi) exactly
     stub = Forest(
-        trees=[IsolationTree(root=External(size=256), height_limit=8, psi=256)],
+        trees=[tree_from_nested(256, height_limit=8, psi=256, dimension=2)],
         psi=256, dimension=2, extension_level=1,
         normalizer=c_factor(256), variant="extended", seed=0,
     )
@@ -77,23 +74,23 @@ def test_criterion_2_structural_invariants():
         root_stream = make_rng(fold_seed(78, count))
         for i, tree in enumerate(forest.trees):
             sample = subsample(derive_stream(root_stream, i), data, psi)
-            stack = [(tree.root, sample, 0)]
+            stack = [(0, sample, 0)]
             total_leaf_mass = 0
             while stack:
-                node, pts, depth = stack.pop()
+                k, pts, depth = stack.pop()
                 nodes_checked += 1
-                if isinstance(node, External):
-                    assert node.size == len(pts), "leaf size != points routed to it"
-                    total_leaf_mass += node.size
+                if tree.left[k] < 0:
+                    assert tree.size[k] == len(pts), "leaf size != points routed to it"
+                    total_leaf_mass += tree.size[k]
                     continue
                 assert depth < tree.height_limit, "internal node at depth limit"
-                nz = np.count_nonzero(node.split.normal)
+                nz = np.count_nonzero(tree.normal[k])
                 assert nz == level + 1, "nonzero normal coordinates != level+1"
                 # independent margin evaluation (whole-vector dot product)
-                margins = (pts - node.split.intercept) @ node.split.normal
+                margins = (pts - tree.intercept[k]) @ tree.normal[k]
                 went_left = margins <= 0.0
-                stack.append((node.left, pts[went_left], depth + 1))
-                stack.append((node.right, pts[~went_left], depth + 1))
+                stack.append((tree.left[k], pts[went_left], depth + 1))
+                stack.append((tree.right[k], pts[~went_left], depth + 1))
             assert total_leaf_mass == psi, "leaf masses do not sum to psi"
     elapsed = time.perf_counter() - start
     report(2, elapsed < 60.0,
@@ -280,7 +277,7 @@ def test_criterion_11_user_supplied_benchmarks(tmp_path):
         psi = min(256, data.shape[0])
         rocs = {}
         for tag, level in (("full", data.shape[1] - 1), ("axis", 0)):
-            forest = build_forest(data, 200, psi, level, seed=1, threads=os.cpu_count() or 1)
+            forest = build_forest(data, 200, psi, level, seed=1)
             model_path = tmp_path / f"{name}-{tag}.json"
             save_forest(forest, model_path)
             code = cli_run(["bench", "--model", str(model_path),

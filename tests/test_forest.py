@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import (
-    External,
     Hyperplane,
-    Internal,
-    IsolationTree,
     anomaly_score,
     branch_left,
     build_forest,
@@ -25,7 +22,9 @@ from eif.forest import (
 )
 from eif.model_io import forest_to_document
 from eif.rng import derive_stream, make_rng, subsample
+from eif.rotation import build_rotated_forest
 from eif.synthetic import gen_gaussian_blob
+from oracles import leaf_depths, score_oracle, tree_from_nested
 
 EULER = 0.5772156649
 
@@ -131,46 +130,50 @@ class TestBranchLeft:
             branch_left(np.array([1.0, 2.0, 3.0]), h)
 
 
-def leaf_sizes(node):
-    if isinstance(node, External):
-        return [node.size]
-    return leaf_sizes(node.left) + leaf_sizes(node.right)
+def leaf_sizes(tree):
+    return tree.size[tree.left < 0].tolist()
 
 
-def max_depth(node):
-    if isinstance(node, External):
-        return 0
-    return 1 + max(max_depth(node.left), max_depth(node.right))
+def max_depth(tree):
+    return max(leaf_depths(tree).values())
+
+
+def is_single_leaf(tree, size):
+    return tree.left.tolist() == [-1] and tree.size.tolist() == [size]
 
 
 class TestBuildTree:
     def test_singleton_becomes_leaf(self):
-        node = build_tree(np.array([[1.0, 2.0]]), 0, 8, 1, make_rng(1))
-        assert isinstance(node, External)
-        assert node.size == 1
+        tree = build_tree(np.array([[1.0, 2.0]]), 0, 8, 1, make_rng(1))
+        assert is_single_leaf(tree, 1)
 
     def test_identical_points_become_leaf(self):
         data = np.tile([1.5, -2.0], (20, 1))
-        node = build_tree(data, 0, 8, 1, make_rng(1))
-        assert isinstance(node, External)
-        assert node.size == 20
+        tree = build_tree(data, 0, 8, 1, make_rng(1))
+        assert is_single_leaf(tree, 20)
 
     def test_height_limit_reached_becomes_leaf(self):
         data = gen_gaussian_blob(10, 2, seed=1)
-        node = build_tree(data, 5, 5, 1, make_rng(1))
-        assert isinstance(node, External)
-        assert node.size == 10
+        tree = build_tree(data, 5, 5, 1, make_rng(1))
+        assert is_single_leaf(tree, 10)
 
     def test_four_points_depth_two(self):
         data = np.array([[0.0], [1.0], [2.0], [3.0]])
-        node = build_tree(data, 0, 2, 0, make_rng(3))
-        assert max_depth(node) <= 2
-        assert sum(leaf_sizes(node)) == 4
+        tree = build_tree(data, 0, 2, 0, make_rng(3))
+        assert max_depth(tree) <= 2
+        assert sum(leaf_sizes(tree)) == 4
 
     def test_leaf_mass_conservation(self):
         data = gen_gaussian_blob(256, 3, seed=4)
-        node = build_tree(data, 0, 8, 2, make_rng(9))
-        assert sum(leaf_sizes(node)) == 256
+        tree = build_tree(data, 0, 8, 2, make_rng(9))
+        assert sum(leaf_sizes(tree)) == 256
+
+    def test_nodes_are_in_preorder(self):
+        tree = build_tree(gen_gaussian_blob(64, 2, seed=5), 0, 6, 1, make_rng(2))
+        internal = np.flatnonzero(tree.left >= 0)
+        assert tree.left[internal].tolist() == (internal + 1).tolist()
+        assert np.all(tree.right[internal] > tree.left[internal])
+        assert sorted(leaf_depths(tree)) == np.flatnonzero(tree.left < 0).tolist()
 
     def test_deterministic_replay(self, tmp_path):
         data = gen_gaussian_blob(256, 2, seed=11)
@@ -222,33 +225,23 @@ class TestBuildForest:
                    normalizer=c_factor(128), variant="extended", seed=21)
         assert json.dumps(forest_to_document(f)) == json.dumps(forest_to_document(g))
 
-    def test_threads_do_not_change_output(self, blob_2d):
-        a = build_forest(blob_2d, 12, 128, 1, seed=3, threads=1)
-        b = build_forest(blob_2d, 12, 128, 1, seed=3, threads=4)
-        assert forest_to_document(a) == forest_to_document(b)
-
 
 class TestPathLengthAndScore:
     def test_root_leaf_path(self):
-        tree = IsolationTree(root=External(size=1), height_limit=0, psi=1)
+        tree = tree_from_nested(1, height_limit=0, psi=1, dimension=1)
         assert path_length(np.array([1.0]), tree) == 0.0
 
     def test_depth_one_both_leaves(self):
-        h = Hyperplane(np.array([1.0]), np.array([0.0]))
-        tree = IsolationTree(
-            root=Internal(split=h, left=External(size=1), right=External(size=1)),
-            height_limit=1, psi=2,
-        )
+        tree = tree_from_nested(([1.0], [0.0], 1, 1), height_limit=1, psi=2)
         assert path_length(np.array([-3.0]), tree) == 1.0
         assert path_length(np.array([3.0]), tree) == 1.0
 
     def test_leaf_credit_uses_c_factor(self):
         # depth-8 chain ending in a size-10 leaf
-        node = External(size=10)
+        node = 10
         for _ in range(8):
-            h = Hyperplane(np.array([1.0]), np.array([1e9]))
-            node = Internal(split=h, left=node, right=External(size=0))
-        tree = IsolationTree(root=node, height_limit=8, psi=256)
+            node = ([1.0], [1e9], node, 0)
+        tree = tree_from_nested(node, height_limit=8, psi=256)
         expected = 8 + c_factor(10)
         assert path_length(np.array([0.0]), tree) == pytest.approx(expected, abs=1e-12)
         assert c_factor(10) == pytest.approx(3.7489, abs=1e-4)
@@ -256,6 +249,11 @@ class TestPathLengthAndScore:
     def test_path_length_dimension_mismatch(self, small_forest):
         with pytest.raises(ValueError, match="dimension mismatch"):
             path_length(np.zeros(3), small_forest.trees[0])
+
+    def test_root_leaf_tree_still_checks_dimension(self):
+        tree = tree_from_nested(256, height_limit=8, psi=256, dimension=2)
+        with pytest.raises(ValueError, match=r"dimension mismatch: point shape \(5,\), dimension is 2"):
+            path_length(np.zeros(5), tree)
 
     def test_single_tree_forest_mean(self, blob_2d):
         f = build_forest(blob_2d, 1, 64, 1, seed=2)
@@ -295,6 +293,10 @@ class TestScoreBatch:
         out = score_batch(np.empty((0, 2)), small_forest)
         assert out.shape == (0,)
 
+    def test_empty_dataset_of_wrong_width(self, small_forest):
+        with pytest.raises(ValueError, match="dimension mismatch: data has 3 columns"):
+            score_batch(np.empty((0, 3)), small_forest)
+
     def test_single_row_matches_pointwise(self, small_forest):
         x = np.array([0.3, 1.8])
         assert score_batch(x[np.newaxis, :], small_forest)[0] == anomaly_score(x, small_forest)
@@ -324,21 +326,21 @@ class TestScoreBatch:
 def route_and_check(tree, sample):
     """Route a tree's training sample down the stored structure, checking the
     split test at every node, and compare arrival counts with stored sizes."""
-    stack = [(tree.root, sample, 0)]
+    stack = [(0, sample, 0)]
     while stack:
-        node, pts, depth = stack.pop()
-        if isinstance(node, External):
-            assert node.size == len(pts)
+        k, pts, depth = stack.pop()
+        if tree.left[k] < 0:
+            assert tree.size[k] == len(pts)
             continue
         assert depth < tree.height_limit
         margins = np.array([
-            sum((p[d] - node.split.intercept[d]) * node.split.normal[d]
+            sum((p[d] - tree.intercept[k, d]) * tree.normal[k, d]
                 for d in range(len(p)))
             for p in pts
         ]) if len(pts) else np.empty(0)
         went_left = margins <= 0.0
-        stack.append((node.left, pts[went_left], depth + 1))
-        stack.append((node.right, pts[~went_left], depth + 1))
+        stack.append((tree.left[k], pts[went_left], depth + 1))
+        stack.append((tree.right[k], pts[~went_left], depth + 1))
 
 
 class TestStructuralInvariants:
@@ -349,8 +351,8 @@ class TestStructuralInvariants:
         root = make_rng(seed)
         for i, tree in enumerate(f.trees):
             sample = subsample(derive_stream(root, i), data, 64)
-            assert sum(leaf_sizes(tree.root)) == 64
-            assert max_depth(tree.root) <= tree.height_limit
+            assert sum(leaf_sizes(tree)) == 64
+            assert max_depth(tree) <= tree.height_limit
             route_and_check(tree, sample)
 
     def test_every_normal_has_level_plus_one_nonzeros(self):
@@ -358,12 +360,8 @@ class TestStructuralInvariants:
         for level in range(4):
             f = build_forest(data, 3, 64, level, seed=level)
             for tree in f.trees:
-                stack = [tree.root]
-                while stack:
-                    node = stack.pop()
-                    if isinstance(node, Internal):
-                        assert np.count_nonzero(node.split.normal) == level + 1
-                        stack.extend([node.left, node.right])
+                for k in np.flatnonzero(tree.left >= 0):
+                    assert np.count_nonzero(tree.normal[k]) == level + 1
 
 
 class TestMonotoneAnomalyProperty:
@@ -437,3 +435,25 @@ def test_build_is_pure_function_of_inputs(seed, dim):
     a = build_forest(data, 4, 40, dim - 1, seed=seed)
     b = build_forest(data, 4, 40, dim - 1, seed=seed)
     assert forest_to_document(a) == forest_to_document(b)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    dim=st.integers(1, 5),
+    kind=st.sampled_from(["level-0", "full", "rotated"]),
+    psi=st.integers(2, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
+    if kind == "rotated":
+        dim = 2
+    data = gen_gaussian_blob(60, dim, seed=seed % 997)
+    probes = np.vstack([gen_gaussian_blob(15, dim, seed=seed % 991 + 1), 4.0 * data[:5]])
+    if kind == "rotated":
+        forest = build_rotated_forest(data, 5, psi, seed=seed)
+    else:
+        forest = build_forest(data, 5, psi, 0 if kind == "level-0" else dim - 1, seed=seed)
+    # each root's intercept lies on its split plane: the margin tie goes left
+    probes = np.vstack([probes, [tree.intercept[0] for tree in forest.trees]])
+    batch = score_batch(probes, forest)
+    assert [v.hex() for v in batch.tolist()] == [score_oracle(p, forest).hex() for p in probes]

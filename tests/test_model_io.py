@@ -1,7 +1,11 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid
@@ -17,9 +21,10 @@ from eif.model_io import (
     write_scores_csv,
     write_stats_csv,
 )
+from eif.rng import RNG_FAMILY
 from eif.rotation import build_rotated_forest, rotated_score_batch
 from eif.synthetic import gen_gaussian_blob
-from oracles import choose_indices_oracle
+from oracles import choose_indices_oracle, leaf_depths
 
 
 @pytest.fixture()
@@ -150,6 +155,93 @@ class TestLoadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_forest(tmp_path / "nope.json")
+
+    def test_height_limit_must_follow_psi(self, model_path):
+        self.corrupt(model_path, lambda d: d["trees"][1].update(height_limit=9))
+        with pytest.raises(ModelFormatError, match="tree 1 has height_limit 9, expected 8"):
+            load_forest(model_path)
+
+    def test_node_deeper_than_height_limit(self, model_path, small_forest):
+        tree = small_forest.trees[0]
+        leaf, depth = max(leaf_depths(tree).items(), key=lambda item: item[1])
+        assert depth == tree.height_limit
+
+        def mutate(d):
+            # split the deepest leaf into two leaves one level further down
+            nodes = d["trees"][0]["nodes"]
+            donor = nodes[0]
+            size = nodes[leaf]["size"]
+            nodes[leaf] = dict(donor, left_index=len(nodes), right_index=len(nodes) + 1)
+            nodes += [{"kind": "external", "size": size}, {"kind": "external", "size": 0}]
+
+        self.corrupt(model_path, mutate)
+        with pytest.raises(ModelFormatError,
+                           match=rf"node {len(tree.left)} of tree 0 is at depth 9, beyond height_limit 8"):
+            load_forest(model_path)
+
+    def test_leaf_sizes_must_sum_to_psi(self, model_path):
+        def mutate(d):
+            for n in d["trees"][2]["nodes"]:
+                if n["kind"] == "external":
+                    n["size"] += 1
+                    break
+
+        self.corrupt(model_path, mutate)
+        with pytest.raises(ModelFormatError, match="tree 2 has leaf sizes summing to 257, expected psi=256"):
+            load_forest(model_path)
+
+    def test_normal_nonzeros_must_match_extension_level(self, model_path):
+        def mutate(d):
+            d["trees"][0]["nodes"][0]["normal"][1] = 0.0
+
+        self.corrupt(model_path, mutate)
+        with pytest.raises(ModelFormatError,
+                           match="node 0 of tree 0 has 1 nonzero normal entries, expected"):
+            load_forest(model_path)
+
+    def test_integer_beyond_float_range_rejected(self, model_path):
+        self.corrupt(model_path, lambda d: d["trees"][0]["nodes"][0]["intercept"].__setitem__(0, 10**400))
+        with pytest.raises(ModelFormatError, match="intercept of node 0 of tree 0"):
+            load_forest(model_path)
+
+    def test_rotated_angle_beyond_float_range_rejected(self, tmp_path, blob_2d):
+        path = tmp_path / "rot.json"
+        save_forest(build_rotated_forest(blob_2d, 3, 32, seed=1), path)
+        self.corrupt(path, lambda d: d["trees"][1].update(angle=10**400))
+        with pytest.raises(ModelFormatError, match="angle of tree 1"):
+            load_forest(path)
+
+    def test_dimension_beyond_array_range_rejected(self, model_path):
+        self.corrupt(model_path, lambda d: d.update(dimension=2**70))
+        with pytest.raises(ModelFormatError, match=r"dimension must be in \[1, 2\*\*60\)"):
+            load_forest(model_path)
+
+    def test_large_dimension_must_match_split_vectors(self, model_path):
+        self.corrupt(model_path, lambda d: d.update(dimension=2**40))
+        with pytest.raises(ModelFormatError, match="length != dimension"):
+            load_forest(model_path)
+
+    def test_single_leaf_trees_allocate_nothing_per_coordinate(self, tmp_path):
+        # Constant data makes every tree a single leaf, so no split vector
+        # confirms the document's dimension.
+        path = tmp_path / "constant.json"
+        forest = build_forest(np.ones((8, 3)), t=5, psi=4, extension_level=0, seed=1)
+        save_forest(forest, path)
+        assert all(tree.left.tolist() == [-1] for tree in load_forest(path).trees)
+        probes = gen_gaussian_blob(5, 3, seed=2)
+        assert score_batch(probes, load_forest(path)).tobytes() == score_batch(probes, forest).tobytes()
+
+        self.corrupt(path, lambda d: d.update(dimension=2**40))
+        tracemalloc.start()
+        try:
+            loaded = load_forest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert loaded.dimension == 2**40
+        with pytest.raises(ValueError, match="dimension"):
+            score_batch(probes, loaded)
 
 
 class TestReadCsv:
@@ -295,3 +387,105 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     monkeypatch.setattr("eif.forest.choose_indices", choose_indices_oracle)
     save_forest(build(data), tmp_path / "scalar.json")
     assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
+
+
+# SHA-256 of the model file and of the score bytes of three small builds,
+# recorded before trees became node arrays; the array form must reproduce both.
+PINNED = {
+    "level-0": ("1ada649715ed7977cb99d9e63c4bf488a8fade1094d3632793614fe8574d8989",
+                "4811be50136c83ebfac7474442196afc5f2e65f927b2e2c2a63f1793b9809658"),
+    "full": ("6f889d6343d503ada098eddae3102d418c115d4ae97afab3525e01680364deaf",
+             "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
+    "rotated": ("21fa42a9e168da67aff7026e0cf3311503d82776887d05c8d46600a6cd25261b",
+                "7b89a2d4b9f105eefcbbe26a8ce6f88792edfd24e16556d34af1002b5e36a6c1"),
+}
+
+
+@pytest.mark.skipif(RNG_FAMILY != "numpy-philox4x64/2.4.6",
+                    reason=f"hashes pinned under numpy-philox4x64/2.4.6, running {RNG_FAMILY}")
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_model_and_score_bytes(tmp_path, kind):
+    data = gen_gaussian_blob(500, 4, seed=20)
+    probes = gen_gaussian_blob(50, 4, seed=24)
+    if kind == "rotated":
+        forest = build_rotated_forest(data[:, :2], 12, 64, seed=23)
+        probes = probes[:, :2]
+    else:
+        forest = build_forest(data, 12, 64, 0 if kind == "level-0" else 3,
+                              seed=21 if kind == "level-0" else 22)
+    save_forest(forest, tmp_path / "m.json")
+    model_sha = hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
+    score_sha = hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest()
+    assert (model_sha, score_sha) == PINNED[kind]
+
+
+def _fuzz_base(kind):
+    data = gen_gaussian_blob(200, 2, seed=31)
+    if kind == "rotated":
+        forest = build_rotated_forest(data, 3, 16, seed=32)
+    else:
+        forest = build_forest(data, 3, 16, 1, seed=33)
+    return forest_to_document(forest)
+
+
+def _paths(value, prefix=()):
+    """Every (container path, key) in a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+FUZZ_BASES = {kind: _fuzz_base(kind) for kind in ("extended", "rotated")}
+FUZZ_PATHS = {kind: list(_paths(doc)) for kind, doc in FUZZ_BASES.items()}
+
+_json_values = st.one_of(
+    st.integers(-3, 300), st.integers(-2**70, 2**70), st.sampled_from([10**400, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from(["external", "internal", "rotated", "extended", "standard-equivalent"]),
+    st.just([]), st.just({}), st.lists(st.floats(-5, 5), max_size=3),
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = json.loads(json.dumps(FUZZ_BASES[kind]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = FUZZ_PATHS[kind]
+        if draw(st.booleans()):  # weight the few top-level and per-tree fields
+            paths = [p for p in paths if len(p[0]) <= 2]
+        prefix, key = draw(st.sampled_from(paths))
+        container = doc
+        try:
+            for step in prefix:
+                container = container[step]
+            old = container[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this part
+        if not isinstance(container, (dict, list)):
+            continue
+        op = draw(st.sampled_from(["replace", "nudge", "delete"]))
+        if op == "delete":
+            del container[key]
+        elif op == "nudge" and isinstance(old, (int, float)) and not isinstance(old, bool):
+            container[key] = old + draw(st.sampled_from([-1, 1] if isinstance(old, int) else [0.5, -1e-9]))
+        else:
+            container[key] = draw(_json_values)
+    return doc
+
+
+@given(doc=_mutated_documents())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_documents_fail_loudly_or_score_in_unit_interval(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        forest = load_forest(path)
+    except ModelFormatError:
+        return
+    probes = np.vstack([gen_gaussian_blob(30, 2, seed=34), [[1e6, -1e6], [0.0, 0.0]]])
+    scores = score_batch(probes, forest)
+    assert np.all((scores > 0.0) & (scores <= 1.0))

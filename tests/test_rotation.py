@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from eif.forest import build_forest, score_batch
 from eif.model_io import forest_to_document
 from eif.rotation import (
-    RotatedForest,
     build_rotated_forest,
     rotate_point,
     rotated_score,
@@ -50,8 +50,9 @@ class TestBuildRotatedForest:
     def test_angles_stored_per_tree(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=4)
         assert len(f.trees) == 10
-        assert all(0.0 <= rt.angle < 2 * math.pi for rt in f.trees)
-        assert len({rt.angle for rt in f.trees}) == 10
+        assert f.variant == "rotated" and f.extension_level == 0
+        assert all(0.0 <= tree.angle < 2 * math.pi for tree in f.trees)
+        assert len({tree.angle for tree in f.trees}) == 10
 
     def test_deterministic_replay(self, blob_2d):
         a = build_rotated_forest(blob_2d, 6, 128, seed=9)
@@ -66,11 +67,6 @@ class TestBuildRotatedForest:
         probes = gen_gaussian_blob(50, 2, seed=99)
         assert np.array_equal(rotated_score_batch(probes, forced), score_batch(probes, plain))
 
-    def test_threads_do_not_change_output(self, blob_2d):
-        a = build_rotated_forest(blob_2d, 8, 128, seed=3, threads=1)
-        b = build_rotated_forest(blob_2d, 8, 128, seed=3, threads=4)
-        assert forest_to_document(a) == forest_to_document(b)
-
 
 class TestRotatedScoring:
     def test_batch_equals_loop_bitwise(self, blob_2d):
@@ -82,8 +78,7 @@ class TestRotatedScoring:
 
     def test_tree_order_invariance(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=6)
-        g = RotatedForest(trees=list(reversed(f.trees)), psi=f.psi, dimension=2,
-                          normalizer=f.normalizer, seed=f.seed)
+        g = dataclasses.replace(f, trees=list(reversed(f.trees)))
         x = np.array([2.0, -1.0])
         assert rotated_score(x, f) == pytest.approx(rotated_score(x, g), rel=1e-14)
 
