@@ -51,7 +51,6 @@ from .rotation import (
     rotated_score_batch,
 )
 from .synthetic import (
-    GeneratorSpec,
     benchmark_task,
     gen_anomalies_uniform_box,
     gen_double_blob,

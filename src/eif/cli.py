@@ -13,6 +13,7 @@ failed run never leaves a partial output) or stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import __version__
@@ -91,8 +92,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["blob", "double_blob", "sinusoid", "uniform_box", "sphere", "line"])
+    p.add_argument("--kind", required=True, choices=list(_SYNTH_KINDS))
     p.add_argument("--n", type=int, default=None, help="number of points")
     p.add_argument("--dim", type=int, default=None, help="dimension (blob, sphere)")
     p.add_argument("--mean", type=_float_list, default=None, help="blob center, comma list")
@@ -180,51 +180,49 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_kind_params(args, wanted: dict, forbidden: list[str]) -> dict:
-    for name in forbidden:
-        if getattr(args, name.replace("-", "_")) is not None:
-            raise UsageError(f"--{name} does not apply to --kind {args.kind}")
-    params = {}
-    for name, default in wanted.items():
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            if default is _REQUIRED:
-                raise UsageError(f"--kind {args.kind} requires --{name}")
-            value = default
-        params[name.replace("-", "_")] = value
+_SYNTH_KINDS = {
+    "blob": gen_gaussian_blob,
+    "double_blob": gen_double_blob,
+    "sinusoid": gen_sinusoid,
+    "uniform_box": gen_anomalies_uniform_box,
+    "sphere": gen_sphere_levelset,
+    "line": gen_line_levelset,
+}
+
+
+def _synth_params(maker) -> dict[str, inspect.Parameter]:
+    """A generator's parameters other than ``seed``, in signature order."""
+    params = dict(inspect.signature(maker).parameters)
+    del params["seed"]
     return params
 
 
-_REQUIRED = object()
-_SYNTH_FLAGS = ["n", "dim", "mean", "sigma", "n-per-blob", "amplitude", "x-max",
-                "noise-sigma", "lo", "hi", "radius", "offset"]
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# Every parameter some generator takes, each once, in kind then signature
+# order: a usage error names the first stray flag in this order.
+_SYNTH_FLAGS = list(dict.fromkeys(name for maker in _SYNTH_KINDS.values()
+                                  for name in _synth_params(maker)))
 
 
 def _cmd_synth(args) -> int:
-    kinds = {
-        "blob": ({"n": _REQUIRED, "dim": _REQUIRED, "mean": None, "sigma": 1.0},
-                 lambda p: gen_gaussian_blob(p["n"], p["dim"], p["mean"], p["sigma"], seed=args.seed)),
-        "double_blob": ({"n-per-blob": _REQUIRED},
-                        lambda p: gen_double_blob(p["n_per_blob"], seed=args.seed)),
-        "sinusoid": ({"n": _REQUIRED, "amplitude": SINUSOID_AMPLITUDE,
-                      "x-max": SINUSOID_X_MAX, "noise-sigma": SINUSOID_NOISE_SIGMA},
-                     lambda p: gen_sinusoid(p["n"], p["amplitude"], p["x_max"],
-                                            p["noise_sigma"], seed=args.seed)),
-        "uniform_box": ({"n": _REQUIRED, "lo": _REQUIRED, "hi": _REQUIRED},
-                        lambda p: gen_anomalies_uniform_box(p["n"], p["lo"], p["hi"], seed=args.seed)),
-        "sphere": ({"radius": _REQUIRED, "n": _REQUIRED, "dim": _REQUIRED},
-                   lambda p: gen_sphere_levelset(p["radius"], p["n"], p["dim"], seed=args.seed)),
-        "line": ({"offset": _REQUIRED, "n": _REQUIRED, "amplitude": SINUSOID_AMPLITUDE,
-                  "x-max": SINUSOID_X_MAX},
-                 lambda p: gen_line_levelset(p["offset"], p["n"], p["amplitude"],
-                                             p["x_max"], seed=args.seed)),
-    }
-    wanted, maker = kinds[args.kind]
-    forbidden = [f for f in _SYNTH_FLAGS if f not in wanted]
-    params = _require_kind_params(args, wanted, forbidden)
-    if params.get("mean") is not None and len(params["mean"]) != params.get("dim"):
+    maker = _SYNTH_KINDS[args.kind]
+    params = _synth_params(maker)
+    for name in _SYNTH_FLAGS:
+        if name not in params and getattr(args, name) is not None:
+            raise UsageError(f"{_flag(name)} does not apply to --kind {args.kind}")
+    given = {}
+    for name, param in params.items():
+        value = getattr(args, name)
+        if value is not None:
+            given[name] = value
+        elif param.default is param.empty:
+            raise UsageError(f"--kind {args.kind} requires {_flag(name)}")
+    if "mean" in given and len(given["mean"]) != given["dim"]:
         raise UsageError("--mean length must equal --dim")
-    write_dataset_csv(args.out, maker(params))
+    write_dataset_csv(args.out, maker(**given, seed=args.seed))
     return 0
 
 

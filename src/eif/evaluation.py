@@ -49,11 +49,6 @@ class ConvergenceSeries:
     variances: list[float]
 
 
-def _check_scorer(scorer):
-    if not hasattr(scorer, "score") or not hasattr(scorer, "dimension"):
-        raise ValueError(f"not a scorer: {type(scorer).__name__}")
-
-
 def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
     """Cell-center lattice, x fastest: row k is (x_{k % nx}, y_{k // nx})."""
     xs = x_min + (np.arange(nx) + 0.5) * (x_max - x_min) / nx
@@ -66,7 +61,6 @@ def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
 
 def score_map(scorer, x_min, x_max, y_min, y_max, nx: int = 100, ny: int = 100) -> ScoreGrid:
     """Score the cell centers of an nx-by-ny grid with a 2-D scorer."""
-    _check_scorer(scorer)
     if scorer.dimension != 2:
         raise ValueError(f"score maps need a 2-D scorer, got dimension {scorer.dimension}")
     if nx < 2 or ny < 2:
@@ -90,26 +84,37 @@ def _population_variance(scores: np.ndarray) -> float:
     return float((d * d).mean())
 
 
+def _levelset_stats(scorer, levels, name: str, n_probe: int, mismatch, seed: int, draw):
+    """Score ``draw(level, seed_k)`` for each level k and summarise each set.
+
+    ``mismatch`` is the caller's dimension error, or None when the scorer
+    fits its probes; it is raised after the ``levels`` and ``n_probe`` checks.
+    """
+    levels = list(levels)
+    if not levels:
+        raise ValueError(f"{name} must be nonempty")
+    if n_probe < 2:
+        raise ValueError(f"n_probe must be at least 2, got {n_probe}")
+    if mismatch is not None:
+        raise ValueError(mismatch)
+    out = []
+    for k, level in enumerate(levels):
+        s = scorer.score(draw(level, fold_seed(seed, k)))
+        out.append(LevelSetStats(level=float(level), mean=float(s.mean()),
+                                 variance=_population_variance(s), n_probe=n_probe))
+    return out
+
+
 def levelset_stats(scorer, radii, n_probe: int, dim: int, seed: int) -> list[LevelSetStats]:
     """Mean and population variance of scores on spheres of the given radii.
 
     Probe sets are drawn per radius from seeds folded out of ``seed``.
     """
-    _check_scorer(scorer)
-    radii = list(radii)
-    if not radii:
-        raise ValueError("radii must be nonempty")
-    if n_probe < 2:
-        raise ValueError(f"n_probe must be at least 2, got {n_probe}")
+    mismatch = None
     if scorer.dimension != dim:
-        raise ValueError(f"dimension mismatch: scorer is {scorer.dimension}-D, probes are {dim}-D")
-    out = []
-    for k, r in enumerate(radii):
-        probes = gen_sphere_levelset(r, n_probe, dim, seed=fold_seed(seed, k))
-        s = scorer.score(probes)
-        out.append(LevelSetStats(level=float(r), mean=float(s.mean()),
-                                 variance=_population_variance(s), n_probe=n_probe))
-    return out
+        mismatch = f"dimension mismatch: scorer is {scorer.dimension}-D, probes are {dim}-D"
+    return _levelset_stats(scorer, radii, "radii", n_probe, mismatch, seed,
+                           lambda r, s: gen_sphere_levelset(r, n_probe, dim, seed=s))
 
 
 def line_levelset_stats(
@@ -121,21 +126,11 @@ def line_levelset_stats(
     seed: int,
 ) -> list[LevelSetStats]:
     """Level-set statistics along offset copies of the sinusoid center curve."""
-    _check_scorer(scorer)
-    offsets = list(offsets)
-    if not offsets:
-        raise ValueError("offsets must be nonempty")
-    if n_probe < 2:
-        raise ValueError(f"n_probe must be at least 2, got {n_probe}")
+    mismatch = None
     if scorer.dimension != 2:
-        raise ValueError(f"line level sets need a 2-D scorer, got dimension {scorer.dimension}")
-    out = []
-    for k, off in enumerate(offsets):
-        probes = gen_line_levelset(off, n_probe, amplitude, x_max, seed=fold_seed(seed, k))
-        s = scorer.score(probes)
-        out.append(LevelSetStats(level=float(off), mean=float(s.mean()),
-                                 variance=_population_variance(s), n_probe=n_probe))
-    return out
+        mismatch = f"line level sets need a 2-D scorer, got dimension {scorer.dimension}"
+    return _levelset_stats(scorer, offsets, "offsets", n_probe, mismatch, seed,
+                           lambda off, s: gen_line_levelset(off, n_probe, amplitude, x_max, seed=s))
 
 
 def convergence_curve(
@@ -202,18 +197,10 @@ def _check_labeled(scores, labels, need_both: bool) -> tuple[np.ndarray, np.ndar
     return scores, labels
 
 
-def _midranks(sorted_scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    n = sorted_scores.size
-    ranks = np.empty(n)
-    start = 0
-    while start < n:
-        stop = start
-        while stop + 1 < n and sorted_scores[stop + 1] == sorted_scores[start]:
-            stop += 1
-        ranks[start : stop + 1] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal values in a sorted vector."""
+    starts = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    return np.concatenate(([0], starts)), np.concatenate((starts - 1, [sorted_scores.size - 1]))
 
 
 def auroc(scores, labels) -> float:
@@ -224,7 +211,8 @@ def auroc(scores, labels) -> float:
     """
     scores, labels = _check_labeled(scores, labels, need_both=True)
     order = np.argsort(scores, kind="stable")
-    ranks = _midranks(scores[order])
+    first, last = _tie_groups(scores[order])
+    ranks = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     n1 = int(labels.sum())
     n0 = labels.size - n1
     rank_sum = float(ranks[labels[order] == 1].sum())
@@ -240,22 +228,9 @@ def auprc(scores, labels) -> float:
     """
     scores, labels = _check_labeled(scores, labels, need_both=False)
     order = np.argsort(-scores, kind="stable")
-    s = scores[order]
     y = labels[order]
-    n_anom = int(y.sum())
-    total = 0.0
-    seen = 0
-    tp = 0
-    start = 0
-    n = s.size
-    while start < n:
-        stop = start
-        while stop + 1 < n and s[stop + 1] == s[start]:
-            stop += 1
-        group_tp = int(y[start : stop + 1].sum())
-        seen += stop - start + 1
-        tp += group_tp
-        if group_tp:
-            total += (group_tp / n_anom) * (tp / seen)
-        start = stop + 1
-    return total
+    first, last = _tie_groups(scores[order])
+    group_tp = np.add.reduceat(y, first)
+    terms = (group_tp / int(y.sum())) * (np.cumsum(group_tp) / (last + 1))
+    # cumsum adds the terms in group order; np.sum's pairwise order could move the last bit.
+    return float(np.cumsum(terms)[-1])

@@ -258,7 +258,7 @@ def height_limit_for(psi: int) -> int:
     """ceiling(log2 psi), the depth cap used for every tree."""
     if psi < 1:
         raise ValueError(f"psi must be at least 1, got {psi}")
-    return int(math.ceil(math.log2(psi))) if psi > 1 else 0
+    return int(psi - 1).bit_length()
 
 
 def _build_one_tree(

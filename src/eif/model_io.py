@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
+from .evaluation import grid_points
 from .forest import VARIANT_ROTATED, VARIANTS, Forest, IsolationTree, c_factor, height_limit_for, tree_from_rows
 from .rng import RNG_FAMILY
 
@@ -110,14 +111,15 @@ def _require(doc: dict, key: str, types, where: str):
     if key not in doc:
         raise _fail(f"missing field {key!r} in {where}")
     value = doc[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):  # JSON true/false are not numbers
         raise _fail(f"field {key!r} in {where} has wrong type {type(value).__name__}")
     return value
 
 
 def _finite_floats(values: list, what: str) -> list[float]:
     try:
-        floats = [float(v) for v in values if isinstance(v, (int, float))]
+        floats = [float(v) for v in values
+                  if isinstance(v, (int, float)) and not isinstance(v, bool)]
     except OverflowError:  # an integer beyond the float range
         floats = []
     if len(floats) != len(values) or not all(map(math.isfinite, floats)):
@@ -162,8 +164,8 @@ def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotat
         kind = _require(rec, "kind", str, node)
         if kind == "external":
             n = _require(rec, "size", int, node)
-            if isinstance(n, bool) or n < 0:
-                raise _fail(f"{node} has negative or non-integer size")
+            if n < 0:
+                raise _fail(f"{node} has negative size {n}")
             rows.append([None, None, -1, -1, n])
         elif kind == "internal":
             n_vec = _require(rec, "normal", list, node)
@@ -180,7 +182,7 @@ def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotat
                             f"expected {extension_level + 1}")
             children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
             for child in children:
-                if isinstance(child, bool) or not 0 <= child < count:
+                if not 0 <= child < count:
                     raise _fail(f"{node} has child index {child} out of range")
             if children[0] == children[1]:
                 raise _fail(f"{node} has identical children")
@@ -233,12 +235,15 @@ def load_forest(path) -> Forest:
         raise _fail(f"rotated variant requires dimension 2, got {dimension}")
     if not 2 <= psi < 2**63:
         raise _fail(f"psi must be in [2, 2**63), got {psi}")
+    if not 0 <= seed < 2**64:
+        raise _fail(f"seed must be in [0, 2**64), got {seed}")
     if not tree_docs:
         raise _fail("document has no trees")
     if not 0 <= extension_level <= dimension - 1:
         raise _fail(f"extension_level {extension_level} out of range for dimension {dimension}")
-    if doc.get("t") != len(tree_docs):
-        raise _fail(f"t={doc.get('t')} does not match {len(tree_docs)} serialized trees")
+    t = _require(doc, "t", int, "document")
+    if t != len(tree_docs):
+        raise _fail(f"t={t} does not match {len(tree_docs)} serialized trees")
 
     rotated = variant == VARIANT_ROTATED
     trees = [
@@ -286,7 +291,7 @@ def read_csv(path, has_header: bool | None = None, label_column=None):
     import csv as _csv
 
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = _csv.reader(f)
             raw = [(reader.line_num, row) for row in reader if row]
     except OSError as e:
@@ -369,14 +374,12 @@ def write_scores_csv(path, ids, scores) -> None:
 
 def write_grid_csv(path, grid) -> None:
     """Row-major, x fastest: one row per grid cell under an x,y,score header."""
-    xs = grid.x_min + (np.arange(grid.nx) + 0.5) * (grid.x_max - grid.x_min) / grid.nx
-    ys = grid.y_min + (np.arange(grid.ny) + 0.5) * (grid.y_max - grid.y_min) / grid.ny
+    points = grid_points(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny)
     lines = ["x,y,score"]
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            lines.append(
-                f"{repr(float(xs[i]))},{repr(float(ys[j]))},{format_score(float(grid.values[j, i]))}"
-            )
+    lines.extend(
+        f"{x!r},{y!r},{format_score(v)}"
+        for (x, y), v in zip(points.tolist(), grid.values.ravel().tolist(), strict=True)
+    )
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

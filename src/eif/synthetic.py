@@ -8,7 +8,6 @@ probe sets (spheres, offset curves, boxes) share the same conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,28 +118,6 @@ def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:
         raise ValueError("invalid box: lo must be strictly below hi in every coordinate")
     rng = make_rng(seed)
     return rng.uniform(lo, hi, (n, lo.shape[0]))
-
-
-@dataclass
-class GeneratorSpec:
-    """A named dataset recipe: kind plus its parameters plus a seed."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    seed: int = 1
-
-    def generate(self) -> np.ndarray:
-        makers = {
-            "blob": gen_gaussian_blob,
-            "double_blob": gen_double_blob,
-            "sinusoid": gen_sinusoid,
-            "sphere_levelset": gen_sphere_levelset,
-            "line_levelset": gen_line_levelset,
-            "uniform_box": gen_anomalies_uniform_box,
-        }
-        if self.kind not in makers:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        return makers[self.kind](**self.params, seed=self.seed)
 
 
 BENCHMARK_TASKS = ("single_blob", "double_blob", "sinusoid")

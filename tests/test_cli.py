@@ -5,7 +5,15 @@ import pytest
 
 from eif.cli import run
 from eif.model_io import read_csv, write_dataset_csv
-from eif.synthetic import benchmark_task, gen_gaussian_blob
+from eif.synthetic import (
+    benchmark_task,
+    gen_anomalies_uniform_box,
+    gen_double_blob,
+    gen_gaussian_blob,
+    gen_line_levelset,
+    gen_sinusoid,
+    gen_sphere_levelset,
+)
 
 
 def invoke(capsys, *args):
@@ -58,6 +66,23 @@ class TestSynth:
                                   "--seed", "2", "--out", str(out))
             assert code == 0, (kind, err)
             assert out.exists()
+
+    @pytest.mark.parametrize("kind,required,generate", [
+        ("blob", ["--n", "50", "--dim", "3"], lambda: gen_gaussian_blob(50, 3)),
+        ("double_blob", ["--n-per-blob", "25"], lambda: gen_double_blob(25)),
+        ("sinusoid", ["--n", "50"], lambda: gen_sinusoid(50)),
+        ("uniform_box", ["--n", "50", "--lo", "0,-1", "--hi", "1,2"],
+         lambda: gen_anomalies_uniform_box(50, [0.0, -1.0], [1.0, 2.0])),
+        ("sphere", ["--radius", "2", "--n", "50", "--dim", "3"],
+         lambda: gen_sphere_levelset(2.0, 50, 3)),
+        ("line", ["--offset", "1.5", "--n", "50"], lambda: gen_line_levelset(1.5, 50)),
+    ])
+    def test_required_flags_only_use_generator_defaults(self, tmp_path, capsys, kind, required, generate):
+        out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        code, _, err = invoke(capsys, "synth", "--kind", kind, *required, "--out", str(out))
+        assert code == 0, err
+        write_dataset_csv(expected, generate())
+        assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.fixture()

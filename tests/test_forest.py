@@ -187,6 +187,11 @@ class TestBuildForest:
     def test_height_limit(self, psi, limit):
         assert height_limit_for(psi) == limit
 
+    def test_height_limit_is_exact_beyond_float_precision(self):
+        for k in range(63):
+            assert height_limit_for(2**k) == k
+            assert height_limit_for(2**k + 1) == k + 1
+
     def test_forest_shape(self, blob_2d):
         f = build_forest(blob_2d, 20, 256, 1, seed=1)
         assert f.t == 20

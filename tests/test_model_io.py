@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
-from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid
+from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid, grid_points
 from eif.forest import build_forest, score_batch
 from eif.model_io import (
+    format_score,
     forest_to_document,
     load_forest,
     read_csv,
@@ -244,6 +245,63 @@ class TestLoadValidation:
             score_batch(probes, loaded)
 
 
+def _tiny_rotated_document():
+    # One psi=2 tree: a root split over two leaves of size 1. true reads as a
+    # valid version, t, height_limit, left_index, size, split entry and angle
+    # here, and false as a valid extension_level.
+    forest = build_rotated_forest(gen_gaussian_blob(10, 2, seed=1), 1, 2, seed=1)
+    return forest_to_document(forest)
+
+
+def _load_document(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return load_forest(path)
+
+
+_BAD_FIELDS = [
+    (("version",), True, "field 'version' in document has wrong type bool"),
+    (("t",), True, "field 't' in document has wrong type bool"),
+    (("extension_level",), False, "field 'extension_level' in document has wrong type bool"),
+    (("trees", 0, "height_limit"), True, "field 'height_limit' in tree 0 has wrong type bool"),
+    (("trees", 0, "angle"), True, "field 'angle' in tree 0 has wrong type bool"),
+    (("trees", 0, "nodes", 0, "left_index"), True,
+     "field 'left_index' in node 0 of tree 0 has wrong type bool"),
+    (("trees", 0, "nodes", 1, "size"), True, "field 'size' in node 1 of tree 0 has wrong type bool"),
+    (("trees", 0, "nodes", 0, "normal", 0), True, "split normal of node 0 of tree 0 has non-numeric"),
+    (("trees", 0, "nodes", 0, "intercept", 1), True,
+     "split intercept of node 0 of tree 0 has non-numeric"),
+    (("seed",), -7, r"seed must be in \[0, 2\*\*64\), got -7"),
+    (("seed",), 2**64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+]
+
+
+@pytest.mark.parametrize("keys,value,match", _BAD_FIELDS,
+                         ids=[f"{'.'.join(map(str, k))}={v!r}" for k, v, _ in _BAD_FIELDS])
+def test_load_rejects_booleans_and_out_of_range_seeds(tmp_path, keys, value, match):
+    doc = _tiny_rotated_document()
+    _load_document(tmp_path, doc)  # loads as built
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ModelFormatError, match=match):
+        _load_document(tmp_path, doc)
+
+
+def test_height_limit_is_exact_beyond_float_precision(tmp_path):
+    # log2(float(2**53 + 1)) is 53, but a tree over 2**53 + 1 points may be
+    # 54 levels deep.
+    psi = 2**53 + 1
+    doc = _tiny_rotated_document()
+    doc["psi"] = psi
+    doc["trees"][0].update(height_limit=54, nodes=[{"kind": "external", "size": psi}])
+    assert _load_document(tmp_path, doc).trees[0].height_limit == 54
+    doc["trees"][0]["height_limit"] = 53
+    with pytest.raises(ModelFormatError, match=f"tree 0 has height_limit 53, expected 54 for psi={psi}"):
+        _load_document(tmp_path, doc)
+
+
 class TestReadCsv:
     def test_header_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -309,6 +367,19 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError, match="non-finite"):
             read_csv(p)
 
+    def test_byte_order_mark_keeps_first_row_of_headerless_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf0.5,1\n2,3\n4,5\n")
+        data, _ = read_csv(p)
+        assert data.tolist() == [[0.5, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_byte_order_mark_is_not_part_of_first_header_cell(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("\ufefflabel,x\n0,1.5\n1,2.5\n".encode("utf-8"))
+        data, labels = read_csv(p, label_column="label")
+        assert labels.tolist() == [0, 1]
+        assert data.tolist() == [[1.5], [2.5]]
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
@@ -347,6 +418,16 @@ class TestWriteCsv:
         # x varies fastest
         assert [ln.split(",")[0] for ln in lines[1:3]] == ["0.5", "1.5"]
         assert lines[1].split(",")[1] == lines[2].split(",")[1]
+
+    def test_grid_rows_are_grid_points(self, tmp_path):
+        nx, ny = 7, 3
+        values = np.linspace(0.3, 0.9, nx * ny).reshape(ny, nx)
+        grid = ScoreGrid(x_min=-1.25, x_max=3.0, y_min=0.1, y_max=0.7, nx=nx, ny=ny, values=values)
+        p = tmp_path / "g.csv"
+        write_grid_csv(p, grid)
+        rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
+        assert [[float(x), float(y)] for x, y, _ in rows] == grid_points(-1.25, 3.0, 0.1, 0.7, nx, ny).tolist()
+        assert [score for _, _, score in rows] == [format_score(v) for v in values.ravel()]
 
     def test_stats_csv(self, tmp_path):
         p = tmp_path / "ls.csv"

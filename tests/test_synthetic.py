@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eif.synthetic import (
-    GeneratorSpec,
     SINUSOID_AMPLITUDE,
     SINUSOID_NOISE_SIGMA,
     benchmark_task,
@@ -132,16 +131,6 @@ class TestUniformBox:
     def test_rejects_inverted_box(self):
         with pytest.raises(ValueError, match="invalid box"):
             gen_anomalies_uniform_box(10, [1.0, 0.0], [0.0, 1.0], seed=1)
-
-
-class TestGeneratorSpec:
-    def test_dispatch_matches_direct_call(self):
-        spec = GeneratorSpec(kind="blob", params={"n": 100, "dim": 2}, seed=3)
-        assert np.array_equal(spec.generate(), gen_gaussian_blob(100, 2, seed=3))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            GeneratorSpec(kind="mystery").generate()
 
 
 class TestBenchmarkTask:
