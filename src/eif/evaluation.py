@@ -186,6 +186,9 @@ def _check_labeled(scores, labels, need_both: bool) -> tuple[np.ndarray, np.ndar
         )
     if scores.size == 0:
         raise UndefinedMetricError("empty input")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"scores contain non-finite value {scores[bad[0]]} at index {bad[0]}")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 (nominal) or 1 (anomaly)")
     labels = labels.astype(int)

@@ -65,24 +65,40 @@ class IsolationTree:
     left: np.ndarray
     right: np.ndarray
     size: np.ndarray
-    height_limit: int
-    psi: int
     angle: float | None = None
 
 
 @dataclass
 class Forest:
+    """Trees plus the settings they were grown with. ``t``, ``dimension`` (the
+    trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them."""
+
     trees: list[IsolationTree]
     psi: int
-    dimension: int
     extension_level: int
-    normalizer: float
-    variant: str
     seed: int
+
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("forest has no trees")
 
     @property
     def t(self) -> int:
         return len(self.trees)
+
+    @property
+    def dimension(self) -> int:
+        return self.trees[0].normal.shape[1]
+
+    @property
+    def normalizer(self) -> float:
+        return c_factor(self.psi)
+
+    @property
+    def variant(self) -> str:
+        if self.trees[0].angle is not None:
+            return VARIANT_ROTATED
+        return VARIANT_STANDARD if self.extension_level == 0 else VARIANT_EXTENDED
 
     def score(self, data: np.ndarray) -> np.ndarray:
         return score_batch(data, self)
@@ -212,10 +228,12 @@ def build_tree(
     x = np.asarray(subsample_data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"subsample must be 2-D, got shape {x.shape}")
-    return _grow(x, current_height, height_limit, extension_level, rng, x.shape[0])
+    return _grow(x, current_height, height_limit, extension_level, rng)
 
 
-def _grow(x, height, limit, extension_level, rng, psi, angle=None) -> IsolationTree:
+def _grow(x, height, limit, extension_level, rng, angle=None) -> IsolationTree:
+    if x.shape[0] > 1:
+        _require_finite_span(x)
     rows = []
 
     def grow(x, height) -> None:
@@ -232,10 +250,20 @@ def _grow(x, height, limit, extension_level, rng, psi, angle=None) -> IsolationT
         grow(x[~went_left], height + 1)
 
     grow(x, height)
-    return tree_from_rows(rows, x.shape[1], limit, psi, angle)
+    return tree_from_rows(rows, x.shape[1], angle)
 
 
-def tree_from_rows(rows, dimension: int, height_limit: int, psi: int, angle: float | None = None) -> IsolationTree:
+def _require_finite_span(x: np.ndarray) -> None:
+    """Intercepts are drawn over each column's range, which must have a finite width."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~np.isfinite(hi - lo)
+    if wide.any():
+        col = int(np.flatnonzero(wide)[0])
+        raise ValueError(f"training sample column {col} spans [{lo[col]}, {hi[col]}], whose width overflows float64")
+
+
+def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
     """Tree from per-node ``[normal, intercept, left, right, size]`` rows in preorder.
 
     Leaf rows carry None vectors and get zeros. A lone leaf has no split to
@@ -249,8 +277,7 @@ def tree_from_rows(rows, dimension: int, height_limit: int, psi: int, angle: flo
             normal[k], intercept[k] = rows[k][0], rows[k][1]
     return IsolationTree(
         normal=normal, intercept=intercept,
-        left=np.array(left), right=np.array(right), size=np.array(size),
-        height_limit=height_limit, psi=psi, angle=angle,
+        left=np.array(left), right=np.array(right), size=np.array(size), angle=angle,
     )
 
 
@@ -281,7 +308,7 @@ def _build_one_tree(
         if angle is None:
             angle = float(stream.uniform(0.0, TWO_PI))
         sample = _rotate_rows(sample, angle)
-    return _grow(sample, 0, limit, extension_level, stream, psi, angle)
+    return _grow(sample, 0, limit, extension_level, stream, angle)
 
 
 def build_forest(
@@ -296,11 +323,10 @@ def build_forest(
     Tree i consumes only the child stream derived at index i, so any prefix
     of the forest is the forest trained with that many trees.
     """
-    variant = VARIANT_STANDARD if extension_level == 0 else VARIANT_EXTENDED
-    return _build_forest(as_dataset(data), t, psi, extension_level, seed, variant)
+    return _build_forest(as_dataset(data), t, psi, extension_level, seed)
 
 
-def _build_forest(x, t, psi, extension_level, seed, variant, angles=None) -> Forest:
+def _build_forest(x, t, psi, extension_level, seed, rotated=False, angles=None) -> Forest:
     n, dim = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 training rows, got {n}")
@@ -318,21 +344,12 @@ def _build_forest(x, t, psi, extension_level, seed, variant, angles=None) -> For
 
     limit = height_limit_for(psi)
     root = make_rng(seed)
-    rotated = variant == VARIANT_ROTATED
     trees = [
         _build_one_tree(x, i, root, psi, limit, extension_level, rotated,
                         None if angles is None else float(angles[i]))
         for i in range(t)
     ]
-    return Forest(
-        trees=trees,
-        psi=psi,
-        dimension=dim,
-        extension_level=extension_level,
-        normalizer=c_factor(psi),
-        variant=variant,
-        seed=seed,
-    )
+    return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 
 def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
@@ -402,8 +419,6 @@ def _depth_totals(data, forest: Forest) -> np.ndarray:
             f"forest dimension is {forest.dimension}"
         )
     _require_finite(x, "data")
-    if not forest.trees:
-        raise ValueError("forest has no trees")
     total = np.zeros(x.shape[0])
     for tree in forest.trees:
         total += _path_lengths(x, tree)

@@ -14,13 +14,16 @@ Each tree is its node array in preorder with the root at index 0; a node is
 either ``{"kind": "internal", "normal": [...], "intercept": [...],
 "left_index": i, "right_index": j}`` or ``{"kind": "external", "size": n}``.
 These are the arrays an in-memory tree holds, so saving writes them out and
-loading fills them. Rotated trees additionally carry their angle. Floats are
-written in Python's shortest round-trip form, so load(save(f)) scores
-bit-for-bit like f. Loading validates structure (types, bounds, a single
-visit per node, reachability) and the invariants every built tree has (depth
-at most height_limit = ceil(log2 psi), leaf sizes summing to psi, exactly
-extension_level + 1 nonzero entries per normal), and reports the first
-violation by tree and node.
+loading fills them. Rotated trees additionally carry their angle. The
+document also spells out what a Forest derives (``variant``, ``dimension``,
+``t``, each tree's ``height_limit``), and loading checks each against the
+model. Floats are written in Python's shortest round-trip form, so
+load(save(f)) scores bit-for-bit like f. Loading validates structure (types,
+bounds, a single visit per node, reachability), the invariants every built
+tree has (depth at most height_limit = ceil(log2 psi), leaf sizes summing to
+psi, exactly extension_level + 1 nonzero entries per normal) and the variant
+(angles on every tree, 2-D and level 0 for "rotated", no angles otherwise),
+and reports the first violation by tree and node.
 
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from .evaluation import grid_points
-from .forest import VARIANT_ROTATED, VARIANTS, Forest, IsolationTree, c_factor, height_limit_for, tree_from_rows
+from .forest import VARIANT_ROTATED, VARIANTS, Forest, IsolationTree, height_limit_for, tree_from_rows
 from .rng import RNG_FAMILY
 
 FORMAT_MAGIC = "eif-model"
@@ -64,8 +67,8 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _tree_document(tree: IsolationTree) -> dict:
-    doc = {"height_limit": tree.height_limit}
+def _tree_document(tree: IsolationTree, height_limit: int) -> dict:
+    doc = {"height_limit": height_limit}
     if tree.angle is not None:
         doc["angle"] = tree.angle
     normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
@@ -81,6 +84,7 @@ def _tree_document(tree: IsolationTree) -> dict:
 
 def forest_to_document(forest: Forest) -> dict:
     """Plain-dict form of a trained forest, ready for JSON."""
+    height_limit = height_limit_for(forest.psi)
     return {
         "format": FORMAT_MAGIC,
         "version": FORMAT_VERSION,
@@ -91,7 +95,7 @@ def forest_to_document(forest: Forest) -> dict:
         "extension_level": forest.extension_level,
         "seed": forest.seed,
         "rng_family": RNG_FAMILY,
-        "trees": [_tree_document(tree) for tree in forest.trees],
+        "trees": [_tree_document(tree, height_limit) for tree in forest.trees],
     }
 
 
@@ -139,6 +143,8 @@ def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotat
     angle = None
     if rotated:
         angle = _finite_floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
+    elif "angle" in td:
+        raise _fail(f"{where} has an angle, which only the rotated variant carries")
     nodes = _require(td, "nodes", list, where)
     count = len(nodes)
     if count == 0:
@@ -197,7 +203,7 @@ def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotat
     mass = sum(row[4] for row in rows)
     if mass != psi:
         raise _fail(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
-    return tree_from_rows(rows, dimension, height_limit, psi, angle)
+    return tree_from_rows(rows, dimension, angle)
 
 
 def load_forest(path) -> Forest:
@@ -233,6 +239,8 @@ def load_forest(path) -> Forest:
         raise _fail(f"dimension must be in [1, 2**60), got {dimension}")
     if variant == VARIANT_ROTATED and dimension != 2:
         raise _fail(f"rotated variant requires dimension 2, got {dimension}")
+    if variant == VARIANT_ROTATED and extension_level != 0:
+        raise _fail(f"rotated variant requires extension_level 0, got {extension_level}")
     if not 2 <= psi < 2**63:
         raise _fail(f"psi must be in [2, 2**63), got {psi}")
     if not 0 <= seed < 2**64:
@@ -250,10 +258,11 @@ def load_forest(path) -> Forest:
         _read_tree(td, k, dimension, psi, extension_level, rotated)
         for k, td in enumerate(tree_docs)
     ]
-    return Forest(
-        trees=trees, psi=psi, dimension=dimension, extension_level=extension_level,
-        normalizer=c_factor(psi), variant=variant, seed=seed,
-    )
+    forest = Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
+    if forest.variant != variant:
+        raise _fail(f"variant {variant!r} contradicts extension_level {extension_level}, "
+                    f"which makes the model {forest.variant!r}")
+    return forest
 
 
 # -- CSV ----------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each tree trains on a subsample rotated about the origin by its own random
 angle, then splits axis-parallel (extension level 0). The result is an
-ordinary :class:`~eif.forest.Forest` with ``variant="rotated"`` whose trees
-carry their angles; the shared scorer turns a query point by each tree's
+ordinary level-0 :class:`~eif.forest.Forest` whose trees carry their angles,
+which is what makes its ``variant`` "rotated"; the shared scorer turns a query point by each tree's
 angle before it enters that tree. The per-tree bias of axis-parallel cuts is
 still there, but the ensemble averages it out across angles. 2-D only; there
 is no single natural choice of rotation in higher dimensions.
@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .forest import (
-    VARIANT_ROTATED,
     Forest,
     _build_forest,
     _rotate_rows,
@@ -58,7 +57,7 @@ def build_rotated_forest(
         raise ValueError(f"rotated variant supports dimension 2 only, got {x.shape[1]}")
     if angles is not None and len(angles) != t:
         raise ValueError(f"expected {t} forced angles, got {len(angles)}")
-    return _build_forest(x, t, psi, 0, seed, VARIANT_ROTATED, angles)
+    return _build_forest(x, t, psi, 0, seed, rotated=True, angles=angles)
 
 
 #: A rotated forest is scored like any other; these names are kept for

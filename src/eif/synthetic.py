@@ -20,12 +20,20 @@ SINUSOID_X_MAX = 4.0 * math.pi
 SINUSOID_NOISE_SIGMA = 0.5
 
 
+def _require_finite(**params) -> None:
+    """Raise ValueError naming the first parameter with a NaN or infinite entry."""
+    for name, value in params.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=np.float64))):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def gen_gaussian_blob(n: int, dim: int, mean=None, sigma: float = 1.0, seed: int = 1) -> np.ndarray:
     """n points with coordinate d ~ N(mean_d, sigma^2)."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
+    _require_finite(sigma=sigma, mean=mean)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     center = np.zeros(dim) if mean is None else np.asarray(mean, dtype=np.float64)
@@ -57,6 +65,7 @@ def gen_sinusoid(
     """x uniform on [0, x_max]; y = amplitude * sin(x) + N(0, noise_sigma^2)."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    _require_finite(amplitude=amplitude, x_max=x_max, noise_sigma=noise_sigma)
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     if x_max <= 0:
@@ -75,6 +84,7 @@ def gen_sphere_levelset(radius: float, n: int, dim: int, seed: int = 1) -> np.nd
     Gaussian draws normalized to unit length, then scaled; rows that land
     exactly at the origin (never in practice) are redrawn.
     """
+    _require_finite(radius=radius)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if n < 1:
@@ -101,6 +111,7 @@ def gen_line_levelset(
     """Noiseless probe curve: y = amplitude * sin(x) + offset."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    _require_finite(offset=offset, amplitude=amplitude, x_max=x_max)
     rng = make_rng(seed)
     x = rng.uniform(0.0, x_max, n)
     return np.column_stack([x, amplitude * np.sin(x) + offset])
@@ -114,8 +125,13 @@ def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:
     hi = np.asarray(hi, dtype=np.float64)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError(f"box corners must be 1-D and equal length, got {lo.shape} and {hi.shape}")
+    _require_finite(lo=lo, hi=hi)
     if not np.all(lo < hi):
         raise ValueError("invalid box: lo must be strictly below hi in every coordinate")
+    with np.errstate(over="ignore"):
+        wide = ~np.isfinite(hi - lo)
+    if wide.any():
+        raise ValueError(f"invalid box: hi - lo overflows float64 in coordinate {int(np.flatnonzero(wide)[0])}")
     rng = make_rng(seed)
     return rng.uniform(lo, hi, (n, lo.shape[0]))
 

@@ -77,7 +77,7 @@ def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level,
     return ConvergenceSeries(t_values=list(t_values), means=means, variances=variances)
 
 
-def tree_from_nested(node, height_limit, psi, dimension=None, angle=None):
+def tree_from_nested(node, dimension=None, angle=None):
     """Node arrays, in preorder, of a tree written as nested values: a leaf
     is its size, an internal node is ``(normal, intercept, left, right)``."""
     normal, intercept, left, right, size = [], [], [], [], []
@@ -108,8 +108,7 @@ def tree_from_nested(node, height_limit, psi, dimension=None, angle=None):
     return IsolationTree(
         normal=np.array([zeros if v is None else v for v in normal], dtype=float),
         intercept=np.array([zeros if v is None else v for v in intercept], dtype=float),
-        left=np.array(left), right=np.array(right), size=np.array(size),
-        height_limit=height_limit, psi=psi, angle=angle,
+        left=np.array(left), right=np.array(right), size=np.array(size), angle=angle,
     )
 
 

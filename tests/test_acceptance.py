@@ -43,11 +43,7 @@ def test_criterion_1_formula_unit_suite():
     start = time.perf_counter()
     ok_c = abs(c_factor(256) - 10.24477) < 1e-5
     # a single root leaf of size psi gives every point depth c(psi) exactly
-    stub = Forest(
-        trees=[tree_from_nested(256, height_limit=8, psi=256, dimension=2)],
-        psi=256, dimension=2, extension_level=1,
-        normalizer=c_factor(256), variant="extended", seed=0,
-    )
+    stub = Forest(trees=[tree_from_nested(256, dimension=2)], psi=256, extension_level=1, seed=0)
     ok_score = anomaly_score(np.zeros(2), stub) == 0.5
     ok_limit = height_limit_for(256) == 8
     elapsed = time.perf_counter() - start
@@ -72,6 +68,7 @@ def test_criterion_2_structural_invariants():
         data = gen_gaussian_blob(200, dim, seed=fold_seed(77, count))
         forest = build_forest(data, t, psi, level, seed=fold_seed(78, count))
         root_stream = make_rng(fold_seed(78, count))
+        height_limit = height_limit_for(psi)
         for i, tree in enumerate(forest.trees):
             sample = subsample(derive_stream(root_stream, i), data, psi)
             stack = [(0, sample, 0)]
@@ -83,7 +80,7 @@ def test_criterion_2_structural_invariants():
                     assert tree.size[k] == len(pts), "leaf size != points routed to it"
                     total_leaf_mass += tree.size[k]
                     continue
-                assert depth < tree.height_limit, "internal node at depth limit"
+                assert depth < height_limit, "internal node at depth limit"
                 nz = np.count_nonzero(tree.normal[k])
                 assert nz == level + 1, "nonzero normal coordinates != level+1"
                 # independent margin evaluation (whole-vector dot product)

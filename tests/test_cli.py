@@ -51,6 +51,17 @@ class TestSynth:
         assert "usage error" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (("--kind", "blob", "--n", "10", "--dim", "2", "--sigma", "nan"), "sigma must be finite"),
+        (("--kind", "uniform_box", "--n", "10", "--lo=-1e308,0", "--hi=1e308,1"),
+         "hi - lo overflows float64"),
+    ])
+    def test_non_finite_parameters_are_data_errors(self, tmp_path, capsys, args, message):
+        code, _, err = invoke(capsys, "synth", *args, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "error: " in err and message in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_all_kinds_produce_files(self, tmp_path, capsys):
         cases = {
             "blob": ["--n", "50", "--dim", "3"],
@@ -166,6 +177,15 @@ class TestTrain:
         code, _, _ = invoke(capsys, "score", "--model", str(model),
                             "--data", str(blob_csv), "--out", str(scores))
         assert code == 0
+
+    def test_sample_span_overflow_is_data_error(self, tmp_path, capsys):
+        data_path = tmp_path / "wide.csv"
+        data_path.write_text("x0,x1\n-1e308,0\n1e308,1\n0,0.5\n1,2\n")
+        out = tmp_path / "m.json"
+        code, _, err = invoke(capsys, "train", "--data", str(data_path), "--out", str(out))
+        assert code == 2
+        assert "column 0 spans" in err
+        assert not out.exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         code, _, err = invoke(capsys, "train", "--data", str(tmp_path / "nope.csv"),

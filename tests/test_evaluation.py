@@ -103,6 +103,17 @@ class TestAuprc:
         assert auprc(scores, labels) == auprc(scores[perm], np.array(labels)[perm])
 
 
+@pytest.mark.parametrize("metric", [auroc, auprc])
+@pytest.mark.parametrize("scores,match", [
+    ([np.nan, 0.1, 0.2], "non-finite value nan at index 0"),
+    ([0.3, 0.1, np.inf, np.nan], "non-finite value inf at index 2"),
+])
+def test_metrics_reject_non_finite_scores(metric, scores, match):
+    # auroc ranked NaN highest and auprc lowest, so the two disagreed silently.
+    with pytest.raises(ValueError, match=match):
+        metric(scores, [1, 0, 0, 0][: len(scores)])
+
+
 class TestScoreMap:
     def test_two_by_two_matches_pointwise_calls(self, small_forest):
         grid = score_map(small_forest, -2.0, 2.0, -2.0, 2.0, 2, 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import (
+    Forest,
     Hyperplane,
     anomaly_score,
     branch_left,
@@ -198,7 +199,7 @@ class TestBuildForest:
         assert f.psi == 256
         assert f.dimension == 2
         assert f.normalizer == c_factor(256)
-        assert all(t.psi == 256 and t.height_limit == 8 for t in f.trees)
+        assert [tree["height_limit"] for tree in forest_to_document(f)["trees"]] == [8] * 20
 
     def test_variant_labels(self, blob_2d):
         assert build_forest(blob_2d, 2, 64, 0, seed=1).variant == "standard-equivalent"
@@ -218,26 +219,34 @@ class TestBuildForest:
         with pytest.raises(ValueError, match="non-finite"):
             build_forest(data, 2, 2, 0, seed=1)
 
+    def test_rejects_sample_whose_span_overflows(self):
+        data = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5], [1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"column 0 spans \[-1e\+308, 1e\+308\]"):
+            build_forest(data, 2, 4, 1, seed=1)
+
+    def test_rejects_an_empty_forest(self):
+        with pytest.raises(ValueError, match="forest has no trees"):
+            Forest(trees=[], psi=4, extension_level=0, seed=1)
+
     def test_tree_build_order_is_irrelevant(self, blob_2d):
-        from eif.forest import Forest, _build_one_tree
+        from eif.forest import _build_one_tree
 
         f = build_forest(blob_2d, 8, 128, 1, seed=21)
         root = make_rng(21)
         reversed_trees = [None] * 8
         for i in reversed(range(8)):
             reversed_trees[i] = _build_one_tree(blob_2d, i, root, 128, 7, 1)
-        g = Forest(trees=reversed_trees, psi=128, dimension=2, extension_level=1,
-                   normalizer=c_factor(128), variant="extended", seed=21)
+        g = Forest(trees=reversed_trees, psi=128, extension_level=1, seed=21)
         assert json.dumps(forest_to_document(f)) == json.dumps(forest_to_document(g))
 
 
 class TestPathLengthAndScore:
     def test_root_leaf_path(self):
-        tree = tree_from_nested(1, height_limit=0, psi=1, dimension=1)
+        tree = tree_from_nested(1, dimension=1)
         assert path_length(np.array([1.0]), tree) == 0.0
 
     def test_depth_one_both_leaves(self):
-        tree = tree_from_nested(([1.0], [0.0], 1, 1), height_limit=1, psi=2)
+        tree = tree_from_nested(([1.0], [0.0], 1, 1))
         assert path_length(np.array([-3.0]), tree) == 1.0
         assert path_length(np.array([3.0]), tree) == 1.0
 
@@ -246,7 +255,7 @@ class TestPathLengthAndScore:
         node = 10
         for _ in range(8):
             node = ([1.0], [1e9], node, 0)
-        tree = tree_from_nested(node, height_limit=8, psi=256)
+        tree = tree_from_nested(node)
         expected = 8 + c_factor(10)
         assert path_length(np.array([0.0]), tree) == pytest.approx(expected, abs=1e-12)
         assert c_factor(10) == pytest.approx(3.7489, abs=1e-4)
@@ -256,7 +265,7 @@ class TestPathLengthAndScore:
             path_length(np.zeros(3), small_forest.trees[0])
 
     def test_root_leaf_tree_still_checks_dimension(self):
-        tree = tree_from_nested(256, height_limit=8, psi=256, dimension=2)
+        tree = tree_from_nested(256, dimension=2)
         with pytest.raises(ValueError, match=r"dimension mismatch: point shape \(5,\), dimension is 2"):
             path_length(np.zeros(5), tree)
 
@@ -328,16 +337,17 @@ class TestScoreBatch:
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
-def route_and_check(tree, sample):
+def route_and_check(tree, sample, height_limit):
     """Route a tree's training sample down the stored structure, checking the
-    split test at every node, and compare arrival counts with stored sizes."""
+    split test and the depth cap at every node, and compare arrival counts
+    with stored sizes."""
     stack = [(0, sample, 0)]
     while stack:
         k, pts, depth = stack.pop()
         if tree.left[k] < 0:
             assert tree.size[k] == len(pts)
             continue
-        assert depth < tree.height_limit
+        assert depth < height_limit
         margins = np.array([
             sum((p[d] - tree.intercept[k, d]) * tree.normal[k, d]
                 for d in range(len(p)))
@@ -357,8 +367,8 @@ class TestStructuralInvariants:
         for i, tree in enumerate(f.trees):
             sample = subsample(derive_stream(root, i), data, 64)
             assert sum(leaf_sizes(tree)) == 64
-            assert max_depth(tree) <= tree.height_limit
-            route_and_check(tree, sample)
+            assert max_depth(tree) <= height_limit_for(f.psi)
+            route_and_check(tree, sample, height_limit_for(f.psi))
 
     def test_every_normal_has_level_plus_one_nonzeros(self):
         data = gen_gaussian_blob(300, 4, seed=6)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid, grid_points
-from eif.forest import build_forest, score_batch
+from eif.forest import build_forest, height_limit_for, score_batch
 from eif.model_io import (
     format_score,
     forest_to_document,
@@ -165,7 +165,7 @@ class TestLoadValidation:
     def test_node_deeper_than_height_limit(self, model_path, small_forest):
         tree = small_forest.trees[0]
         leaf, depth = max(leaf_depths(tree).items(), key=lambda item: item[1])
-        assert depth == tree.height_limit
+        assert depth == height_limit_for(small_forest.psi)
 
         def mutate(d):
             # split the deepest leaf into two leaves one level further down
@@ -296,9 +296,41 @@ def test_height_limit_is_exact_beyond_float_precision(tmp_path):
     doc = _tiny_rotated_document()
     doc["psi"] = psi
     doc["trees"][0].update(height_limit=54, nodes=[{"kind": "external", "size": psi}])
-    assert _load_document(tmp_path, doc).trees[0].height_limit == 54
+    assert forest_to_document(_load_document(tmp_path, doc))["trees"][0]["height_limit"] == 54
     doc["trees"][0]["height_limit"] = 53
     with pytest.raises(ModelFormatError, match=f"tree 0 has height_limit 53, expected 54 for psi={psi}"):
+        _load_document(tmp_path, doc)
+
+
+def _relabel_as_rotated(doc):
+    doc["variant"] = "rotated"
+    for angle, tree in enumerate(doc["trees"]):
+        tree["angle"] = float(angle)
+
+
+_CONTRADICTORY = [
+    (lambda: build_forest(gen_gaussian_blob(50, 2, seed=1), 3, 16, 1, seed=1),
+     lambda d: d.update(variant="standard-equivalent"),
+     "variant 'standard-equivalent' contradicts extension_level 1, which makes the model 'extended'"),
+    (lambda: build_forest(gen_gaussian_blob(50, 2, seed=1), 3, 16, 0, seed=1),
+     lambda d: d.update(variant="extended"),
+     "variant 'extended' contradicts extension_level 0, which makes the model 'standard-equivalent'"),
+    (lambda: build_forest(gen_gaussian_blob(50, 2, seed=1), 3, 16, 1, seed=1),
+     _relabel_as_rotated,
+     "rotated variant requires extension_level 0, got 1"),
+    (lambda: build_rotated_forest(gen_gaussian_blob(50, 2, seed=1), 3, 16, seed=1),
+     lambda d: d.update(variant="standard-equivalent"),
+     "tree 0 has an angle, which only the rotated variant carries"),
+]
+
+
+@pytest.mark.parametrize("build,mutate,match", _CONTRADICTORY,
+                         ids=["standard-at-level-1", "extended-at-level-0", "rotated-at-level-1",
+                              "standard-with-angles"])
+def test_variant_must_agree_with_the_model(tmp_path, build, mutate, match):
+    doc = forest_to_document(build())
+    mutate(doc)
+    with pytest.raises(ModelFormatError, match=match):
         _load_document(tmp_path, doc)
 
 
@@ -567,6 +599,11 @@ def test_mutated_documents_fail_loudly_or_score_in_unit_interval(tmp_path, doc):
         forest = load_forest(path)
     except ModelFormatError:
         return
+    # What the forest derives must read back as the document states it.
+    saved = forest_to_document(forest)
+    for key in ("variant", "dimension", "t", "psi", "extension_level", "seed"):
+        assert saved[key] == doc[key], key
+    assert [tree["height_limit"] for tree in saved["trees"]] == [tree["height_limit"] for tree in doc["trees"]]
     probes = np.vstack([gen_gaussian_blob(30, 2, seed=34), [[1e6, -1e6], [0.0, 0.0]]])
     scores = score_batch(probes, forest)
     assert np.all((scores > 0.0) & (scores <= 1.0))

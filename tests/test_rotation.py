@@ -68,6 +68,16 @@ class TestBuildRotatedForest:
         assert np.array_equal(rotated_score_batch(probes, forced), score_batch(probes, plain))
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_sample_that_overflows_once_rotated(self):
+        # Each column spans 1.5e308, which is finite; turned by pi/4 the
+        # second row's y becomes 1.5e308 * sqrt(2), beyond float64.
+        data = np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0], [2.0, 3.0]])
+        build_forest(data, 2, 4, 0, seed=1)
+        with pytest.raises(ValueError, match=r"column 1 spans \[0.0, inf\]"):
+            build_rotated_forest(data, 2, 4, seed=1, angles=[math.pi / 4] * 2)
+
+
 class TestRotatedScoring:
     def test_batch_equals_loop_bitwise(self, blob_2d):
         f = build_rotated_forest(blob_2d, 20, 128, seed=5)

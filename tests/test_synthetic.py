@@ -133,6 +133,28 @@ class TestUniformBox:
             gen_anomalies_uniform_box(10, [1.0, 0.0], [0.0, 1.0], seed=1)
 
 
+@pytest.mark.parametrize("generate,match", [
+    (lambda: gen_gaussian_blob(5, 2, sigma=np.nan), "^sigma must be finite"),
+    (lambda: gen_gaussian_blob(5, 2, mean=[np.nan, 0.0]), "^mean must be finite"),
+    (lambda: gen_sinusoid(5, amplitude=np.inf), "^amplitude must be finite"),
+    (lambda: gen_sinusoid(5, x_max=np.inf), "^x_max must be finite"),
+    (lambda: gen_sinusoid(5, noise_sigma=np.nan), "^noise_sigma must be finite"),
+    (lambda: gen_sphere_levelset(np.nan, 5, 2), "^radius must be finite"),
+    (lambda: gen_line_levelset(np.inf, 5), "^offset must be finite"),
+    (lambda: gen_line_levelset(0.0, 5, amplitude=np.nan), "^amplitude must be finite"),
+    (lambda: gen_line_levelset(0.0, 5, x_max=np.inf), "^x_max must be finite"),
+    (lambda: gen_anomalies_uniform_box(5, [np.nan, 0.0], [1.0, 1.0]), "^lo must be finite"),
+    (lambda: gen_anomalies_uniform_box(5, [0.0, 0.0], [1.0, np.inf]), "^hi must be finite"),
+    (lambda: gen_anomalies_uniform_box(5, [-1e308, 0.0], [1e308, 1.0]),
+     "hi - lo overflows float64 in coordinate 0"),
+], ids=["blob-sigma", "blob-mean", "sinusoid-amplitude", "sinusoid-x_max", "sinusoid-noise_sigma",
+        "sphere-radius", "line-offset", "line-amplitude", "line-x_max", "box-lo", "box-hi",
+        "box-width"])
+def test_non_finite_parameters_rejected(generate, match):
+    with pytest.raises(ValueError, match=match):
+        generate()
+
+
 class TestBenchmarkTask:
     @pytest.mark.parametrize("kind", ["single_blob", "double_blob", "sinusoid"])
     def test_counts_and_labels(self, kind):
