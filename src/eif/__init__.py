@@ -7,6 +7,8 @@ generators, and an evaluation harness (score maps, level-set statistics,
 convergence curves, AUROC/AUPRC).
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "1.0.0"
 
 from .errors import (
@@ -32,9 +34,8 @@ from .forest import (
     Hyperplane,
     IsolationTree,
     anomaly_score,
-    branch_left,
     build_forest,
-    build_tree,
+    build_rotated_forest,
     c_factor,
     expected_depth,
     harmonic_estimate,
@@ -43,13 +44,7 @@ from .forest import (
     score_batch,
 )
 from .model_io import load_forest, read_csv, save_forest
-from .rng import RngStream, derive_stream, draw_standard_normal, draw_uniform, make_rng, subsample
-from .rotation import (
-    build_rotated_forest,
-    rotate_point,
-    rotated_score,
-    rotated_score_batch,
-)
+from .rng import RngStream, derive_stream, make_rng, subsample
 from .synthetic import (
     benchmark_task,
     gen_anomalies_uniform_box,
@@ -60,4 +55,7 @@ from .synthetic import (
     gen_sphere_levelset,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; importing them also binds the submodules
+# (``eif.forest``, ...), which are not part of the flat API.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

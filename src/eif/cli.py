@@ -26,7 +26,7 @@ from .evaluation import (
     line_levelset_stats,
     score_map,
 )
-from .forest import build_forest
+from .forest import build_forest, build_rotated_forest
 from .model_io import (
     load_forest,
     read_csv,
@@ -37,7 +37,6 @@ from .model_io import (
     write_scores_csv,
     write_stats_csv,
 )
-from .rotation import build_rotated_forest
 from .synthetic import (
     SINUSOID_AMPLITUDE,
     SINUSOID_NOISE_SIGMA,

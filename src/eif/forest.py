@@ -5,9 +5,11 @@ goes left when ``(x - p) . n <= 0``. The extension level controls how many
 normal coordinates stay nonzero: level 0 leaves exactly one, which makes
 every split an axis-parallel threshold (the classic isolation forest), while
 level N-1 draws all N coordinates from N(0, 1) so splits can slope freely.
-The rotated baseline is the same forest at level 0 whose trees each carry an
-angle: a tree's sample is turned by it before growth, and so is every query
-point before it enters that tree.
+The rotated baseline (``build_rotated_forest``, 2-D only) is the same forest
+at level 0 whose trees each carry a random angle: a tree's sample is turned by
+it before growth, and so is every query point before it enters that tree. Each
+tree keeps the bias of axis-parallel cuts, but the ensemble averages it out
+across angles.
 
 Scores follow ``s(x) = 2 ** (-E[h(x)] / c(psi))`` where h(x) is the depth at
 which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,6 +84,14 @@ class Forest:
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("forest has no trees")
+        first = self.trees[0]
+        for k, tree in enumerate(self.trees):
+            if tree.normal.shape[1] != first.normal.shape[1]:
+                raise ValueError(f"tree {k} splits in dimension {tree.normal.shape[1]}, "
+                                 f"tree 0 in dimension {first.normal.shape[1]}")
+            if (tree.angle is None) != (first.angle is None):
+                raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
+                                 "either every tree is rotated or none is")
 
     @property
     def t(self) -> int:
@@ -163,17 +174,6 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def branch_left(x, h: Hyperplane) -> bool:
-    """True when x belongs to the left branch: (x - p) . n <= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != h.normal.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: point has shape {x.shape}, "
-            f"hyperplane dimension is {h.normal.shape[0]}"
-        )
-    return bool(_margins(x[np.newaxis, :], h.normal, h.intercept)[0] <= 0.0)
-
-
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> Hyperplane:
     """Draw one split for the points at a node.
 
@@ -212,26 +212,13 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     return Hyperplane(normal=normal, intercept=np.asarray(intercept, dtype=np.float64))
 
 
-def build_tree(
-    subsample_data: np.ndarray,
-    current_height: int,
-    height_limit: int,
-    extension_level: int,
-    rng: RngStream,
-) -> IsolationTree:
-    """Grow a tree whose root sits at ``current_height``.
+def _grow(x, height, limit, extension_level, rng, angle=None) -> IsolationTree:
+    """Grow a tree on the rows of ``x`` whose root sits at ``height``.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
     separate duplicates, so spending depth on them is wasted).
     """
-    x = np.asarray(subsample_data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"subsample must be 2-D, got shape {x.shape}")
-    return _grow(x, current_height, height_limit, extension_level, rng)
-
-
-def _grow(x, height, limit, extension_level, rng, angle=None) -> IsolationTree:
     if x.shape[0] > 1:
         _require_finite_span(x)
     rows = []
@@ -324,6 +311,33 @@ def build_forest(
     of the forest is the forest trained with that many trees.
     """
     return _build_forest(as_dataset(data), t, psi, extension_level, seed)
+
+
+def build_rotated_forest(
+    data: np.ndarray,
+    t: int,
+    psi: int,
+    seed: int,
+    *,
+    angles: Sequence[float] | None = None,
+) -> Forest:
+    """Train the rotated baseline on 2-D data.
+
+    Per tree i: subsample with the tree's derived stream, draw an angle
+    uniform on [0, 2*pi) from the same stream, rotate the subsample, and
+    grow an extension-level-0 tree on the rotated points.
+
+    ``angles`` forces the per-tree angles instead of drawing them (the draw
+    is skipped entirely, leaving the rest of the stream untouched); with all
+    angles 0 the build is draw-for-draw identical to an extension-level-0
+    forest, which pins the identity reduction in tests.
+    """
+    x = as_dataset(data)
+    if x.shape[1] != 2:
+        raise ValueError(f"rotated variant supports dimension 2 only, got {x.shape[1]}")
+    if angles is not None and len(angles) != t:
+        raise ValueError(f"expected {t} forced angles, got {len(angles)}")
+    return _build_forest(x, t, psi, 0, seed, rotated=True, angles=angles)
 
 
 def _build_forest(x, t, psi, extension_level, seed, rotated=False, angles=None) -> Forest:

@@ -36,6 +36,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +208,11 @@ def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotat
 
 
 def load_forest(path) -> Forest:
-    """Read and validate a model document; returns a Forest of any variant."""
+    """Read and validate a model document; returns a Forest of any variant.
+
+    Warns when the model's ``rng_family`` is not this build's: it scores the
+    same, but retraining from its seed may draw differently.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -231,7 +236,7 @@ def load_forest(path) -> Forest:
     psi = _require(doc, "psi", int, "document")
     extension_level = _require(doc, "extension_level", int, "document")
     seed = _require(doc, "seed", int, "document")
-    _require(doc, "rng_family", str, "document")
+    rng_family = _require(doc, "rng_family", str, "document")
     tree_docs = _require(doc, "trees", list, "document")
     if variant not in VARIANTS:
         raise _fail(f"unknown variant {variant!r}")
@@ -262,6 +267,10 @@ def load_forest(path) -> Forest:
     if forest.variant != variant:
         raise _fail(f"variant {variant!r} contradicts extension_level {extension_level}, "
                     f"which makes the model {forest.variant!r}")
+    if rng_family != RNG_FAMILY:
+        warnings.warn(f"model {path} was built under rng family {rng_family!r}, this build runs "
+                      f"{RNG_FAMILY!r}: it scores as before, but retraining from its seed may "
+                      "not reproduce it", UserWarning, stacklevel=2)
     return forest
 
 

@@ -68,17 +68,14 @@ class RngStream:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    @property
-    def origin(self) -> tuple[int, int]:
-        return (self.seed, self.stream_index)
-
     def derive(self, index: int) -> "RngStream":
-        """Child stream, a pure function of (own origin, index)."""
+        """Child stream, a pure function of (seed, stream_index, index)."""
         index = _check_u64(index, "index")
         return RngStream(self.seed, _mix64(self.stream_index, index))
 
-    # Raw draw primitives. Validation lives in the module-level functions;
-    # these advance state and nothing else.
+    # Raw draw primitives: they advance state and nothing else, so callers
+    # validate their arguments. uniform(lo, lo) returns lo exactly, which
+    # sample_hyperplane relies on for constant columns.
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -119,18 +116,6 @@ def fold_seed(seed: int, index: int) -> int:
     plain seed rather than a stream.
     """
     return _mix64(_check_u64(seed, "seed"), _check_u64(index, "index"))
-
-
-def draw_standard_normal(rng: RngStream) -> float:
-    """One draw from N(0, 1); advances the stream."""
-    return float(rng.standard_normal())
-
-
-def draw_uniform(rng: RngStream, lo: float, hi: float) -> float:
-    """One draw uniform on [lo, hi]; returns lo exactly when lo == hi."""
-    if not lo <= hi:
-        raise ValueError(f"invalid range: lo={lo} > hi={hi}")
-    return float(rng.uniform(lo, hi))
 
 
 def choose_indices(rng: RngStream, n: int, k: int) -> np.ndarray:

@@ -27,6 +27,15 @@ def _require_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_finite_points(points: np.ndarray, **scale) -> np.ndarray:
+    """Return ``points``, or raise ValueError naming the ``scale`` parameters
+    when finite parameters still carried a cell past the float64 range."""
+    if not np.isfinite(points).all():
+        named = ", ".join(f"{name}={value}" for name, value in scale.items() if value is not None)
+        raise ValueError(f"generated points overflow float64 with {named}")
+    return points
+
+
 def gen_gaussian_blob(n: int, dim: int, mean=None, sigma: float = 1.0, seed: int = 1) -> np.ndarray:
     """n points with coordinate d ~ N(mean_d, sigma^2)."""
     if n < 1:
@@ -40,7 +49,9 @@ def gen_gaussian_blob(n: int, dim: int, mean=None, sigma: float = 1.0, seed: int
     if center.shape != (dim,):
         raise ValueError(f"mean must have length {dim}, got shape {center.shape}")
     rng = make_rng(seed)
-    return center + sigma * rng.standard_normal((n, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = center + sigma * rng.standard_normal((n, dim))
+    return _require_finite_points(points, sigma=sigma, mean=mean)
 
 
 def gen_double_blob(n_per_blob: int, seed: int = 1) -> np.ndarray:
@@ -74,8 +85,9 @@ def gen_sinusoid(
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     rng = make_rng(seed)
     x = rng.uniform(0.0, x_max, n)
-    y = amplitude * np.sin(x) + noise_sigma * rng.standard_normal(n)
-    return np.column_stack([x, y])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = amplitude * np.sin(x) + noise_sigma * rng.standard_normal(n)
+    return _require_finite_points(np.column_stack([x, y]), amplitude=amplitude, noise_sigma=noise_sigma)
 
 
 def gen_sphere_levelset(radius: float, n: int, dim: int, seed: int = 1) -> np.ndarray:
@@ -114,7 +126,9 @@ def gen_line_levelset(
     _require_finite(offset=offset, amplitude=amplitude, x_max=x_max)
     rng = make_rng(seed)
     x = rng.uniform(0.0, x_max, n)
-    return np.column_stack([x, amplitude * np.sin(x) + offset])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = amplitude * np.sin(x) + offset
+    return _require_finite_points(np.column_stack([x, y]), amplitude=amplitude, offset=offset)
 
 
 def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:

@@ -55,6 +55,10 @@ class TestSynth:
         (("--kind", "blob", "--n", "10", "--dim", "2", "--sigma", "nan"), "sigma must be finite"),
         (("--kind", "uniform_box", "--n", "10", "--lo=-1e308,0", "--hi=1e308,1"),
          "hi - lo overflows float64"),
+        (("--kind", "blob", "--n", "20", "--dim", "1", "--sigma", "1e308"),
+         "generated points overflow float64 with sigma=1e+308"),
+        (("--kind", "line", "--n", "20", "--offset", "1e308", "--amplitude", "1e308"),
+         "generated points overflow float64 with amplitude=1e+308, offset=1e+308"),
     ])
     def test_non_finite_parameters_are_data_errors(self, tmp_path, capsys, args, message):
         code, _, err = invoke(capsys, "synth", *args, "--out", str(tmp_path / "x.csv"))

@@ -13,12 +13,9 @@ from eif.evaluation import (
     line_levelset_stats,
     score_map,
 )
-from eif.forest import anomaly_score, build_forest, score_batch
+from eif.forest import anomaly_score, build_forest, build_rotated_forest, score_batch
 from eif.rng import make_rng
-from eif.rotation import build_rotated_forest
 from eif.synthetic import gen_double_blob, gen_gaussian_blob
-
-
 from oracles import (
     auprc_oracle,
     auroc_oracle,

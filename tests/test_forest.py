@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from eif.forest import (
     Forest,
-    Hyperplane,
+    _grow,
+    _margins,
     anomaly_score,
-    branch_left,
     build_forest,
-    build_tree,
+    build_rotated_forest,
     c_factor,
     expected_depth,
     harmonic_estimate,
@@ -23,7 +23,6 @@ from eif.forest import (
 )
 from eif.model_io import forest_to_document
 from eif.rng import derive_stream, make_rng, subsample
-from eif.rotation import build_rotated_forest
 from eif.synthetic import gen_gaussian_blob
 from oracles import leaf_depths, score_oracle, tree_from_nested
 
@@ -110,25 +109,18 @@ class TestHyperplaneSampling:
 
 
 class TestBranchLeft:
-    def plane(self, normal, intercept):
-        return Hyperplane(np.asarray(normal, float), np.asarray(intercept, float))
+    def goes_left(self, x, normal, intercept):
+        margin = _margins(np.array([x], float), np.asarray(normal, float), np.asarray(intercept, float))
+        return bool(margin[0] <= 0.0)
 
     def test_point_on_plane_goes_left(self):
-        h = self.plane([1.0, 1.0], [2.0, 3.0])
-        assert branch_left(np.array([2.0, 3.0]), h) is True
+        assert self.goes_left([2.0, 3.0], [1.0, 1.0], [2.0, 3.0]) is True
 
     def test_positive_margin_goes_right(self):
-        h = self.plane([1.0, 0.0], [0.0, 0.0])
-        assert branch_left(np.array([3.0, 5.0]), h) is False
+        assert self.goes_left([3.0, 5.0], [1.0, 0.0], [0.0, 0.0]) is False
 
     def test_flipping_normal_swaps_side(self):
-        h = self.plane([-1.0, 0.0], [0.0, 0.0])
-        assert branch_left(np.array([3.0, 5.0]), h) is True
-
-    def test_dimension_mismatch(self):
-        h = self.plane([1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            branch_left(np.array([1.0, 2.0, 3.0]), h)
+        assert self.goes_left([3.0, 5.0], [-1.0, 0.0], [0.0, 0.0]) is True
 
 
 def leaf_sizes(tree):
@@ -145,32 +137,32 @@ def is_single_leaf(tree, size):
 
 class TestBuildTree:
     def test_singleton_becomes_leaf(self):
-        tree = build_tree(np.array([[1.0, 2.0]]), 0, 8, 1, make_rng(1))
+        tree = _grow(np.array([[1.0, 2.0]]), 0, 8, 1, make_rng(1))
         assert is_single_leaf(tree, 1)
 
     def test_identical_points_become_leaf(self):
         data = np.tile([1.5, -2.0], (20, 1))
-        tree = build_tree(data, 0, 8, 1, make_rng(1))
+        tree = _grow(data, 0, 8, 1, make_rng(1))
         assert is_single_leaf(tree, 20)
 
     def test_height_limit_reached_becomes_leaf(self):
         data = gen_gaussian_blob(10, 2, seed=1)
-        tree = build_tree(data, 5, 5, 1, make_rng(1))
+        tree = _grow(data, 5, 5, 1, make_rng(1))
         assert is_single_leaf(tree, 10)
 
     def test_four_points_depth_two(self):
         data = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = build_tree(data, 0, 2, 0, make_rng(3))
+        tree = _grow(data, 0, 2, 0, make_rng(3))
         assert max_depth(tree) <= 2
         assert sum(leaf_sizes(tree)) == 4
 
     def test_leaf_mass_conservation(self):
         data = gen_gaussian_blob(256, 3, seed=4)
-        tree = build_tree(data, 0, 8, 2, make_rng(9))
+        tree = _grow(data, 0, 8, 2, make_rng(9))
         assert sum(leaf_sizes(tree)) == 256
 
     def test_nodes_are_in_preorder(self):
-        tree = build_tree(gen_gaussian_blob(64, 2, seed=5), 0, 6, 1, make_rng(2))
+        tree = _grow(gen_gaussian_blob(64, 2, seed=5), 0, 6, 1, make_rng(2))
         internal = np.flatnonzero(tree.left >= 0)
         assert tree.left[internal].tolist() == (internal + 1).tolist()
         assert np.all(tree.right[internal] > tree.left[internal])
@@ -227,6 +219,20 @@ class TestBuildForest:
     def test_rejects_an_empty_forest(self):
         with pytest.raises(ValueError, match="forest has no trees"):
             Forest(trees=[], psi=4, extension_level=0, seed=1)
+
+    def test_rejects_trees_of_different_dimensions(self):
+        two = build_forest(gen_gaussian_blob(64, 2, seed=1), 3, 32, 1, seed=1)
+        three = build_forest(gen_gaussian_blob(64, 3, seed=1), 3, 32, 1, seed=1)
+        with pytest.raises(ValueError, match="tree 3 splits in dimension 3, tree 0 in dimension 2"):
+            Forest(trees=two.trees + three.trees, psi=32, extension_level=1, seed=1)
+
+    def test_rejects_rotated_and_unrotated_trees_together(self, blob_2d):
+        plain = build_forest(blob_2d, 2, 64, 0, seed=1)
+        rotated = build_rotated_forest(blob_2d, 2, 64, seed=1)
+        with pytest.raises(ValueError, match=r"tree 2 has angle \d.* but tree 0 has angle None"):
+            Forest(trees=plain.trees + rotated.trees, psi=64, extension_level=0, seed=1)
+        with pytest.raises(ValueError, match=r"tree 2 has angle None but tree 0 has angle \d"):
+            Forest(trees=rotated.trees + plain.trees, psi=64, extension_level=0, seed=1)
 
     def test_tree_build_order_is_irrelevant(self, blob_2d):
         from eif.forest import _build_one_tree

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid, grid_points
-from eif.forest import build_forest, height_limit_for, score_batch
+from eif.forest import build_forest, build_rotated_forest, height_limit_for, score_batch
 from eif.model_io import (
     format_score,
     forest_to_document,
@@ -23,7 +23,6 @@ from eif.model_io import (
     write_stats_csv,
 )
 from eif.rng import RNG_FAMILY
-from eif.rotation import build_rotated_forest, rotated_score_batch
 from eif.synthetic import gen_gaussian_blob
 from oracles import choose_indices_oracle, leaf_depths
 
@@ -72,8 +71,26 @@ class TestModelRoundTrip:
         loaded = load_forest(path)
         probes = gen_gaussian_blob(50, 2, seed=6)
         assert np.array_equal(
-            rotated_score_batch(probes, loaded), rotated_score_batch(probes, forest)
+            score_batch(probes, loaded), score_batch(probes, forest)
         )
+
+
+class TestRngFamily:
+    def test_same_build_loads_without_warning(self, model_path, recwarn):
+        load_forest(model_path)
+        assert not recwarn.list
+
+    def test_other_family_warns_and_scores_as_before(self, model_path, small_forest):
+        doc = json.loads(model_path.read_text())
+        doc["rng_family"] = "numpy-philox4x64/0.0.1"
+        model_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning) as caught:
+            loaded = load_forest(model_path)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "'numpy-philox4x64/0.0.1'" in message and repr(RNG_FAMILY) in message
+        probes = gen_gaussian_blob(100, 2, seed=200)
+        assert np.array_equal(score_batch(probes, loaded), score_batch(probes, small_forest))
 
 
 class TestLoadValidation:

