@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ TWO_PI = 2.0 * math.pi
 VARIANT_STANDARD = "standard-equivalent"
 VARIANT_EXTENDED = "extended"
 VARIANT_ROTATED = "rotated"
-VARIANTS = (VARIANT_STANDARD, VARIANT_EXTENDED, VARIANT_ROTATED)
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,14 @@ class Hyperplane:
 
 @dataclass
 class IsolationTree:
-    """One tree as the node arrays the model file stores, in preorder.
+    """One tree as the node arrays the model file stores.
 
-    The root is node 0 and an internal node k has its left child at k + 1.
-    ``normal[k]`` and ``intercept[k]`` (shape ``(nodes, N)``) hold node k's
-    split, zeros at leaves; ``left[k]`` and ``right[k]`` are its children,
-    -1 at leaves; ``size[k]`` is the number of training points a leaf holds,
-    0 at internal nodes. ``angle`` is set on rotated-baseline trees only.
+    The root is node 0. ``normal[k]`` and ``intercept[k]`` (shape
+    ``(nodes, N)``) hold node k's split, zeros at leaves; ``left[k]`` and
+    ``right[k]`` are its children, -1 at leaves; ``size[k]`` is the number of
+    training points a leaf holds, 0 at internal nodes. ``angle`` is set on
+    rotated-baseline trees only. A grown tree is in preorder (an internal
+    node k has its left child at k + 1); a loaded one keeps the file's order.
     """
 
     normal: np.ndarray
@@ -71,27 +70,44 @@ class IsolationTree:
     angle: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forest:
     """Trees plus the settings they were grown with. ``t``, ``dimension`` (the
-    trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them."""
+    trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
-    trees: list[IsolationTree]
+    Making one checks every model invariant, here and in ``_check_tree``, so
+    built, loaded and hand-made forests pass the same checks. It is frozen,
+    with its trees in a tuple, so it stays as checked.
+    """
+
+    trees: tuple[IsolationTree, ...]
     psi: int
     extension_level: int
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise ValueError("forest has no trees")
-        first = self.trees[0]
+        if not 2 <= self.psi < 2**63:
+            raise ValueError(f"psi must be in [2, 2**63), got {self.psi}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        first, dim, level = self.trees[0], self.dimension, self.extension_level
+        if not 0 <= level <= dim - 1:
+            raise ValueError(f"extension_level must be in [0, {dim - 1}] for dimension {dim}, got {level}")
+        if self.variant == VARIANT_ROTATED and dim != 2:
+            raise ValueError(f"rotated variant requires dimension 2, got {dim}")
+        if self.variant == VARIANT_ROTATED and level != 0:
+            raise ValueError(f"rotated variant requires extension_level 0, got {level}")
+        limit = height_limit_for(self.psi)
         for k, tree in enumerate(self.trees):
-            if tree.normal.shape[1] != first.normal.shape[1]:
-                raise ValueError(f"tree {k} splits in dimension {tree.normal.shape[1]}, "
-                                 f"tree 0 in dimension {first.normal.shape[1]}")
+            if tree.normal.shape[1] != dim:
+                raise ValueError(f"tree {k} splits in dimension {tree.normal.shape[1]}, tree 0 in dimension {dim}")
             if (tree.angle is None) != (first.angle is None):
                 raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
                                  "either every tree is rotated or none is")
+            _check_tree(tree, f"tree {k}", self.psi, level + 1, limit)
 
     @property
     def t(self) -> int:
@@ -113,6 +129,63 @@ class Forest:
 
     def score(self, data: np.ndarray) -> np.ndarray:
         return score_batch(data, self)
+
+
+def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
+    """Raise ValueError naming the first thing in ``tree`` that no grown tree
+    has: a non-finite angle; for internal rows (``left >= 0``) children out of
+    range or equal; a node that a level-by-level walk from the root reaches
+    twice, beyond ``limit`` or never; leaf sizes below 0 or not summing to psi;
+    non-finite split vectors, or normals without ``nonzeros`` nonzero entries.
+    """
+    left, right, size = tree.left, tree.right, tree.size
+    n = len(left)
+    if tree.angle is not None and not math.isfinite(tree.angle):
+        raise ValueError(f"{where} has non-finite angle {tree.angle}")
+
+    inner = np.flatnonzero(left >= 0)
+    children = np.column_stack((left[inner], right[inner]))
+    bad = np.argwhere((children < 0) | (children >= n))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"node {inner[i]} of {where} has child index {children[i, j]} out of range")
+    same = np.flatnonzero(children[:, 0] == children[:, 1])
+    if same.size:
+        raise ValueError(f"node {inner[same[0]]} of {where} has identical children")
+
+    visits = np.zeros(n, dtype=np.int64)
+    frontier, depth = np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        visits += np.bincount(frontier, minlength=n)
+        twice = frontier[visits[frontier] > 1]
+        if twice.size:
+            raise ValueError(f"node {twice[0]} of {where} is reached twice (cycle or shared subtree)")
+        if depth > limit:
+            raise ValueError(f"node {frontier[0]} of {where} is at depth {depth}, beyond height_limit {limit}")
+        split = frontier[left[frontier] >= 0]
+        frontier, depth = np.column_stack((left[split], right[split])).ravel(), depth + 1
+    unreached = np.flatnonzero(visits == 0)
+    if unreached.size:
+        raise ValueError(f"{where} has {unreached.size} unreachable node(s), the first is node {unreached[0]}")
+
+    leaves = left < 0
+    negative = np.flatnonzero(leaves & (size < 0))
+    if negative.size:
+        raise ValueError(f"node {negative[0]} of {where} has negative size {size[negative[0]]}")
+    mass = sum(size[leaves].tolist())  # Python ints: an int64 sum could wrap
+    if mass != psi:
+        raise ValueError(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
+
+    normal = tree.normal[inner]
+    bad = np.flatnonzero(~(np.isfinite(normal).all(axis=1) & np.isfinite(tree.intercept[inner]).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"node {inner[bad[0]]} of {where} has a non-finite split vector")
+    counts = np.count_nonzero(normal, axis=1)
+    wrong = np.flatnonzero(counts != nonzeros)
+    if wrong.size:
+        node, count = f"node {inner[wrong[0]]} of {where}", counts[wrong[0]]
+        raise ValueError(f"{node} has an all-zero normal" if count == 0
+                         else f"{node} has {count} nonzero normal entries, expected {nonzeros}")
 
 
 def harmonic_estimate(i: int) -> float:
@@ -157,9 +230,10 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def _margins(points: np.ndarray, normal: np.ndarray, intercept: np.ndarray) -> np.ndarray:
-    """(x - p) . n for each row, accumulated per coordinate in index order."""
+    """(x - p) . n for each row, summed in index order over n's nonzero entries
+    (a zero entry adds a signed zero, or NaN where x - p overflows)."""
     acc = np.zeros(points.shape[0])
-    for d in range(points.shape[1]):
+    for d in np.flatnonzero(normal).tolist():
         acc += (points[:, d] - intercept[d]) * normal[d]
     return acc
 
@@ -251,21 +325,19 @@ def _require_finite_span(x: np.ndarray) -> None:
 
 
 def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
-    """Tree from per-node ``[normal, intercept, left, right, size]`` rows in preorder.
+    """Tree from per-node ``[normal, intercept, left, right, size]`` rows.
 
     Leaf rows carry None vectors and get zeros. A lone leaf has no split to
     confirm ``dimension``, so its zero row is a read-only view of one value.
+    Raises OverflowError for an index or size beyond int64.
     """
-    _, _, left, right, size = zip(*rows)
+    left, right, size = (np.array(column, dtype=np.int64) for column in list(zip(*rows))[2:])
     normal = intercept = np.broadcast_to(np.float64(0.0), (len(rows), dimension))
     if len(rows) > 1:
         normal, intercept = np.zeros(normal.shape), np.zeros(normal.shape)
-        for k in np.flatnonzero(np.array(left) >= 0):
+        for k in np.flatnonzero(left >= 0):
             normal[k], intercept[k] = rows[k][0], rows[k][1]
-    return IsolationTree(
-        normal=normal, intercept=intercept,
-        left=np.array(left), right=np.array(right), size=np.array(size), angle=angle,
-    )
+    return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
 
 
 def height_limit_for(psi: int) -> int:
@@ -313,49 +385,22 @@ def build_forest(
     return _build_forest(as_dataset(data), t, psi, extension_level, seed)
 
 
-def build_rotated_forest(
-    data: np.ndarray,
-    t: int,
-    psi: int,
-    seed: int,
-    *,
-    angles: Sequence[float] | None = None,
-) -> Forest:
+def build_rotated_forest(data: np.ndarray, t: int, psi: int, seed: int) -> Forest:
     """Train the rotated baseline on 2-D data.
 
     Per tree i: subsample with the tree's derived stream, draw an angle
     uniform on [0, 2*pi) from the same stream, rotate the subsample, and
     grow an extension-level-0 tree on the rotated points.
-
-    ``angles`` forces the per-tree angles instead of drawing them (the draw
-    is skipped entirely, leaving the rest of the stream untouched); with all
-    angles 0 the build is draw-for-draw identical to an extension-level-0
-    forest, which pins the identity reduction in tests.
     """
     x = as_dataset(data)
     if x.shape[1] != 2:
         raise ValueError(f"rotated variant supports dimension 2 only, got {x.shape[1]}")
-    if angles is not None and len(angles) != t:
-        raise ValueError(f"expected {t} forced angles, got {len(angles)}")
-    return _build_forest(x, t, psi, 0, seed, rotated=True, angles=angles)
+    return _build_forest(x, t, psi, 0, seed, rotated=True)
 
 
 def _build_forest(x, t, psi, extension_level, seed, rotated=False, angles=None) -> Forest:
-    n, dim = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 training rows, got {n}")
-    if t < 1:
-        raise ValueError(f"t must be at least 1, got {t}")
-    if psi < 2:
-        raise ValueError(f"psi must be at least 2, got {psi}")
-    if psi > n:
-        raise ValueError(f"insufficient data: psi={psi} exceeds dataset size {n}")
-    if not 0 <= extension_level <= dim - 1:
-        raise ValueError(
-            f"extension_level must be in [0, {dim - 1}] for dimension {dim}, "
-            f"got {extension_level}"
-        )
-
+    """``angles`` forces rotated trees' angles, skipping their draw: at all 0 the
+    build is draw-for-draw a level-0 forest. The Forest checks the settings."""
     limit = height_limit_for(psi)
     root = make_rng(seed)
     trees = [

@@ -10,20 +10,14 @@ Model file: a single UTF-8 JSON document,
       "trees": [{"height_limit": ..., "nodes": [...], "angle": ...}, ...]
     }
 
-Each tree is its node array in preorder with the root at index 0; a node is
-either ``{"kind": "internal", "normal": [...], "intercept": [...],
-"left_index": i, "right_index": j}`` or ``{"kind": "external", "size": n}``.
-These are the arrays an in-memory tree holds, so saving writes them out and
-loading fills them. Rotated trees additionally carry their angle. The
-document also spells out what a Forest derives (``variant``, ``dimension``,
-``t``, each tree's ``height_limit``), and loading checks each against the
-model. Floats are written in Python's shortest round-trip form, so
-load(save(f)) scores bit-for-bit like f. Loading validates structure (types,
-bounds, a single visit per node, reachability), the invariants every built
-tree has (depth at most height_limit = ceil(log2 psi), leaf sizes summing to
-psi, exactly extension_level + 1 nonzero entries per normal) and the variant
-(angles on every tree, 2-D and level 0 for "rotated", no angles otherwise),
-and reports the first violation by tree and node.
+Each tree is its node array, root at index 0; a node is either ``{"kind":
+"internal", "normal": [...], "intercept": [...], "left_index": i,
+"right_index": j}`` or ``{"kind": "external", "size": n}``. These are the
+arrays an in-memory tree holds, so saving writes them out and loading reads
+them back in file order. Rotated trees also carry their angle. The document
+spells out what a Forest derives (``variant``, ``dimension``, ``t``, each
+tree's ``height_limit``). Floats are written in Python's shortest round-trip
+form, so load(save(f)) scores bit-for-bit like f.
 
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
@@ -43,7 +37,7 @@ import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from .evaluation import grid_points
-from .forest import VARIANT_ROTATED, VARIANTS, Forest, IsolationTree, height_limit_for, tree_from_rows
+from .forest import VARIANT_ROTATED, Forest, IsolationTree, height_limit_for, tree_from_rows
 from .rng import RNG_FAMILY
 
 FORMAT_MAGIC = "eif-model"
@@ -121,97 +115,66 @@ def _require(doc: dict, key: str, types, where: str):
     return value
 
 
-def _finite_floats(values: list, what: str) -> list[float]:
+def _floats(values: list, what: str) -> list[float]:
     try:
-        floats = [float(v) for v in values
-                  if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if set(map(type, values)) <= {int, float}:  # exact types: a JSON true is a bool
+            return list(map(float, values))
     except OverflowError:  # an integer beyond the float range
-        floats = []
-    if len(floats) != len(values) or not all(map(math.isfinite, floats)):
-        raise _fail(f"{what} has non-numeric or non-finite entries")
-    return floats
+        pass
+    raise _fail(f"{what} has non-numeric or non-finite entries")
 
 
-def _read_tree(td, k: int, dimension: int, psi: int, extension_level: int, rotated: bool):
-    """Validate tree k's document and fill its node arrays in preorder."""
-    where = f"tree {k}"
+def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
+    """Tree from its document: the nodes in file order, read into arrays."""
     if not isinstance(td, dict):
         raise _fail(f"{where} is not an object")
-    height_limit = _require(td, "height_limit", int, where)
-    limit = height_limit_for(psi)
-    if height_limit != limit:
-        raise _fail(f"{where} has height_limit {height_limit}, expected {limit} for psi={psi}")
+    _require(td, "height_limit", int, where)
     angle = None
     if rotated:
-        angle = _finite_floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
+        angle = _floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
     elif "angle" in td:
         raise _fail(f"{where} has an angle, which only the rotated variant carries")
     nodes = _require(td, "nodes", list, where)
-    count = len(nodes)
-    if count == 0:
+    if not nodes:
         raise _fail(f"{where} has no nodes")
-
-    rows = []  # [normal, intercept, left, right, size] per node, in preorder
-    seen: set[int] = set()
-    # (file index, depth, row of the parent whose right child this is)
-    stack: list[tuple[int, int, list | None]] = [(0, 0, None)]
-    while stack:
-        i, depth, parent = stack.pop()
+    rows = []  # [normal, intercept, left, right, size] per node
+    for i, rec in enumerate(nodes):
         node = f"node {i} of {where}"
-        if i in seen:
-            raise _fail(f"{node} is reached twice (cycle or shared subtree)")
-        seen.add(i)
-        if depth > height_limit:
-            raise _fail(f"{node} is at depth {depth}, beyond height_limit {height_limit}")
-        if parent is not None:
-            parent[3] = len(rows)
-        rec = nodes[i]
         if not isinstance(rec, dict):
             raise _fail(f"{node} is not an object")
         kind = _require(rec, "kind", str, node)
         if kind == "external":
-            n = _require(rec, "size", int, node)
-            if n < 0:
-                raise _fail(f"{node} has negative size {n}")
-            rows.append([None, None, -1, -1, n])
+            rows.append([None, None, -1, -1, _require(rec, "size", int, node)])
         elif kind == "internal":
             n_vec = _require(rec, "normal", list, node)
             p_vec = _require(rec, "intercept", list, node)
             if len(n_vec) != dimension or len(p_vec) != dimension:
                 raise _fail(f"{node} has vectors of length != dimension {dimension}")
-            n_vec = _finite_floats(n_vec, f"split normal of {node}")
-            p_vec = _finite_floats(p_vec, f"split intercept of {node}")
-            nonzero = sum(v != 0.0 for v in n_vec)
-            if nonzero == 0:
-                raise _fail(f"{node} has an all-zero normal")
-            if nonzero != extension_level + 1:
-                raise _fail(f"{node} has {nonzero} nonzero normal entries, "
-                            f"expected {extension_level + 1}")
             children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
-            for child in children:
-                if not 0 <= child < count:
-                    raise _fail(f"{node} has child index {child} out of range")
-            if children[0] == children[1]:
-                raise _fail(f"{node} has identical children")
-            rows.append([n_vec, p_vec, len(rows) + 1, -1, 0])
-            # Left popped first, so it lands at the next preorder index.
-            stack.append((children[1], depth + 1, rows[-1]))
-            stack.append((children[0], depth + 1, None))
+            if min(children) < 0:  # in the node arrays a negative child marks a leaf
+                raise _fail(f"{node} has child index {min(children)} out of range")
+            rows.append([_floats(n_vec, f"split normal of {node}"),
+                         _floats(p_vec, f"split intercept of {node}"), *children, 0])
         else:
             raise _fail(f"{node} has unknown kind {kind!r}")
-    if len(seen) != count:
-        raise _fail(f"{where} has {count - len(seen)} unreachable node(s)")
-    mass = sum(row[4] for row in rows)
-    if mass != psi:
-        raise _fail(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
-    return tree_from_rows(rows, dimension, angle)
+    # Rows cost dimension floats each, so their count is bounded by the splits read.
+    reachable = 1 + 2 * sum(row[2] >= 0 for row in rows)
+    if len(rows) > reachable:
+        raise _fail(f"{where} has {len(rows)} nodes, but its splits reach at most {reachable}: some are unreachable")
+    try:
+        return tree_from_rows(rows, dimension, angle)
+    except OverflowError:
+        raise _fail(f"{where} has a child index or size beyond 64 bits") from None
 
 
 def load_forest(path) -> Forest:
-    """Read and validate a model document; returns a Forest of any variant.
+    """Read a model document into a Forest of any variant.
 
-    Warns when the model's ``rng_family`` is not this build's: it scores the
-    same, but retraining from its seed may draw differently.
+    Checks here cover what only the document can get wrong (types, format,
+    lengths, the derived fields); the Forest checks the model, and its
+    ValueError is raised as ModelFormatError. Warns when the model's
+    ``rng_family`` is not this build's: it scores the same, but retraining
+    from its seed may draw differently.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -238,32 +201,22 @@ def load_forest(path) -> Forest:
     seed = _require(doc, "seed", int, "document")
     rng_family = _require(doc, "rng_family", str, "document")
     tree_docs = _require(doc, "trees", list, "document")
-    if variant not in VARIANTS:
-        raise _fail(f"unknown variant {variant!r}")
     if not 1 <= dimension < 2**60:  # 2**60 float64 values fill numpy's largest array
         raise _fail(f"dimension must be in [1, 2**60), got {dimension}")
-    if variant == VARIANT_ROTATED and dimension != 2:
-        raise _fail(f"rotated variant requires dimension 2, got {dimension}")
-    if variant == VARIANT_ROTATED and extension_level != 0:
-        raise _fail(f"rotated variant requires extension_level 0, got {extension_level}")
-    if not 2 <= psi < 2**63:
-        raise _fail(f"psi must be in [2, 2**63), got {psi}")
-    if not 0 <= seed < 2**64:
-        raise _fail(f"seed must be in [0, 2**64), got {seed}")
-    if not tree_docs:
-        raise _fail("document has no trees")
-    if not 0 <= extension_level <= dimension - 1:
-        raise _fail(f"extension_level {extension_level} out of range for dimension {dimension}")
     t = _require(doc, "t", int, "document")
     if t != len(tree_docs):
         raise _fail(f"t={t} does not match {len(tree_docs)} serialized trees")
 
-    rotated = variant == VARIANT_ROTATED
-    trees = [
-        _read_tree(td, k, dimension, psi, extension_level, rotated)
-        for k, td in enumerate(tree_docs)
-    ]
-    forest = Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
+    trees = [_read_tree(td, f"tree {k}", dimension, variant == VARIANT_ROTATED)
+             for k, td in enumerate(tree_docs)]
+    try:
+        forest = Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
+    except ValueError as e:
+        raise _fail(str(e)) from e
+    limit = height_limit_for(psi)  # psi is in range once the Forest is made
+    for k, td in enumerate(tree_docs):
+        if td["height_limit"] != limit:
+            raise _fail(f"tree {k} has height_limit {td['height_limit']}, expected {limit} for psi={psi}")
     if forest.variant != variant:
         raise _fail(f"variant {variant!r} contradicts extension_level {extension_level}, "
                     f"which makes the model {forest.variant!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -175,6 +176,37 @@ class TestBuildTree:
         assert forest_to_document(f1) == forest_to_document(f2)
 
 
+def two_leaves(normal=(1.0, 1.0), sizes=(1, 1), angle=None):
+    """A root split over two leaves: valid at psi 2 and level len(normal) - 1."""
+    return tree_from_nested((list(normal), [0.0] * len(normal), *sizes), angle=angle)
+
+
+def forest_of(tree, psi=2, extension_level=1, seed=0):
+    return Forest(trees=[tree], psi=psi, extension_level=extension_level, seed=seed)
+
+
+_REJECTED = [
+    ("self-child-root", lambda: forest_of(dataclasses.replace(two_leaves(), left=np.array([0, -1, -1]))),
+     ValueError, "node 0 of tree 0 is reached twice"),
+    ("leaf-sizes-sum-to-psi-plus-1", lambda: forest_of(two_leaves(sizes=(1, 2))),
+     ValueError, "tree 0 has leaf sizes summing to 3, expected psi=2"),
+    ("level-1-with-axis-normals", lambda: forest_of(two_leaves(normal=(1.0, 0.0))),
+     ValueError, "node 0 of tree 0 has 1 nonzero normal entries, expected 2"),
+    ("angles-at-level-1", lambda: forest_of(two_leaves(angle=0.5)),
+     ValueError, "rotated variant requires extension_level 0, got 1"),
+    ("angles-in-3d", lambda: forest_of(two_leaves(normal=(1.0, 0.0, 0.0), angle=0.5), extension_level=0),
+     ValueError, "rotated variant requires dimension 2, got 3"),
+    ("seed-minus-1", lambda: forest_of(two_leaves(), seed=-1),
+     ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ("trees-append", lambda: forest_of(two_leaves()).trees.append(two_leaves(angle=0.5)),
+     AttributeError, "append"),
+    ("trees-assign", lambda: setattr(forest_of(two_leaves()), "trees", (two_leaves(angle=0.5),)),
+     AttributeError, "cannot assign to field 'trees'"),
+    ("replace-rechecks", lambda: dataclasses.replace(forest_of(two_leaves()), extension_level=0),
+     ValueError, "node 0 of tree 0 has 2 nonzero normal entries, expected 1"),
+]
+
+
 class TestBuildForest:
     @pytest.mark.parametrize("psi,limit", [(256, 8), (100, 7), (2, 1), (4, 2), (1000, 10)])
     def test_height_limit(self, psi, limit):
@@ -234,6 +266,12 @@ class TestBuildForest:
         with pytest.raises(ValueError, match=r"tree 2 has angle None but tree 0 has angle \d"):
             Forest(trees=rotated.trees + plain.trees, psi=64, extension_level=0, seed=1)
 
+    @pytest.mark.parametrize("make,error,match", [case[1:] for case in _REJECTED],
+                             ids=[case[0] for case in _REJECTED])
+    def test_a_forest_is_checked_when_made_and_cannot_change(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
     def test_tree_build_order_is_irrelevant(self, blob_2d):
         from eif.forest import _build_one_tree
 
@@ -284,13 +322,17 @@ class TestPathLengthAndScore:
         x = np.array([1.0, 1.0])
         per_tree = [path_length(x, t) for t in small_forest.trees]
         assert expected_depth(x, small_forest) == pytest.approx(np.mean(per_tree), rel=1e-15)
-        import copy
-
-        shuffled = copy.copy(small_forest)
-        shuffled.trees = list(reversed(small_forest.trees))
+        shuffled = dataclasses.replace(small_forest, trees=tuple(reversed(small_forest.trees)))
         assert expected_depth(x, shuffled) == pytest.approx(
             expected_depth(x, small_forest), rel=1e-12
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_a_coordinate_the_split_ignores_does_not_misroute(self):
+        # The split reads column 1 only; in column 0, 1e308 - (-1e308) overflows.
+        forest = forest_of(tree_from_nested(([0.0, 1.0], [-1e308, 0.5], 1, 7)), psi=8, extension_level=0)
+        far, near = score_batch(np.array([[1e308, 0.0], [0.0, 0.0]]), forest)
+        assert far.hex() == near.hex()
 
     def test_score_at_normalizer_depth_is_half(self, small_forest):
         # when the mean depth equals c(psi) the score is exactly 1/2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +261,26 @@ class TestLoadValidation:
         assert loaded.dimension == 2**40
         with pytest.raises(ValueError, match="dimension"):
             score_batch(probes, loaded)
+
+    @pytest.mark.parametrize("dimension,splits", [(2**40, 0), (512, 1)], ids=["leaves-only", "one-split"])
+    def test_unreachable_padding_allocates_nothing_per_coordinate(self, tmp_path, dimension, splits):
+        # A node array holds nodes x dimension floats; padding a tree with
+        # leaves no split reaches must not buy that with a few bytes each.
+        path = tmp_path / "padded.json"
+        save_forest(build_forest(np.ones((8, 3)), t=2, psi=4, extension_level=0, seed=1), path)
+        splits = [{"kind": "internal", "normal": [1.0] + [0.0] * (dimension - 1),
+                   "intercept": [0.0] * dimension, "left_index": 1, "right_index": 2} for _ in range(splits)]
+        nodes = splits + [{"kind": "external", "size": 4}] + [{"kind": "external", "size": 0}] * 2000
+
+        self.corrupt(path, lambda d: (d.update(dimension=dimension), d["trees"][0].update(nodes=nodes)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="unreachable"):
+                load_forest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def _tiny_rotated_document():
@@ -547,6 +568,36 @@ def test_pinned_model_and_score_bytes(tmp_path, kind):
     model_sha = hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
     score_sha = hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest()
     assert (model_sha, score_sha) == PINNED[kind]
+
+
+# The three PINNED builds as version-1 files, written under numpy-philox4x64/2.4.6,
+# with the SHA-256 of each model's scores on an RNG-free probe set recorded then
+# (each probe coordinate is one correctly rounded division, the same on any numpy).
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_FAMILY = "numpy-philox4x64/2.4.6"
+FIXTURE_SCORES = {
+    "level-0": "3bdccc560d66400154fcd2f14e0470fdf02b5e54ff988b2c0306902eda79815c",
+    "full": "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973",
+    "rotated": "aede7a0103bc7c706170d9c824f6774939bba5cc3239c021aac6396061761722",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
+    fixture = FIXTURES / f"model_v1_{kind}.json"
+    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == PINNED[kind][0]
+    if RNG_FAMILY == FIXTURE_FAMILY:
+        forest = load_forest(fixture)
+    else:
+        with pytest.warns(UserWarning, match=f"rng family '{FIXTURE_FAMILY}'"):
+            forest = load_forest(fixture)
+    assert not recwarn.list
+    probes = (np.arange(200.0).reshape(50, 4) / 25.0 - 4.0)[:, :forest.dimension]
+    assert hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest() == FIXTURE_SCORES[kind]
+    save_forest(forest, tmp_path / "m.json")
+    # rng_family names the running build: the one field a save may write differently
+    expected = fixture.read_text().replace(json.dumps(FIXTURE_FAMILY), json.dumps(RNG_FAMILY))
+    assert (tmp_path / "m.json").read_text() == expected
 
 
 def _fuzz_base(kind):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eif.forest import _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
+from eif.forest import _build_forest, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
 from eif.model_io import forest_to_document
 from eif.synthetic import gen_gaussian_blob
 
@@ -57,7 +57,7 @@ class TestBuildRotatedForest:
         # with no rotation drawn or applied, the build consumes the same
         # stream draws as a level-0 forest, so the scores match exactly
         plain = build_forest(blob_2d, 5, 128, 0, seed=13)
-        forced = build_rotated_forest(blob_2d, 5, 128, seed=13, angles=[0.0] * 5)
+        forced = _build_forest(blob_2d, 5, 128, 0, 13, rotated=True, angles=[0.0] * 5)
         probes = gen_gaussian_blob(50, 2, seed=99)
         assert np.array_equal(score_batch(probes, forced), score_batch(probes, plain))
 
@@ -69,7 +69,7 @@ class TestBuildRotatedForest:
         data = np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0], [2.0, 3.0]])
         build_forest(data, 2, 4, 0, seed=1)
         with pytest.raises(ValueError, match=r"column 1 spans \[0.0, inf\]"):
-            build_rotated_forest(data, 2, 4, seed=1, angles=[math.pi / 4] * 2)
+            _build_forest(data, 2, 4, 0, 1, rotated=True, angles=[math.pi / 4] * 2)
 
 
 class TestRotatedScoring:
@@ -146,9 +146,9 @@ def test_global_rotation_with_compensated_angles_gives_same_geometry():
     rot = np.array([[c, -s], [s, c]])
     train_rot = train @ rot.T
 
-    base = build_rotated_forest(train, 4, 64, seed=8, angles=[0.1, 0.9, 2.3, 4.5])
-    comp = build_rotated_forest(train_rot, 4, 64, seed=8,
-                                angles=[0.1 - phi, 0.9 - phi, 2.3 - phi, 4.5 - phi])
+    base = _build_forest(train, 4, 64, 0, 8, rotated=True, angles=[0.1, 0.9, 2.3, 4.5])
+    comp = _build_forest(train_rot, 4, 64, 0, 8, rotated=True,
+                         angles=[0.1 - phi, 0.9 - phi, 2.3 - phi, 4.5 - phi])
     probes = gen_gaussian_blob(30, 2, seed=22)
     a = score_batch(probes, base)
     b = score_batch(probes @ rot.T, comp)
