@@ -50,7 +50,7 @@ class Hyperplane:
     intercept: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsolationTree:
     """One tree as the node arrays the model file stores.
 
@@ -60,6 +60,10 @@ class IsolationTree:
     training points a leaf holds, 0 at internal nodes. ``angle`` is set on
     rotated-baseline trees only. A grown tree is in preorder (an internal
     node k has its left child at k + 1); a loaded one keeps the file's order.
+
+    It is frozen and holds read-only views of the arrays it is given, so a
+    tree a Forest has checked stays as checked; the caller's arrays keep
+    their own flags.
     """
 
     normal: np.ndarray
@@ -68,6 +72,12 @@ class IsolationTree:
     right: np.ndarray
     size: np.ndarray
     angle: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("normal", "intercept", "left", "right", "size"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -469,15 +479,12 @@ def score_batch(data, forest: Forest) -> np.ndarray:
 
 def _depth_totals(data, forest: Forest) -> np.ndarray:
     """Per-row path lengths summed over the trees in tree order."""
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"data must be 2-D, got shape {x.shape}")
+    x = as_dataset(data)
     if x.shape[1] != forest.dimension:
         raise ValueError(
             f"dimension mismatch: data has {x.shape[1]} columns, "
             f"forest dimension is {forest.dimension}"
         )
-    _require_finite(x, "data")
     total = np.zeros(x.shape[0])
     for tree in forest.trees:
         total += _path_lengths(x, tree)

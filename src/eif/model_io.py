@@ -230,34 +230,35 @@ def load_forest(path) -> Forest:
 # -- CSV ----------------------------------------------------------------
 
 
-def _parse_cell(cell: str, line_num: int, col: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise CsvFormatError(
-            f"non-numeric cell {cell!r} at line {line_num}, column {col + 1}"
-        ) from None
-    if not math.isfinite(value):
-        raise CsvFormatError(f"non-finite value {cell!r} at line {line_num}, column {col + 1}")
-    return value
+def _first_fault(raw, width: int, label_idx: int | None) -> CsvFormatError:
+    """The first fault in file order, cell by cell, as the error to raise: a
+    line without ``width`` cells, a cell ``float`` rejects or reads as
+    non-finite, or a label other than 0 or 1. Called only once the bulk
+    conversion or its checks have failed, so there is one to find."""
+    for line_num, row in raw:
+        if len(row) != width:
+            return CsvFormatError(f"ragged row at line {line_num}: expected {width} cells, got {len(row)}")
+        for c, cell in enumerate(row):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                return CsvFormatError(f"non-numeric cell {text!r} at line {line_num}, column {c + 1}")
+            if not math.isfinite(value):
+                return CsvFormatError(f"non-finite value {text!r} at line {line_num}, column {c + 1}")
+            if c == label_idx and value not in (0.0, 1.0):
+                return CsvFormatError(f"label at line {line_num} is {cell!r}, must be 0 or 1")
+    raise AssertionError("the bulk conversion failed on a table with no faulty cell")
 
 
-def _looks_numeric(row: list[str]) -> bool:
-    try:
-        for cell in row:
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def read_csv(path, has_header: bool | None = None, label_column=None):
+def read_csv(path, label_column=None):
     """Parse a dataset CSV into (rows-by-dimension array, labels or None).
 
-    ``has_header=None`` auto-detects: a first line with any non-numeric cell
-    is treated as a header. ``label_column`` may be a column name (requires
-    a header) or a 0-based index; that column must hold only 0/1 and is
-    returned separately.
+    A first line with any non-numeric cell is a header, and every line, the
+    header included, must have as many cells as the first. ``label_column``
+    may be a column name (requires a header) or a 0-based index; that column
+    must hold only 0/1 and is returned separately. The table is converted in
+    one numpy call; errors name the first faulty line and column.
     """
     import csv as _csv
 
@@ -270,16 +271,16 @@ def read_csv(path, has_header: bool | None = None, label_column=None):
     if not raw:
         raise CsvFormatError(f"{path}: file is empty")
 
+    width = len(raw[0][1])
     header: list[str] | None = None
-    if has_header is None:
-        has_header = not _looks_numeric(raw[0][1])
-    if has_header:
+    try:
+        np.array(raw[0][1], dtype=np.float64)
+    except ValueError:
         header = [c.strip() for c in raw[0][1]]
         raw = raw[1:]
         if not raw:
-            raise CsvFormatError(f"{path}: no data rows after header")
+            raise CsvFormatError(f"{path}: no data rows after header") from None
 
-    width = len(raw[0][1])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -299,29 +300,18 @@ def read_csv(path, has_header: bool | None = None, label_column=None):
                     f"label column index {label_idx} out of range for {width} columns"
                 )
 
-    n = len(raw)
-    features = np.empty((n, width - (1 if label_idx is not None else 0)))
-    labels = np.empty(n, dtype=int) if label_idx is not None else None
-    for r, (line_num, row) in enumerate(raw):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"ragged row at line {line_num}: expected {width} cells, got {len(row)}"
-            )
-        c_out = 0
-        for c, cell in enumerate(row):
-            value = _parse_cell(cell.strip(), line_num, c)
-            if c == label_idx:
-                if value not in (0.0, 1.0):
-                    raise CsvFormatError(
-                        f"label at line {line_num} is {cell!r}, must be 0 or 1"
-                    )
-                labels[r] = int(value)
-            else:
-                features[r, c_out] = value
-                c_out += 1
-    if features.shape[1] < 1:
+    try:
+        table = np.array([row for _, row in raw], dtype=np.float64)
+    except ValueError:  # a ragged row or a cell float() rejects
+        table = None
+    if (table is None or table.shape[1] != width or not np.isfinite(table).all()
+            or (label_idx is not None and not np.isin(table[:, label_idx], (0.0, 1.0)).all())):
+        raise _first_fault(raw, width, label_idx)
+    if label_idx is None:
+        return table, None
+    if width < 2:
         raise CsvFormatError(f"{path}: no feature columns")
-    return features, labels
+    return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int)
 
 
 def format_score(value: float) -> str:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to pin metric behavior."""
 
+import csv
 import math
 
 import numpy as np
 
+from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance
 from eif.forest import IsolationTree, build_forest, c_factor, score_batch
 
@@ -144,3 +146,63 @@ def score_oracle(x, forest):
             depth += 1
         total += depth + c_factor(int(tree.size[k]))
     return 2.0 ** (-(total / forest.t) / forest.normalizer)
+
+
+def read_csv_oracle(path, label_column=None):
+    """Dataset CSV parsed cell by cell with ``float``, failing at the first
+    fault in file order. The first line is a header when any of its cells is
+    not a number, and it fixes the cell count of every line."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(f)
+        raw = [(reader.line_num, row) for row in reader if row]
+    if not raw:
+        raise CsvFormatError(f"{path}: file is empty")
+    width = len(raw[0][1])
+    header = None
+    try:
+        for cell in raw[0][1]:
+            float(cell)
+    except ValueError:
+        header = [c.strip() for c in raw[0][1]]
+        raw = raw[1:]
+        if not raw:
+            raise CsvFormatError(f"{path}: no data rows after header") from None
+
+    label_idx = None
+    if label_column is not None:
+        if isinstance(label_column, str):
+            if header is None:
+                raise CsvFormatError(f"label column {label_column!r} requested but the file has no header")
+            if label_column not in header:
+                raise CsvFormatError(f"unknown label column {label_column!r}; header has {header}")
+            label_idx = header.index(label_column)
+        else:
+            label_idx = int(label_column)
+            if not 0 <= label_idx < width:
+                raise CsvFormatError(f"label column index {label_idx} out of range for {width} columns")
+
+    n = len(raw)
+    features = np.empty((n, width - (1 if label_idx is not None else 0)))
+    labels = np.empty(n, dtype=int) if label_idx is not None else None
+    for r, (line_num, row) in enumerate(raw):
+        if len(row) != width:
+            raise CsvFormatError(f"ragged row at line {line_num}: expected {width} cells, got {len(row)}")
+        c_out = 0
+        for c, cell in enumerate(row):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise CsvFormatError(f"non-numeric cell {text!r} at line {line_num}, column {c + 1}") from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"non-finite value {text!r} at line {line_num}, column {c + 1}")
+            if c == label_idx:
+                if value not in (0.0, 1.0):
+                    raise CsvFormatError(f"label at line {line_num} is {cell!r}, must be 0 or 1")
+                labels[r] = int(value)
+            else:
+                features[r, c_out] = value
+                c_out += 1
+    if features.shape[1] < 1:
+        raise CsvFormatError(f"{path}: no feature columns")
+    return features, labels

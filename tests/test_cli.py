@@ -348,6 +348,14 @@ class TestBench:
                               "--data", str(labeled), "--label-column", "label")
         assert code == 2
 
+    def test_header_wider_than_rows_is_data_error(self, tmp_path, model_json, capsys):
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("x,y,label\n0,0\n1,1\n")
+        code, _, err = invoke(capsys, "bench", "--model", str(model_json),
+                              "--data", str(labeled), "--label-column", "label")
+        assert code == 2
+        assert "ragged row at line 2" in err
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eif.forest import (
     Forest,
+    IsolationTree,
     _grow,
     _margins,
     anomaly_score,
@@ -22,7 +23,7 @@ from eif.forest import (
     sample_hyperplane,
     score_batch,
 )
-from eif.model_io import forest_to_document
+from eif.model_io import forest_to_document, load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import leaf_depths, score_oracle, tree_from_nested
@@ -520,3 +521,29 @@ def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
     probes = np.vstack([probes, [tree.intercept[0] for tree in forest.trees]])
     batch = score_batch(probes, forest)
     assert [v.hex() for v in batch.tolist()] == [score_oracle(p, forest).hex() for p in probes]
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_tree_arrays_are_read_only(tmp_path, blob_2d, source):
+    forest = build_forest(blob_2d, 3, 64, 1, seed=2)
+    if source == "loaded":
+        save_forest(forest, tmp_path / "m.json")
+        forest = load_forest(tmp_path / "m.json")
+    before = score_batch(np.zeros((1, 2)), forest)
+    for tree in forest.trees:
+        for name in ("normal", "intercept", "left", "right", "size"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tree, name)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        forest.trees[0].left = np.zeros(1, dtype=np.int64)
+    assert score_batch(np.zeros((1, 2)), forest).tobytes() == before.tobytes()
+
+
+def test_tree_leaves_the_callers_arrays_writable():
+    arrays = {"normal": np.array([[1.0], [0.0], [0.0]]), "intercept": np.zeros((3, 1)),
+              "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1]), "size": np.array([0, 1, 1])}
+    tree = IsolationTree(**arrays)
+    for name, array in arrays.items():
+        assert array.flags.writeable
+        assert not getattr(tree, name).flags.writeable
+        assert np.shares_memory(getattr(tree, name), array)

@@ -25,7 +25,7 @@ from eif.model_io import (
 )
 from eif.rng import RNG_FAMILY
 from eif.synthetic import gen_gaussian_blob
-from oracles import choose_indices_oracle, leaf_depths
+from oracles import choose_indices_oracle, leaf_depths, read_csv_oracle
 
 
 @pytest.fixture()
@@ -387,12 +387,6 @@ class TestReadCsv:
         data, _ = read_csv(p)
         assert data.shape == (2, 2)
 
-    def test_explicit_header_flag(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1,2\n3,4\n")
-        data, _ = read_csv(p, has_header=True)
-        assert data.shape == (1, 2)
-
     def test_label_column_by_name(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,label\n0,0,0\n1,2,1\n")
@@ -455,6 +449,48 @@ class TestReadCsv:
         p.write_text("")
         with pytest.raises(CsvFormatError, match="empty"):
             read_csv(p)
+
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_header_fixes_the_cell_count(self, tmp_path, label_column):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,label\n0,0\n1,2\n")
+        with pytest.raises(CsvFormatError, match="ragged row at line 2: expected 3 cells, got 2"):
+            read_csv(p, label_column=label_column)
+
+
+_CSV_CELLS = ["0", "1", "1.5", " 2 ", "1_0", "nan", "inf", "-0", "x", " x ", "", "\u0661", "1e400", "\xa03"]
+
+
+@st.composite
+def _csv_files(draw):
+    """Small CSV texts: an optional header, 1-4 rows of 1-3 cells, sometimes one ragged row."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.lists(st.sampled_from(["a", "label", "x", "0"]), min_size=width, max_size=width)))
+    rows = draw(st.lists(st.lists(st.sampled_from(_CSV_CELLS), min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(st.sampled_from(_CSV_CELLS), min_size=1, max_size=4))
+    label_column = draw(st.sampled_from([None, 0, width - 1, "label"]))
+    return "".join(",".join(row) + "\n" for row in lines + rows), label_column
+
+
+def _csv_outcome(read, path, label_column):
+    try:
+        data, labels = read(path, label_column=label_column)
+    except Exception as e:
+        return type(e), str(e)
+    return data.dtype, data.shape, data.tobytes(), None if labels is None else (labels.dtype, labels.tolist())
+
+
+@given(case=_csv_files())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_csv_matches_the_cell_by_cell_oracle(tmp_path, case):
+    text, label_column = case
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _csv_outcome(read_csv, path, label_column) == _csv_outcome(read_csv_oracle, path, label_column)
 
 
 class TestWriteCsv:
