@@ -6,8 +6,10 @@ fits and saves a model, ``score`` / ``scoremap`` / ``levelset`` /
 prints ranking metrics for labeled data.
 
 Exit codes: 0 success, 1 usage error, 2 data or model error. Diagnostics go
-to stderr; results go to the requested files (written atomically, so a
-failed run never leaves a partial output) or stdout.
+to stderr; results go to the requested files or stdout. A file is written
+atomically, so a failed run never leaves a partial output, with the mode
+``open()`` would give it (the umask's for a new file, the old mode for a
+replaced one); a write error names the requested path.
 """
 
 from __future__ import annotations

@@ -442,23 +442,18 @@ def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
 
 
 def _one_row(x, dimension: int) -> np.ndarray:
+    """A single point as a finite (1, dimension) array; errors name it ``x``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: point shape {x.shape}, dimension is {dimension}")
-    return x[np.newaxis, :]
+    row = x[np.newaxis, :]
+    _require_finite(row, "x")
+    return row
 
 
 def path_length(x, tree: IsolationTree) -> float:
     """Depth at which x lands, plus c(size) credit for the leaf population."""
-    row = _one_row(x, tree.normal.shape[1])
-    _require_finite(row, "x")
-    return float(_path_lengths(row, tree)[0])
-
-
-def _pow2(exponent: float) -> float:
-    # Scalar libm pow in every code path: numpy's array power can differ
-    # from Python's by an ulp, which would break batch == loop bit equality.
-    return 2.0 ** float(exponent)
+    return float(_path_lengths(_one_row(x, tree.normal.shape[1]), tree)[0])
 
 
 def expected_depth(x, forest: Forest) -> float:
@@ -493,5 +488,8 @@ def _depth_totals(data, forest: Forest) -> np.ndarray:
 
 def _scores_from_depth_totals(total: np.ndarray, t: int, normalizer: float) -> np.ndarray:
     """Scores from per-row path lengths summed in tree order over t trees."""
+    # Python's scalar 2.0 ** e, one exponent at a time: np.power and np.exp2
+    # differ from it in the last bit on about 5% of exponents, and the PINNED
+    # score hashes and the scalar oracle in the tests are held to these bits.
     exponents = -(total / t) / normalizer
-    return np.array([_pow2(e) for e in exponents])
+    return np.array([2.0 ** e for e in exponents.tolist()])

@@ -22,14 +22,19 @@ form, so load(save(f)) scores bit-for-bit like f.
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
 digits; dataset values and grid coordinates in shortest round-trip form.
+
+Every output file is written atomically by ``_write_text``, with the mode
+``open()`` would give it; a write error names the requested path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
-import tempfile
+import stat
 import warnings
 from pathlib import Path
 
@@ -44,21 +49,28 @@ FORMAT_MAGIC = "eif-model"
 FORMAT_VERSION = 1
 
 
-def _atomic_write_text(path, text: str) -> None:
-    """Write whole file or nothing: temp file in the same dir, fsync, rename."""
+def _write_text(path, text: str) -> None:
+    """Whole file or nothing, with the mode open() gives: a new file beside
+    ``path`` (the umask applies, a replaced file's bits carry over), fsynced
+    and renamed over it; any failure removes it, and an OSError names ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+    created = False
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            created = True
             f.write(text)
             f.flush()
             os.fsync(f.fileno())
+        with contextlib.suppress(FileNotFoundError):  # no file to replace: keep the umask's mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as e:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"cannot write {path}: {e.strerror or e}") from e
         raise
 
 
@@ -96,10 +108,7 @@ def forest_to_document(forest: Forest) -> dict:
 
 def save_forest(forest: Forest, path) -> None:
     """Write the model document to ``path`` (fsynced, never partial)."""
-    try:
-        _atomic_write_text(path, json.dumps(forest_to_document(forest), indent=1))
-    except OSError as e:
-        raise OSError(f"cannot write model to {path}: {e}") from e
+    _write_text(path, json.dumps(forest_to_document(forest), indent=1))
 
 
 def _fail(msg: str) -> ModelFormatError:
@@ -319,44 +328,34 @@ def format_score(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _write_csv(path, header, rows) -> None:
+    """The header, then each row: cells joined by commas, one line each."""
+    _write_text(path, "\n".join(map(",".join, itertools.chain([header], rows))) + "\n")
+
+
 def write_dataset_csv(path, data: np.ndarray) -> None:
     """Dataset rows under an x0..x{N-1} header, shortest round-trip floats."""
     data = np.asarray(data, dtype=np.float64)
-    lines = [",".join(f"x{d}" for d in range(data.shape[1]))]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in data)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [f"x{d}" for d in range(data.shape[1])], (map(repr, row) for row in data.tolist()))
 
 
 def write_scores_csv(path, ids, scores) -> None:
-    lines = ["index,score"]
-    lines.extend(f"{int(i)},{format_score(float(s))}" for i, s in zip(ids, scores))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["index", "score"], ((str(int(i)), format_score(float(s))) for i, s in zip(ids, scores)))
 
 
 def write_grid_csv(path, grid) -> None:
     """Row-major, x fastest: one row per grid cell under an x,y,score header."""
     points = grid_points(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny)
-    lines = ["x,y,score"]
-    lines.extend(
-        f"{x!r},{y!r},{format_score(v)}"
-        for (x, y), v in zip(points.tolist(), grid.values.ravel().tolist(), strict=True)
-    )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = zip(points.tolist(), grid.values.ravel().tolist(), strict=True)
+    _write_csv(path, ["x", "y", "score"], ((repr(x), repr(y), format_score(v)) for (x, y), v in cells))
 
 
 def write_stats_csv(path, stats) -> None:
-    lines = ["level,mean,variance,n_probe"]
-    lines.extend(
-        f"{repr(s.level)},{format_score(s.mean)},{format_score(s.variance)},{s.n_probe}"
-        for s in stats
-    )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["level", "mean", "variance", "n_probe"],
+               ((repr(s.level), format_score(s.mean), format_score(s.variance), str(s.n_probe))
+                for s in stats))
 
 
 def write_convergence_csv(path, series) -> None:
-    lines = ["t,mean,variance"]
-    lines.extend(
-        f"{t},{format_score(m)},{format_score(v)}"
-        for t, m, v in zip(series.t_values, series.means, series.variances)
-    )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    points = zip(series.t_values, series.means, series.variances)
+    _write_csv(path, ["t", "mean", "variance"], ((str(t), format_score(m), format_score(v)) for t, m, v in points))

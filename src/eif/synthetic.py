@@ -19,6 +19,9 @@ SINUSOID_AMPLITUDE = 5.0
 SINUSOID_X_MAX = 4.0 * math.pi
 SINUSOID_NOISE_SIGMA = 0.5
 
+# benchmark_task gives up after this many batches of anomaly draws.
+_MAX_ANOMALY_BATCHES = 10_000
+
 
 def _require_finite(**params) -> None:
     """Raise ValueError naming the first parameter with a NaN or infinite entry."""
@@ -168,7 +171,12 @@ def benchmark_task(
     data lives: within 3 sigma of a cluster center for the blob tasks,
     within 3 noise sigmas of the center curve for the sinusoid. The
     injection scheme is a harness choice, not a property of the detector.
+    Raises ValueError when a fixed cap of batches of draws has not kept
+    ``n_anomalies`` points, as when a small training set's box lies wholly
+    inside the rejection region.
     """
+    if n_anomalies < 1:
+        raise ValueError(f"n_anomalies must be at least 1, got {n_anomalies}")
     if kind == "single_blob":
         train = gen_gaussian_blob(n_train, 2, seed=fold_seed(seed, 0))
         centers = np.array([[0.0, 0.0]])
@@ -193,6 +201,11 @@ def benchmark_task(
     pieces: list[np.ndarray] = []
     total = 0
     while total < n_anomalies:
+        if len(pieces) == _MAX_ANOMALY_BATCHES:
+            raise ValueError(
+                f"benchmark task {kind!r} with n_train={n_train}: kept {total} of {n_anomalies} "
+                f"anomalies after {len(pieces)} batches of draws from the 1.5x bounding box"
+            )
         batch = rng.uniform(lo, hi, (n_anomalies, train.shape[1]))
         batch = batch[keep(batch)]
         pieces.append(batch)

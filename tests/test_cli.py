@@ -237,6 +237,14 @@ class TestScore:
                               "--data", str(blob_csv), "--out", str(tmp_path / "s.csv"))
         assert code == 2
 
+    def test_unwritable_output_names_the_requested_path(self, tmp_path, blob_csv, model_json, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        code, _, err = invoke(capsys, "score", "--model", str(model_json),
+                              "--data", str(blob_csv), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert ".tmp" not in err
+
 
 class TestScoremap:
     def test_grid_shape(self, tmp_path, model_json, capsys):

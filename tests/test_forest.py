@@ -314,6 +314,14 @@ class TestPathLengthAndScore:
         with pytest.raises(ValueError, match=r"dimension mismatch: point shape \(5,\), dimension is 2"):
             path_length(np.zeros(5), tree)
 
+    @pytest.mark.parametrize("measure", [
+        lambda x, f: path_length(x, f.trees[0]), expected_depth, anomaly_score,
+    ], ids=["path_length", "expected_depth", "anomaly_score"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_single_point_names_x_when_not_finite(self, small_forest, measure, bad):
+        with pytest.raises(ValueError, match=rf"^x contains non-finite value {bad} at row 0, column 1$"):
+            measure(np.array([0.5, bad]), small_forest)
+
     def test_single_tree_forest_mean(self, blob_2d):
         f = build_forest(blob_2d, 1, 64, 1, seed=2)
         x = np.array([0.5, -0.5])

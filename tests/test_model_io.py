@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -558,6 +559,63 @@ class TestWriteCsv:
         assert all(f"{v:.9g}" == s for v, s in zip(
             reparsed, (line.split(",")[1] for line in first.splitlines()[1:])
         ))
+
+
+_TINY_FOREST = build_forest(gen_gaussian_blob(20, 2, seed=40), 2, 8, 1, seed=41)
+
+# Every output file the package writes, one writer each.
+WRITERS = {
+    "model": lambda p: save_forest(_TINY_FOREST, p),
+    "dataset": lambda p: write_dataset_csv(p, np.eye(2)),
+    "scores": lambda p: write_scores_csv(p, [0, 1], [0.5, 0.25]),
+    "grid": lambda p: write_grid_csv(p, ScoreGrid(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0,
+                                                  nx=1, ny=1, values=np.full((1, 1), 0.5))),
+    "stats": lambda p: write_stats_csv(p, [LevelSetStats(level=1.0, mean=0.4, variance=0.001, n_probe=5)]),
+    "convergence": lambda p: write_convergence_csv(p, ConvergenceSeries(t_values=[1], means=[0.5],
+                                                                         variances=[0.0])),
+}
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestWritePath:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_mode_is_what_open_would_give(self, tmp_path, umask_022, writer):
+        path = tmp_path / "out"
+        WRITERS[writer](path)
+        assert oct(path.stat().st_mode & 0o777) == oct(0o644)
+        path.chmod(0o640)
+        WRITERS[writer](path)
+        assert oct(path.stat().st_mode & 0o777) == oct(0o640)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_error_names_the_requested_path(self, tmp_path, writer):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(OSError) as caught:
+            WRITERS[writer](path)
+        message = str(caught.value)
+        assert message.startswith(f"cannot write {path}: ")
+        assert ".tmp" not in message
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_rename_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            WRITERS[writer](path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize("build", [

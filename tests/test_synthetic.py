@@ -189,6 +189,18 @@ class TestBenchmarkTask:
         residual = np.abs(anomalies[:, 1] - SINUSOID_AMPLITUDE * np.sin(anomalies[:, 0]))
         assert np.all(residual >= 3.0 * SINUSOID_NOISE_SIGMA)
 
+    @pytest.mark.parametrize("kind,n_train", [("single_blob", 2), ("sinusoid", 1)])
+    def test_box_inside_the_rejection_region_is_an_error(self, kind, n_train):
+        # The 1.5x box of so few points lies inside the rejection region: no draw is kept.
+        with pytest.raises(ValueError, match=rf"^benchmark task '{kind}' with n_train={n_train}: "
+                                             r"kept 0 of 200 anomalies after 10000 batches"):
+            benchmark_task(kind, n_train=n_train)
+
+    @pytest.mark.parametrize("n_anomalies", [0, -3])
+    def test_rejects_fewer_than_one_anomaly(self, n_anomalies):
+        with pytest.raises(ValueError, match=f"^n_anomalies must be at least 1, got {n_anomalies}$"):
+            benchmark_task("single_blob", n_train=100, n_anomalies=n_anomalies)
+
     def test_replay(self):
         a = benchmark_task("double_blob", n_train=100, n_anomalies=10, seed=9)
         b = benchmark_task("double_blob", n_train=100, n_anomalies=10, seed=9)
