@@ -133,6 +133,16 @@ def line_levelset_stats(
                            lambda off, s: gen_line_levelset(off, n_probe, amplitude, x_max, seed=s))
 
 
+def _tree_count(t) -> int:
+    """A t_values entry as an int; ValueError if it is not a whole number."""
+    try:
+        if int(t) == t:
+            return int(t)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"t_values entries must be whole numbers, got {t!r}")
+
+
 def convergence_curve(
     data,
     probe_points,
@@ -150,7 +160,7 @@ def convergence_curve(
     every point equals scoring a separately trained t-tree forest
     bit-for-bit.
     """
-    t_values = [int(t) for t in t_values]
+    t_values = [_tree_count(t) for t in t_values]
     if not t_values or any(t < 1 for t in t_values):
         raise ValueError("t_values must be nonempty with every entry >= 1")
     if any(b <= a for a, b in zip(t_values, t_values[1:])):

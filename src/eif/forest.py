@@ -86,8 +86,9 @@ class Forest:
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
     Making one checks every model invariant, here and in ``_check_tree``, so
-    built, loaded and hand-made forests pass the same checks. It is frozen,
-    with its trees in a tuple, so it stays as checked.
+    built, loaded and hand-made forests pass the same checks. The settings
+    must be integers, not floats or bools, and are stored as Python ints. It
+    is frozen, with its trees in a tuple, so it stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -97,6 +98,11 @@ class Forest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trees", tuple(self.trees))
+        for name in ("psi", "extension_level", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would not save as JSON
         if not self.trees:
             raise ValueError("forest has no trees")
         if not 2 <= self.psi < 2**63:
@@ -282,22 +288,20 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
         )
 
     normal = rng.standard_normal(dim)
+    keep = np.ones(dim, dtype=bool)
     n_zero = dim - 1 - extension_level
-    if n_zero > 0:
-        keep = np.ones(dim, dtype=bool)
+    if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
         keep[choose_indices(rng, dim, n_zero)] = False
         normal[~keep] = 0.0
-    else:
-        keep = np.ones(dim, dtype=bool)
     while not np.any(normal != 0.0):
         normal[keep] = rng.standard_normal(int(keep.sum()))
 
     intercept = rng.uniform(x.min(axis=0), x.max(axis=0))
-    return Hyperplane(normal=normal, intercept=np.asarray(intercept, dtype=np.float64))
+    return Hyperplane(normal=normal, intercept=intercept)
 
 
-def _grow(x, height, limit, extension_level, rng, angle=None) -> IsolationTree:
-    """Grow a tree on the rows of ``x`` whose root sits at ``height``.
+def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
+    """Grow a tree on the rows of ``x``, drawing its splits from ``rng``.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
@@ -320,7 +324,7 @@ def _grow(x, height, limit, extension_level, rng, angle=None) -> IsolationTree:
         row[3] = len(rows)
         grow(x[~went_left], height + 1)
 
-    grow(x, height)
+    grow(x, 0)
     return tree_from_rows(rows, x.shape[1], angle)
 
 
@@ -357,29 +361,6 @@ def height_limit_for(psi: int) -> int:
     return int(psi - 1).bit_length()
 
 
-def _build_one_tree(
-    data: np.ndarray,
-    tree_index: int,
-    root: RngStream,
-    psi: int,
-    limit: int,
-    extension_level: int,
-    rotated: bool = False,
-    angle: float | None = None,
-) -> IsolationTree:
-    # Each tree owns its derived stream, so build order cannot change the
-    # result.
-    stream = root.derive(tree_index)
-    sample = subsample(stream, data, psi)
-    if rotated:
-        # A forced angle skips the draw, leaving the rest of the stream as
-        # an unrotated level-0 tree would consume it.
-        if angle is None:
-            angle = float(stream.uniform(0.0, TWO_PI))
-        sample = _rotate_rows(sample, angle)
-    return _grow(sample, 0, limit, extension_level, stream, angle)
-
-
 def build_forest(
     data: np.ndarray,
     t: int,
@@ -408,16 +389,23 @@ def build_rotated_forest(data: np.ndarray, t: int, psi: int, seed: int) -> Fores
     return _build_forest(x, t, psi, 0, seed, rotated=True)
 
 
-def _build_forest(x, t, psi, extension_level, seed, rotated=False, angles=None) -> Forest:
-    """``angles`` forces rotated trees' angles, skipping their draw: at all 0 the
-    build is draw-for-draw a level-0 forest. The Forest checks the settings."""
+def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
+    """Per tree i, in this order: derive stream i from the seed's root stream,
+    draw the psi-row subsample from it, and, for a rotated forest, draw the
+    tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
+    the tree on the same stream. Tree i reads only stream i, so build order
+    cannot change a tree. The Forest checks the settings."""
     limit = height_limit_for(psi)
     root = make_rng(seed)
-    trees = [
-        _build_one_tree(x, i, root, psi, limit, extension_level, rotated,
-                        None if angles is None else float(angles[i]))
-        for i in range(t)
-    ]
+    trees = []
+    for i in range(t):
+        stream = root.derive(i)
+        sample = subsample(stream, x, psi)
+        angle = None
+        if rotated:
+            angle = float(stream.uniform(0.0, TWO_PI))
+            sample = _rotate_rows(sample, angle)
+        trees.append(_grow(sample, limit=limit, extension_level=extension_level, rng=stream, angle=angle))
     return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 

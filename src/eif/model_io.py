@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from .evaluation import grid_points
-from .forest import VARIANT_ROTATED, Forest, IsolationTree, height_limit_for, tree_from_rows
+from .forest import VARIANT_ROTATED, Forest, IsolationTree, as_dataset, height_limit_for, tree_from_rows
 from .rng import RNG_FAMILY
 
 FORMAT_MAGIC = "eif-model"
@@ -334,13 +334,15 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_dataset_csv(path, data: np.ndarray) -> None:
-    """Dataset rows under an x0..x{N-1} header, shortest round-trip floats."""
-    data = np.asarray(data, dtype=np.float64)
+    """Dataset rows under an x0..x{N-1} header, shortest round-trip floats.
+    The data must be 2-D and finite, as ``read_csv`` requires."""
+    data = as_dataset(data)
     _write_csv(path, [f"x{d}" for d in range(data.shape[1])], (map(repr, row) for row in data.tolist()))
 
 
 def write_scores_csv(path, ids, scores) -> None:
-    _write_csv(path, ["index", "score"], ((str(int(i)), format_score(float(s))) for i, s in zip(ids, scores)))
+    pairs = zip(ids, scores, strict=True)
+    _write_csv(path, ["index", "score"], ((str(int(i)), format_score(float(s))) for i, s in pairs))
 
 
 def write_grid_csv(path, grid) -> None:

@@ -145,4 +145,4 @@ def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:
         raise ValueError(f"psi must be at least 1, got {psi}")
     if psi > n:
         raise ValueError(f"insufficient data: psi={psi} exceeds dataset size {n}")
-    return data[choose_indices(rng, n, psi)].copy()
+    return data[choose_indices(rng, n, psi)]

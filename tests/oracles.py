@@ -7,7 +7,8 @@ import numpy as np
 
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance
-from eif.forest import IsolationTree, build_forest, c_factor, score_batch
+from eif.forest import Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, score_batch
+from eif.rng import derive_stream, make_rng, subsample
 
 
 def auroc_oracle(scores, labels):
@@ -77,6 +78,19 @@ def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level,
         means.append(float(s.mean()))
         variances.append(_population_variance(s))
     return ConvergenceSeries(t_values=list(t_values), means=means, variances=variances)
+
+
+def rotated_forest_with_angles(data, t, psi, seed, angles):
+    """Rotated forest whose tree i is grown on its subsample turned by
+    ``angles[i]``. No angle is drawn, so each stream is consumed as by a
+    level-0 tree of ``build_forest``."""
+    root = make_rng(seed)
+    trees = []
+    for i in range(t):
+        stream, angle = derive_stream(root, i), float(angles[i])
+        sample = _rotate_rows(subsample(stream, data, psi), angle)
+        trees.append(_grow(sample, limit=height_limit_for(psi), extension_level=0, rng=stream, angle=angle))
+    return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 
 
 def tree_from_nested(node, dimension=None, angle=None):

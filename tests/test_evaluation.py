@@ -259,6 +259,11 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_curve(blob_2d, probe, [0, 5], 64, 1, seed=1)
 
+    def test_rejects_non_integral_t_values(self, blob_2d):
+        probe = gen_gaussian_blob(10, 2, seed=1)
+        with pytest.raises(ValueError, match="t_values entries must be whole numbers, got 1.5"):
+            convergence_curve(blob_2d, probe, [1.5, 2.7], 64, 1, seed=1)
+
     @pytest.mark.parametrize("t_values", [[1], [1, 2, 3], [3, 7, 50]])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("level", [0, 2])

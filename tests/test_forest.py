@@ -139,32 +139,32 @@ def is_single_leaf(tree, size):
 
 class TestBuildTree:
     def test_singleton_becomes_leaf(self):
-        tree = _grow(np.array([[1.0, 2.0]]), 0, 8, 1, make_rng(1))
+        tree = _grow(np.array([[1.0, 2.0]]), limit=8, extension_level=1, rng=make_rng(1))
         assert is_single_leaf(tree, 1)
 
     def test_identical_points_become_leaf(self):
         data = np.tile([1.5, -2.0], (20, 1))
-        tree = _grow(data, 0, 8, 1, make_rng(1))
+        tree = _grow(data, limit=8, extension_level=1, rng=make_rng(1))
         assert is_single_leaf(tree, 20)
 
     def test_height_limit_reached_becomes_leaf(self):
         data = gen_gaussian_blob(10, 2, seed=1)
-        tree = _grow(data, 5, 5, 1, make_rng(1))
+        tree = _grow(data, limit=0, extension_level=1, rng=make_rng(1))
         assert is_single_leaf(tree, 10)
 
     def test_four_points_depth_two(self):
         data = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = _grow(data, 0, 2, 0, make_rng(3))
-        assert max_depth(tree) <= 2
+        tree = _grow(data, limit=2, extension_level=0, rng=make_rng(3))
+        assert max_depth(tree) == 2
         assert sum(leaf_sizes(tree)) == 4
 
     def test_leaf_mass_conservation(self):
         data = gen_gaussian_blob(256, 3, seed=4)
-        tree = _grow(data, 0, 8, 2, make_rng(9))
+        tree = _grow(data, limit=8, extension_level=2, rng=make_rng(9))
         assert sum(leaf_sizes(tree)) == 256
 
     def test_nodes_are_in_preorder(self):
-        tree = _grow(gen_gaussian_blob(64, 2, seed=5), 0, 6, 1, make_rng(2))
+        tree = _grow(gen_gaussian_blob(64, 2, seed=5), limit=6, extension_level=1, rng=make_rng(2))
         internal = np.flatnonzero(tree.left >= 0)
         assert tree.left[internal].tolist() == (internal + 1).tolist()
         assert np.all(tree.right[internal] > tree.left[internal])
@@ -199,6 +199,12 @@ _REJECTED = [
      ValueError, "rotated variant requires dimension 2, got 3"),
     ("seed-minus-1", lambda: forest_of(two_leaves(), seed=-1),
      ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ("psi-float", lambda: forest_of(two_leaves(), psi=2.0),
+     ValueError, "psi must be an integer, got float 2.0"),
+    ("extension-level-bool", lambda: forest_of(two_leaves(), extension_level=True),
+     ValueError, "extension_level must be an integer, got bool True"),
+    ("seed-bool", lambda: forest_of(two_leaves(), seed=True),
+     ValueError, "seed must be an integer, got bool True"),
     ("trees-append", lambda: forest_of(two_leaves()).trees.append(two_leaves(angle=0.5)),
      AttributeError, "append"),
     ("trees-assign", lambda: setattr(forest_of(two_leaves()), "trees", (two_leaves(angle=0.5),)),
@@ -274,13 +280,12 @@ class TestBuildForest:
             make()
 
     def test_tree_build_order_is_irrelevant(self, blob_2d):
-        from eif.forest import _build_one_tree
-
         f = build_forest(blob_2d, 8, 128, 1, seed=21)
         root = make_rng(21)
         reversed_trees = [None] * 8
         for i in reversed(range(8)):
-            reversed_trees[i] = _build_one_tree(blob_2d, i, root, 128, 7, 1)
+            stream = derive_stream(root, i)
+            reversed_trees[i] = _grow(subsample(stream, blob_2d, 128), limit=7, extension_level=1, rng=stream)
         g = Forest(trees=reversed_trees, psi=128, extension_level=1, seed=21)
         assert json.dumps(forest_to_document(f)) == json.dumps(forest_to_document(g))
 

@@ -63,6 +63,17 @@ class TestModelRoundTrip:
         save_forest(small_forest, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_numpy_integer_settings_save_as_python_ints(self, tmp_path, blob_2d):
+        plain = build_forest(blob_2d, 4, 64, 1, seed=3)
+        numpy_ints = build_forest(blob_2d, np.int64(4), np.int64(64), np.int64(1), seed=np.uint64(3))
+        assert [type(v) for v in (numpy_ints.psi, numpy_ints.extension_level, numpy_ints.seed)] == [int] * 3
+        a, b = tmp_path / "plain.json", tmp_path / "numpy.json"
+        save_forest(plain, a)
+        save_forest(numpy_ints, b)
+        assert b.read_bytes() == a.read_bytes()
+        probes = gen_gaussian_blob(50, 2, seed=4)
+        assert np.array_equal(score_batch(probes, load_forest(b)), score_batch(probes, numpy_ints))
+
     def test_rotated_round_trip_records_angles(self, tmp_path, blob_2d):
         forest = build_rotated_forest(blob_2d, 8, 128, seed=5)
         path = tmp_path / "rot.json"
@@ -513,6 +524,20 @@ class TestWriteCsv:
         p = tmp_path / "s.csv"
         write_scores_csv(p, [], [])
         assert p.read_text() == "index,score\n"
+
+    def test_scores_of_unequal_lengths_is_an_error(self, tmp_path):
+        p = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="shorter"):
+            write_scores_csv(p, [0, 1], [0.5])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("data,match", [(np.zeros(3), "must be 2-D"), ([[np.nan]], "non-finite")],
+                             ids=["1-d", "nan"])
+    def test_dataset_that_read_csv_would_reject_is_not_written(self, tmp_path, data, match):
+        p = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=match):
+            write_dataset_csv(p, data)
+        assert not p.exists()
 
     def test_grid_row_count_and_order(self, tmp_path):
         grid = ScoreGrid(x_min=0.0, x_max=2.0, y_min=0.0, y_max=2.0, nx=2, ny=3,

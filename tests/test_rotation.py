@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eif.forest import _build_forest, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
+from eif.forest import Forest, _grow, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
 from eif.model_io import forest_to_document
+from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
+from oracles import rotated_forest_with_angles
 
 
 def rotate_point(x, angle):
@@ -53,11 +55,24 @@ class TestBuildRotatedForest:
         b = build_rotated_forest(blob_2d, 6, 128, seed=9)
         assert forest_to_document(a) == forest_to_document(b)
 
+    def test_each_tree_grows_on_its_subsample_turned_by_the_next_draw(self, blob_2d):
+        f = build_rotated_forest(blob_2d, 6, 128, seed=17)
+        root = make_rng(17)
+        replayed = []
+        for i, tree in enumerate(f.trees):
+            stream = derive_stream(root, i)
+            sample = subsample(stream, blob_2d, 128)
+            angle = float(stream.uniform(0.0, 2 * math.pi))
+            assert tree.angle == angle
+            replayed.append(_grow(_rotate_rows(sample, angle), limit=7, extension_level=0, rng=stream, angle=angle))
+        g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
+        assert forest_to_document(g) == forest_to_document(f)
+
     def test_forced_zero_angles_reduce_to_extension_zero(self, blob_2d):
         # with no rotation drawn or applied, the build consumes the same
         # stream draws as a level-0 forest, so the scores match exactly
         plain = build_forest(blob_2d, 5, 128, 0, seed=13)
-        forced = _build_forest(blob_2d, 5, 128, 0, 13, rotated=True, angles=[0.0] * 5)
+        forced = rotated_forest_with_angles(blob_2d, 5, 128, 13, [0.0] * 5)
         probes = gen_gaussian_blob(50, 2, seed=99)
         assert np.array_equal(score_batch(probes, forced), score_batch(probes, plain))
 
@@ -69,7 +84,7 @@ class TestBuildRotatedForest:
         data = np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0], [2.0, 3.0]])
         build_forest(data, 2, 4, 0, seed=1)
         with pytest.raises(ValueError, match=r"column 1 spans \[0.0, inf\]"):
-            _build_forest(data, 2, 4, 0, 1, rotated=True, angles=[math.pi / 4] * 2)
+            rotated_forest_with_angles(data, 2, 4, 1, [math.pi / 4] * 2)
 
 
 class TestRotatedScoring:
@@ -146,9 +161,8 @@ def test_global_rotation_with_compensated_angles_gives_same_geometry():
     rot = np.array([[c, -s], [s, c]])
     train_rot = train @ rot.T
 
-    base = _build_forest(train, 4, 64, 0, 8, rotated=True, angles=[0.1, 0.9, 2.3, 4.5])
-    comp = _build_forest(train_rot, 4, 64, 0, 8, rotated=True,
-                         angles=[0.1 - phi, 0.9 - phi, 2.3 - phi, 4.5 - phi])
+    base = rotated_forest_with_angles(train, 4, 64, 8, [0.1, 0.9, 2.3, 4.5])
+    comp = rotated_forest_with_angles(train_rot, 4, 64, 8, [0.1 - phi, 0.9 - phi, 2.3 - phi, 4.5 - phi])
     probes = gen_gaussian_blob(30, 2, seed=22)
     a = score_batch(probes, base)
     b = score_batch(probes @ rot.T, comp)
