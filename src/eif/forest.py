@@ -16,9 +16,14 @@ which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
 population, and c(n) is the expected unsuccessful-search depth in a binary
 search tree of n points.
 
-Numerical contract: dot products are accumulated coordinate-by-coordinate in
-index order, and per-tree depths are summed in tree order. ``score_batch`` is
-the only scorer; the single-point functions are 1-row calls of it, so batch
+Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
+coordinates in index order, and per-tree depths are summed in tree order.
+Building and scoring hold the points column-major, as a (dimension, points)
+block, and ``_margins`` adds the terms either one at a time or as an axis-0
+reduce over a C-contiguous block, which adds its rows in order. A reduce over
+an F-ordered view or along ``axis=1`` must never sum them: numpy sums those
+pairwise, which changes the bits from 9 terms up. ``score_batch`` is the
+only scorer; the single-point functions are 1-row calls of it, so batch
 scoring equals a per-point loop by construction, and replays with an equal
 seed reproduce every output bit-for-bit.
 """
@@ -85,10 +90,11 @@ class Forest:
     """Trees plus the settings they were grown with. ``t``, ``dimension`` (the
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
-    Making one checks every model invariant, here and in ``_check_tree``, so
-    built, loaded and hand-made forests pass the same checks. The settings
-    must be integers, not floats or bools, and are stored as Python ints. It
-    is frozen, with its trees in a tuple, so it stays as checked.
+    Making one checks every model invariant, in ``_check_settings``, here and
+    in ``_check_tree``, so built, loaded and hand-made forests pass the same
+    checks. The settings must be integers, not floats or bools, and are
+    stored as Python ints. It is frozen, with its trees in a tuple, so it
+    stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -98,20 +104,11 @@ class Forest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trees", tuple(self.trees))
-        for name in ("psi", "extension_level", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer would not save as JSON
-        if not self.trees:
-            raise ValueError("forest has no trees")
-        if not 2 <= self.psi < 2**63:
-            raise ValueError(f"psi must be in [2, 2**63), got {self.psi}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        first, dim, level = self.trees[0], self.dimension, self.extension_level
-        if not 0 <= level <= dim - 1:
-            raise ValueError(f"extension_level must be in [0, {dim - 1}] for dimension {dim}, got {level}")
+        dim = self.dimension if self.trees else 0
+        _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim)
+        for name, value in (("psi", psi), ("extension_level", level), ("seed", seed)):
+            object.__setattr__(self, name, value)  # a numpy integer would not save as JSON
+        first = self.trees[0]
         if self.variant == VARIANT_ROTATED and dim != 2:
             raise ValueError(f"rotated variant requires dimension 2, got {dim}")
         if self.variant == VARIANT_ROTATED and level != 0:
@@ -145,6 +142,31 @@ class Forest:
 
     def score(self, data: np.ndarray) -> np.ndarray:
         return score_batch(data, self)
+
+
+def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int, int, int, int]:
+    """Return the settings as Python ints, or raise ValueError naming the
+    first one that is not an integer (floats and bools are not) or is out of
+    range for a forest of ``dimension`` columns."""
+    values = {"t": t, "psi": psi, "extension_level": extension_level, "seed": seed}
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    t, psi, extension_level, seed = (int(value) for value in values.values())
+    if t < 1:
+        raise ValueError(f"forest has no trees: t must be at least 1, got {t}")
+    if not 2 <= psi < 2**63:
+        raise ValueError(f"psi must be in [2, 2**63), got {psi}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    _check_extension_level(extension_level, dimension)
+    return t, psi, extension_level, seed
+
+
+def _check_extension_level(extension_level: int, dimension: int) -> None:
+    if not 0 <= extension_level <= dimension - 1:
+        raise ValueError(f"extension_level must be in [0, {dimension - 1}] for dimension {dimension}, "
+                         f"got {extension_level}")
 
 
 def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
@@ -245,12 +267,29 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         )
 
 
-def _margins(points: np.ndarray, normal: np.ndarray, intercept: np.ndarray) -> np.ndarray:
-    """(x - p) . n for each row, summed in index order over n's nonzero entries
-    (a zero entry adds a signed zero, or NaN where x - p overflows)."""
-    acc = np.zeros(points.shape[0])
-    for d in np.flatnonzero(normal).tolist():
-        acc += (points[:, d] - intercept[d]) * normal[d]
+def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx=None) -> np.ndarray:
+    """(x - p) . n for the points that are the columns of the (dimension,
+    points) block ``xt``, or only for its columns ``idx``.
+
+    Only n's nonzero entries add a term, in index order (a zero entry would
+    add a signed zero, or NaN where x - p overflows). A single term is one
+    1-D expression. For all the columns, which ``_grow`` uses, the terms are
+    an axis-0 reduce over the nonzero rows of ``xt``, which must be
+    C-contiguous: the reduce then adds one row at a time. For the columns
+    ``idx``, which scoring uses, each term gathers one 1-D column and is
+    added in place, so no (points, dimension) copy is made.
+    """
+    nz = np.flatnonzero(normal)
+    if nz.size == 1:
+        d = nz[0]
+        return ((xt[d] if idx is None else xt[d][idx]) - intercept[d]) * normal[d]
+    if idx is None:
+        block = xt if nz.size == xt.shape[0] else xt[nz]
+        return np.add.reduce((block - intercept[nz, None]) * normal[nz, None], axis=0)
+    dims = nz.tolist()
+    acc = (xt[dims[0]][idx] - intercept[dims[0]]) * normal[dims[0]]
+    for d in dims[1:]:
+        acc += (xt[d][idx] - intercept[d]) * normal[d]
     return acc
 
 
@@ -265,39 +304,38 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
 
 
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> Hyperplane:
-    """Draw one split for the points at a node.
-
-    Normal coordinates come from N(0, 1); then N - 1 - extension_level of
-    them, chosen uniformly without replacement, are zeroed. If the surviving
-    coordinates all happen to be exactly zero the survivors are redrawn. The
-    intercept draws every coordinate uniformly over that coordinate's range
-    in ``node_data`` (coordinates under a zeroed normal entry are inert but
-    drawn anyway, keeping stream consumption fixed).
-
-    Draw order (normal, zero choice, redraws, intercept) is part of the
-    reproducibility contract.
-    """
+    """Draw one split for the points at a node, as ``_grow`` does (see
+    ``_draw_split``)."""
     x = np.asarray(node_data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
     dim = x.shape[1]
-    if not 0 <= extension_level <= dim - 1:
-        raise ValueError(
-            f"extension_level must be in [0, {dim - 1}] for dimension {dim}, "
-            f"got {extension_level}"
-        )
+    _check_extension_level(extension_level, dim)
+    normal, intercept = _draw_split(rng, dim, dim - 1 - extension_level, x.min(axis=0), x.max(axis=0))
+    return Hyperplane(normal=normal, intercept=intercept)
 
+
+def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, hi: np.ndarray):
+    """Draw one split's normal and intercept for points spanning [lo, hi].
+
+    Normal coordinates come from N(0, 1); then ``n_zero`` of them, chosen
+    uniformly without replacement, are zeroed. If the surviving coordinates
+    all happen to be exactly zero the survivors are redrawn. The intercept
+    draws every coordinate uniformly over [lo, hi] (coordinates under a
+    zeroed normal entry are inert but drawn anyway, keeping stream
+    consumption fixed).
+
+    Draw order (normal, zero choice, redraws, intercept) is part of the
+    reproducibility contract.
+    """
     normal = rng.standard_normal(dim)
     keep = np.ones(dim, dtype=bool)
-    n_zero = dim - 1 - extension_level
     if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
         keep[choose_indices(rng, dim, n_zero)] = False
         normal[~keep] = 0.0
     while not np.any(normal != 0.0):
         normal[keep] = rng.standard_normal(int(keep.sum()))
-
-    intercept = rng.uniform(x.min(axis=0), x.max(axis=0))
-    return Hyperplane(normal=normal, intercept=intercept)
+    return normal, rng.uniform(lo, hi)
 
 
 def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
@@ -305,32 +343,40 @@ def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
-    separate duplicates, so spending depth on them is wasted).
+    separate duplicates, so spending depth on them is wasted). The points
+    are held as a C-contiguous (dimension, points) block, split by column.
+    Each node takes its coordinates' range [lo, hi] once: it is both the
+    leaf test (lo == hi in every coordinate means identical points) and the
+    span of the intercept draw, and at the root it must have a finite width.
     """
-    if x.shape[0] > 1:
-        _require_finite_span(x)
+    dim = x.shape[1]
+    n_zero = dim - 1 - extension_level
     rows = []
 
-    def grow(x, height) -> None:
-        n = x.shape[0]
-        if height >= limit or n <= 1 or bool((x == x[0]).all()):
-            rows.append([None, None, -1, -1, n])
-            return
-        split = sample_hyperplane(x, extension_level, rng)
-        row = [split.normal, split.intercept, len(rows) + 1, -1, 0]
-        rows.append(row)
-        went_left = _margins(x, split.normal, split.intercept) <= 0.0
-        grow(x[went_left], height + 1)
-        row[3] = len(rows)
-        grow(x[~went_left], height + 1)
+    def grow(xt, height) -> None:
+        n = xt.shape[1]
+        if height < limit and n > 1:
+            lo, hi = xt.min(axis=1), xt.max(axis=1)
+            if height == 0:
+                _require_finite_span(lo, hi)
+            if not (lo == hi).all():
+                normal, intercept = _draw_split(rng, dim, n_zero, lo, hi)
+                row = [normal, intercept, len(rows) + 1, -1, 0]
+                rows.append(row)
+                went_left = _margins(xt, normal, intercept) <= 0.0
+                # compress keeps the block C-contiguous, as _margins needs; xt[:, mask] is F-ordered
+                grow(np.compress(went_left, xt, axis=1), height + 1)
+                row[3] = len(rows)
+                grow(np.compress(~went_left, xt, axis=1), height + 1)
+                return
+        rows.append([None, None, -1, -1, n])
 
-    grow(x, 0)
-    return tree_from_rows(rows, x.shape[1], angle)
+    grow(np.ascontiguousarray(x.T), 0)
+    return tree_from_rows(rows, dim, angle)
 
 
-def _require_finite_span(x: np.ndarray) -> None:
-    """Intercepts are drawn over each column's range, which must have a finite width."""
-    lo, hi = x.min(axis=0), x.max(axis=0)
+def _require_finite_span(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Intercepts are drawn over each column's range [lo, hi], which must have a finite width."""
     with np.errstate(over="ignore", invalid="ignore"):
         wide = ~np.isfinite(hi - lo)
     if wide.any():
@@ -394,7 +440,8 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
     draw the psi-row subsample from it, and, for a rotated forest, draw the
     tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
     the tree on the same stream. Tree i reads only stream i, so build order
-    cannot change a tree. The Forest checks the settings."""
+    cannot change a tree. The settings are checked before any tree grows."""
+    t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1])
     limit = height_limit_for(psi)
     root = make_rng(seed)
     trees = []
@@ -413,6 +460,7 @@ def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
     """Per row: depth at which it lands, plus c(size) credit for the leaf."""
     if tree.angle is not None:
         x = _rotate_rows(x, tree.angle)
+    xt = np.ascontiguousarray(x.T)
     left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
     out = np.empty(x.shape[0])
     stack = [(0, np.arange(x.shape[0]), 0)]
@@ -423,7 +471,7 @@ def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
         if left[k] < 0:
             out[idx] = depth + c_factor(size[k])
             continue
-        went_left = _margins(x[idx], tree.normal[k], tree.intercept[k]) <= 0.0
+        went_left = _margins(xt, tree.normal[k], tree.intercept[k], idx) <= 0.0
         stack.append((left[k], idx[went_left], depth + 1))
         stack.append((right[k], idx[~went_left], depth + 1))
     return out

@@ -7,7 +7,10 @@ import numpy as np
 
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance
-from eif.forest import Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, score_batch
+from eif.forest import (
+    Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, sample_hyperplane,
+    score_batch, tree_from_rows,
+)
 from eif.rng import derive_stream, make_rng, subsample
 
 
@@ -91,6 +94,72 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
         sample = _rotate_rows(subsample(stream, data, psi), angle)
         trees.append(_grow(sample, limit=height_limit_for(psi), extension_level=0, rng=stream, angle=angle))
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
+
+
+def grow_oracle(x, *, limit, extension_level, rng, angle=None):
+    """``_grow`` on row-major data: each node copies its rows with a mask,
+    draws its split with ``sample_hyperplane`` and adds the margin terms of
+    the nonzero normal entries one coordinate at a time, in index order."""
+    rows = []
+
+    def grow(x, height):
+        n = x.shape[0]
+        if height >= limit or n <= 1 or bool((x == x[0]).all()):
+            rows.append([None, None, -1, -1, n])
+            return
+        split = sample_hyperplane(x, extension_level, rng)
+        row = [split.normal, split.intercept, len(rows) + 1, -1, 0]
+        rows.append(row)
+        margins = np.zeros(n)
+        for d in np.flatnonzero(split.normal).tolist():
+            margins += (x[:, d] - split.intercept[d]) * split.normal[d]
+        went_left = margins <= 0.0
+        grow(x[went_left], height + 1)
+        row[3] = len(rows)
+        grow(x[~went_left], height + 1)
+
+    grow(x, 0)
+    return tree_from_rows(rows, x.shape[1], angle)
+
+
+def knife_edge_points(normal, intercept, lo, hi):
+    """Points in the box [lo, hi] whose side of the split (normal, intercept)
+    depends on the order the margin terms are added in.
+
+    Over n's nonzero entries, a point's terms are a small e at the first, B
+    and -B' at the third and fourth, and exact zeros elsewhere. Added one at
+    a time in index order, e meets B first and is rounded to a whole number
+    of B's last-place units. numpy's pairwise summation, which a reduce
+    along a contiguous axis of 9 or more terms uses, adds B to -B' first and
+    e to their difference. With e a quarter unit beyond -(B - B'), the two
+    orders give margins on opposite sides of 0. Only candidates on which the
+    orders really disagree are returned, possibly none.
+    """
+    normal, intercept = np.asarray(normal, float), np.asarray(intercept, float)
+    nz = np.flatnonzero(normal)
+    if nz.size < 9:
+        return np.empty((0, normal.size))
+    e, a, b = nz[0], nz[2], nz[3]
+    found = []
+    for sign in (1.0, -1.0):
+        # B = sign * size moves coordinate a toward sign * n[a], and B' moves b the other way
+        room_a = hi[a] - intercept[a] if sign * normal[a] > 0 else intercept[a] - lo[a]
+        room_b = hi[b] - intercept[b] if sign * normal[b] < 0 else intercept[b] - lo[b]
+        size = 0.5 * min(room_a * abs(normal[a]), room_b * abs(normal[b]))
+        x = intercept.copy()
+        x[a] = intercept[a] + sign * size / normal[a]
+        big = (x[a] - intercept[a]) * normal[a]
+        x[b] = intercept[b] - big / normal[b]
+        rest = big + (x[b] - intercept[b]) * normal[b]
+        x[e] = intercept[e] + (0.25 * np.spacing(abs(big)) - rest) / normal[e]
+        terms = (x[nz] - intercept[nz]) * normal[nz]
+        in_order = 0.0
+        for term in terms.tolist():
+            in_order += term
+        inside = bool(((x >= lo) & (x <= hi)).all())
+        if inside and (in_order <= 0.0) != (np.add.reduce(terms) <= 0.0):
+            found.append(x)
+    return np.array(found).reshape(-1, normal.size)
 
 
 def tree_from_nested(node, dimension=None, angle=None):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,9 +27,14 @@ from eif.forest import (
 from eif.model_io import forest_to_document, load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
-from oracles import leaf_depths, score_oracle, tree_from_nested
+from oracles import grow_oracle, knife_edge_points, leaf_depths, score_oracle, tree_from_nested
 
 EULER = 0.5772156649
+
+
+def wide_scales(dim):
+    """Column scales rising from 1e-6 to 1e6 in index order."""
+    return 10.0 ** np.linspace(-6, 6, dim)
 
 
 class TestCFactorFormulas:
@@ -112,8 +118,13 @@ class TestHyperplaneSampling:
 
 class TestBranchLeft:
     def goes_left(self, x, normal, intercept):
-        margin = _margins(np.array([x], float), np.asarray(normal, float), np.asarray(intercept, float))
-        return bool(margin[0] <= 0.0)
+        """The side of the split, from the margin over a node's own block and
+        from the margin gathered by index, which must agree."""
+        xt = np.ascontiguousarray(np.array([x], float).T)
+        normal, intercept = np.asarray(normal, float), np.asarray(intercept, float)
+        block, gathered = (_margins(xt, normal, intercept, idx)[0] for idx in (None, np.array([0])))
+        assert block.hex() == gathered.hex()
+        return bool(block <= 0.0)
 
     def test_point_on_plane_goes_left(self):
         assert self.goes_left([2.0, 3.0], [1.0, 1.0], [2.0, 3.0]) is True
@@ -244,6 +255,18 @@ class TestBuildForest:
     def test_rejects_bad_extension(self, blob_2d):
         with pytest.raises(ValueError, match="extension_level"):
             build_forest(blob_2d, 5, 64, 2, seed=1)
+
+    @pytest.mark.parametrize("t,psi,match", [
+        (100, 256.0, r"^psi must be an integer, got float 256\.0$"),
+        (2.5, 64, r"^t must be an integer, got float 2\.5$"),
+    ], ids=["psi-float", "t-float"])
+    def test_settings_are_checked_before_any_tree_grows(self, t, psi, match):
+        data = gen_gaussian_blob(3000, 16, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            build_forest(data, t, psi, 15, 1)
+        # the check itself takes milliseconds; growing the 100 trees first took 0.36-1.2 s on 2 cores
+        assert time.perf_counter() - start < 0.1
 
     def test_rejects_nonfinite(self):
         data = np.array([[1.0, 2.0], [np.nan, 0.0]])
@@ -517,23 +540,48 @@ def test_build_is_pure_function_of_inputs(seed, dim):
 @given(
     seed=st.integers(0, 2**32),
     dim=st.integers(1, 5),
-    kind=st.sampled_from(["level-0", "full", "rotated"]),
+    kind=st.sampled_from(["level-0", "full", "rotated", "wide-16-full"]),
     psi=st.integers(2, 40),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
     if kind == "rotated":
         dim = 2
-    data = gen_gaussian_blob(60, dim, seed=seed % 997)
-    probes = np.vstack([gen_gaussian_blob(15, dim, seed=seed % 991 + 1), 4.0 * data[:5]])
+    if kind == "wide-16-full":
+        dim = 16
+    scale = wide_scales(dim) if kind == "wide-16-full" else 1.0
+    data = gen_gaussian_blob(60, dim, seed=seed % 997) * scale
+    probes = np.vstack([gen_gaussian_blob(15, dim, seed=seed % 991 + 1) * scale, 4.0 * data[:5]])
     if kind == "rotated":
         forest = build_rotated_forest(data, 5, psi, seed=seed)
     else:
         forest = build_forest(data, 5, psi, 0 if kind == "level-0" else dim - 1, seed=seed)
     # each root's intercept lies on its split plane: the margin tie goes left
     probes = np.vstack([probes, [tree.intercept[0] for tree in forest.trees]])
+    # from 9 nonzero normal entries, points whose side at a root depends on the summation order
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    probes = np.vstack([probes] + [knife_edge_points(tree.normal[0], tree.intercept[0], lo, hi)
+                                   for tree in forest.trees])
     batch = score_batch(probes, forest)
     assert [v.hex() for v in batch.tolist()] == [score_oracle(p, forest).hex() for p in probes]
+
+
+@given(seed=st.integers(0, 2**32), dim=st.integers(9, 20), full=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
+    """_grow's node arrays equal the row-major oracle's on wide-scale data
+    that holds points whose side of the root split depends on the order the
+    margin terms are added in (from 9 nonzero normal entries; the points lie
+    inside the data's box, so the root draws the same split)."""
+    level = dim - 1 if full else dim // 2
+    data = gen_gaussian_blob(64, dim, seed=seed % 1000) * wide_scales(dim)
+    root = sample_hyperplane(data, level, make_rng(seed))
+    data = np.vstack([data, knife_edge_points(root.normal, root.intercept, data.min(axis=0), data.max(axis=0))])
+    limit = height_limit_for(len(data))
+    grown = _grow(data, limit=limit, extension_level=level, rng=make_rng(seed))
+    oracle = grow_oracle(data, limit=limit, extension_level=level, rng=make_rng(seed))
+    for name in ("normal", "intercept", "left", "right", "size"):
+        assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
 
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
