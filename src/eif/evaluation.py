@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import _path_lengths, _scores_from_depth_totals, as_dataset, build_forest
+from .forest import _columns, _path_lengths, _scores_from_depth_totals, as_dataset, build_forest
 from .rng import fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -176,10 +176,11 @@ def convergence_curve(
         )
     forest = build_forest(x, t_values[-1], psi, extension_level, seed)
     wanted = set(t_values)
+    probe_t = _columns(probe)
     total = np.zeros(probe.shape[0])
     means, variances = [], []
     for t, tree in enumerate(forest.trees, start=1):
-        total += _path_lengths(probe, tree)
+        total += _path_lengths(probe_t, tree)
         if t in wanted:
             s = _scores_from_depth_totals(total, t, forest.normalizer)
             means.append(float(s.mean()))

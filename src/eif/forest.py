@@ -149,10 +149,7 @@ def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int,
     first one that is not an integer (floats and bools are not) or is out of
     range for a forest of ``dimension`` columns."""
     values = {"t": t, "psi": psi, "extension_level": extension_level, "seed": seed}
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-    t, psi, extension_level, seed = (int(value) for value in values.values())
+    t, psi, extension_level, seed = (_check_integer(name, value) for name, value in values.items())
     if t < 1:
         raise ValueError(f"forest has no trees: t must be at least 1, got {t}")
     if not 2 <= psi < 2**63:
@@ -161,6 +158,13 @@ def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int,
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     _check_extension_level(extension_level, dimension)
     return t, psi, extension_level, seed
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as a Python int; floats and bools are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    return int(value)
 
 
 def _check_extension_level(extension_level: int, dimension: int) -> None:
@@ -267,6 +271,11 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         )
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` as the columns of a C-contiguous (dimension, rows) block."""
+    return np.ascontiguousarray(x.T)
+
+
 def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx=None) -> np.ndarray:
     """(x - p) . n for the points that are the columns of the (dimension,
     points) block ``xt``, or only for its columns ``idx``.
@@ -279,7 +288,7 @@ def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx=None
     ``idx``, which scoring uses, each term gathers one 1-D column and is
     added in place, so no (points, dimension) copy is made.
     """
-    nz = np.flatnonzero(normal)
+    nz = normal.nonzero()[0]
     if nz.size == 1:
         d = nz[0]
         return ((xt[d] if idx is None else xt[d][idx]) - intercept[d]) * normal[d]
@@ -305,13 +314,19 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
 
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> Hyperplane:
     """Draw one split for the points at a node, as ``_grow`` does (see
-    ``_draw_split``)."""
+    ``_draw_split``). The points must be finite, each column's range must
+    have a finite width, and ``extension_level`` must be an integer in
+    [0, dimension - 1]; nothing is drawn otherwise."""
     x = np.asarray(node_data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
     dim = x.shape[1]
-    _check_extension_level(extension_level, dim)
-    normal, intercept = _draw_split(rng, dim, dim - 1 - extension_level, x.min(axis=0), x.max(axis=0))
+    level = _check_integer("extension_level", extension_level)
+    _check_extension_level(level, dim)
+    _require_finite(x, "node_data")
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    _require_finite_span(lo, hi, "node_data")
+    normal, intercept = _draw_split(rng, dim, dim - 1 - level, lo, hi)
     return Hyperplane(normal=normal, intercept=intercept)
 
 
@@ -321,21 +336,28 @@ def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, hi: np.nd
     Normal coordinates come from N(0, 1); then ``n_zero`` of them, chosen
     uniformly without replacement, are zeroed. If the surviving coordinates
     all happen to be exactly zero the survivors are redrawn. The intercept
-    draws every coordinate uniformly over [lo, hi] (coordinates under a
-    zeroed normal entry are inert but drawn anyway, keeping stream
-    consumption fixed).
+    is ``lo + (hi - lo) * u`` with u = ``rng.random(dim)``, which is the
+    formula and the draws of numpy's ``Generator.uniform(lo, hi)``, so it
+    equals that call bit for bit, leaves the stream where that call does,
+    and gives lo exactly where lo == hi. Every coordinate is drawn, also
+    under a zeroed normal entry, where it is inert, so stream consumption
+    is fixed. The caller checks that [lo, hi] is finite: the formula would
+    not fail on an overflowing span.
 
     Draw order (normal, zero choice, redraws, intercept) is part of the
     reproducibility contract.
     """
     normal = rng.standard_normal(dim)
-    keep = np.ones(dim, dtype=bool)
     if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
-        keep[choose_indices(rng, dim, n_zero)] = False
-        normal[~keep] = 0.0
-    while not np.any(normal != 0.0):
-        normal[keep] = rng.standard_normal(int(keep.sum()))
-    return normal, rng.uniform(lo, hi)
+        zeroed = choose_indices(rng, dim, n_zero)
+        normal[zeroed] = 0.0
+    if not normal.any():  # the survivors all drew exactly 0.0: redraw them
+        keep = np.ones(dim, dtype=bool)
+        if n_zero:
+            keep[zeroed] = False
+        while not normal.any():
+            normal[keep] = rng.standard_normal(dim - n_zero)
+    return normal, lo + (hi - lo) * rng.random(dim)
 
 
 def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
@@ -358,30 +380,30 @@ def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
         if height < limit and n > 1:
             lo, hi = xt.min(axis=1), xt.max(axis=1)
             if height == 0:
-                _require_finite_span(lo, hi)
-            if not (lo == hi).all():
+                _require_finite_span(lo, hi, "training sample")
+            if (lo != hi).any():
                 normal, intercept = _draw_split(rng, dim, n_zero, lo, hi)
                 row = [normal, intercept, len(rows) + 1, -1, 0]
                 rows.append(row)
                 went_left = _margins(xt, normal, intercept) <= 0.0
                 # compress keeps the block C-contiguous, as _margins needs; xt[:, mask] is F-ordered
-                grow(np.compress(went_left, xt, axis=1), height + 1)
+                grow(xt.compress(went_left, axis=1), height + 1)
                 row[3] = len(rows)
-                grow(np.compress(~went_left, xt, axis=1), height + 1)
+                grow(xt.compress(~went_left, axis=1), height + 1)
                 return
         rows.append([None, None, -1, -1, n])
 
-    grow(np.ascontiguousarray(x.T), 0)
+    grow(_columns(x), 0)
     return tree_from_rows(rows, dim, angle)
 
 
-def _require_finite_span(lo: np.ndarray, hi: np.ndarray) -> None:
+def _require_finite_span(lo: np.ndarray, hi: np.ndarray, name: str) -> None:
     """Intercepts are drawn over each column's range [lo, hi], which must have a finite width."""
     with np.errstate(over="ignore", invalid="ignore"):
         wide = ~np.isfinite(hi - lo)
     if wide.any():
         col = int(np.flatnonzero(wide)[0])
-        raise ValueError(f"training sample column {col} spans [{lo[col]}, {hi[col]}], whose width overflows float64")
+        raise ValueError(f"{name} column {col} spans [{lo[col]}, {hi[col]}], whose width overflows float64")
 
 
 def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
@@ -456,14 +478,15 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
     return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 
-def _path_lengths(x: np.ndarray, tree: IsolationTree) -> np.ndarray:
-    """Per row: depth at which it lands, plus c(size) credit for the leaf."""
+def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
+    """Per point, a column of the C-contiguous (dimension, points) block
+    ``xt``: depth at which it lands, plus c(size) credit for the leaf. A
+    rotated tree turns the points into a block of its own."""
     if tree.angle is not None:
-        x = _rotate_rows(x, tree.angle)
-    xt = np.ascontiguousarray(x.T)
+        xt = _columns(_rotate_rows(xt.T, tree.angle))
     left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
-    out = np.empty(x.shape[0])
-    stack = [(0, np.arange(x.shape[0]), 0)]
+    out = np.empty(xt.shape[1])
+    stack = [(0, np.arange(xt.shape[1]), 0)]
     while stack:
         k, idx, depth = stack.pop()
         if idx.size == 0:
@@ -489,7 +512,7 @@ def _one_row(x, dimension: int) -> np.ndarray:
 
 def path_length(x, tree: IsolationTree) -> float:
     """Depth at which x lands, plus c(size) credit for the leaf population."""
-    return float(_path_lengths(_one_row(x, tree.normal.shape[1]), tree)[0])
+    return float(_path_lengths(_columns(_one_row(x, tree.normal.shape[1])), tree)[0])
 
 
 def expected_depth(x, forest: Forest) -> float:
@@ -509,16 +532,18 @@ def score_batch(data, forest: Forest) -> np.ndarray:
 
 
 def _depth_totals(data, forest: Forest) -> np.ndarray:
-    """Per-row path lengths summed over the trees in tree order."""
+    """Per-row path lengths summed over the trees in tree order. The rows
+    are transposed once, into the block every tree reads."""
     x = as_dataset(data)
     if x.shape[1] != forest.dimension:
         raise ValueError(
             f"dimension mismatch: data has {x.shape[1]} columns, "
             f"forest dimension is {forest.dimension}"
         )
+    xt = _columns(x)
     total = np.zeros(x.shape[0])
     for tree in forest.trees:
-        total += _path_lengths(x, tree)
+        total += _path_lengths(xt, tree)
     return total
 
 

@@ -17,7 +17,10 @@ arrays an in-memory tree holds, so saving writes them out and loading reads
 them back in file order. Rotated trees also carry their angle. The document
 spells out what a Forest derives (``variant``, ``dimension``, ``t``, each
 tree's ``height_limit``). Floats are written in Python's shortest round-trip
-form, so load(save(f)) scores bit-for-bit like f.
+form, so load(save(f)) scores bit-for-bit like f. ``save_forest`` writes the
+text itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
+(keys in the order above, one value per line, one space of indent per
+level); only the loader goes through ``json``.
 
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
@@ -74,25 +77,41 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-def _tree_document(tree: IsolationTree, height_limit: int) -> dict:
-    doc = {"height_limit": height_limit}
-    if tree.angle is not None:
-        doc["angle"] = tree.angle
-    normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
+# One node of a tree's "nodes" list, at the depth and in the key order
+# json.dumps(document, indent=1) puts it; vector entries are joined by _ENTRY.
+_ENTRY = ",\n      "
+_INTERNAL = ('    {\n     "kind": "internal",\n     "normal": [\n      %s\n     ],\n'
+             '     "intercept": [\n      %s\n     ],\n     "left_index": %d,\n     "right_index": %d\n    }')
+_EXTERNAL = '    {\n     "kind": "external",\n     "size": %d\n    }'
+
+
+def _tree_text(tree: IsolationTree, height_limit: int) -> str:
+    """One entry of the "trees" list: height_limit, the angle of a rotated
+    tree, then the nodes in array order. Floats are written with ``repr``
+    and integers in decimal, as ``json`` writes them."""
     left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
-    doc["nodes"] = [
-        {"kind": "internal", "normal": normal[k], "intercept": intercept[k],
-         "left_index": left[k], "right_index": right[k]}
-        if left[k] >= 0 else {"kind": "external", "size": size[k]}
+    normal = intercept = None
+    if len(left) > 1:  # a lone leaf's zero row is never written, so never listed
+        normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
+    nodes = ",\n".join(
+        _INTERNAL % (_ENTRY.join(map(repr, normal[k])), _ENTRY.join(map(repr, intercept[k])), left[k], right[k])
+        if left[k] >= 0 else _EXTERNAL % size[k]
         for k in range(len(left))
-    ]
-    return doc
+    )
+    angle = "" if tree.angle is None else f'   "angle": {json.dumps(tree.angle)},\n'
+    return f'  {{\n   "height_limit": {height_limit},\n{angle}   "nodes": [\n{nodes}\n   ]\n  }}'
 
 
-def forest_to_document(forest: Forest) -> dict:
-    """Plain-dict form of a trained forest, ready for JSON."""
-    height_limit = height_limit_for(forest.psi)
-    return {
+def save_forest(forest: Forest, path) -> None:
+    """Write the model document to ``path`` (fsynced, never partial).
+
+    The header fields go through ``json.dumps``; the trees are filled into
+    fixed node templates, which is several times faster than ``json``'s
+    indenting encoder, a pure-Python one. The text is what
+    ``json.dumps(document, indent=1)`` gives for the document the module
+    docstring lays out.
+    """
+    header = json.dumps({
         "format": FORMAT_MAGIC,
         "version": FORMAT_VERSION,
         "variant": forest.variant,
@@ -102,13 +121,10 @@ def forest_to_document(forest: Forest) -> dict:
         "extension_level": forest.extension_level,
         "seed": forest.seed,
         "rng_family": RNG_FAMILY,
-        "trees": [_tree_document(tree, height_limit) for tree in forest.trees],
-    }
-
-
-def save_forest(forest: Forest, path) -> None:
-    """Write the model document to ``path`` (fsynced, never partial)."""
-    _write_text(path, json.dumps(forest_to_document(forest), indent=1))
+    }, indent=1)[:-2]  # the document goes on: drop the closing "\n}"
+    height_limit = height_limit_for(forest.psi)
+    trees = ",\n".join(_tree_text(tree, height_limit) for tree in forest.trees)
+    _write_text(path, f'{header},\n "trees": [\n{trees}\n ]\n}}')
 
 
 def _fail(msg: str) -> ModelFormatError:

@@ -74,11 +74,14 @@ class RngStream:
         return RngStream(self.seed, _mix64(self.stream_index, index))
 
     # Raw draw primitives: they advance state and nothing else, so callers
-    # validate their arguments. uniform(lo, lo) returns lo exactly, which
-    # sample_hyperplane relies on for constant columns.
+    # validate their arguments.
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
+
+    def random(self, size=None):
+        """Doubles uniform on [0, 1): the draws ``uniform`` scales, one per entry."""
+        return self._gen.random(size)
 
     def uniform(self, lo, hi, size=None):
         return self._gen.uniform(lo, hi, size)

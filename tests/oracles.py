@@ -11,7 +11,8 @@ from eif.forest import (
     Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, sample_hyperplane,
     score_batch, tree_from_rows,
 )
-from eif.rng import derive_stream, make_rng, subsample
+from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION
+from eif.rng import RNG_FAMILY, choose_indices, derive_stream, make_rng, subsample
 
 
 def auroc_oracle(scores, labels):
@@ -73,6 +74,39 @@ def choose_indices_oracle(rng, n, k):
     return idx[:k].copy()
 
 
+def document_oracle(forest):
+    """The v1 model document of ``forest`` as plain dicts and lists, the
+    reference for what ``save_forest`` writes: its file is
+    ``json.dumps(document_oracle(forest), indent=1)``."""
+    height_limit = height_limit_for(forest.psi)
+    trees = []
+    for tree in forest.trees:
+        doc = {"height_limit": height_limit}
+        if tree.angle is not None:
+            doc["angle"] = tree.angle
+        normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
+        left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
+        doc["nodes"] = [
+            {"kind": "internal", "normal": normal[k], "intercept": intercept[k],
+             "left_index": left[k], "right_index": right[k]}
+            if left[k] >= 0 else {"kind": "external", "size": size[k]}
+            for k in range(len(left))
+        ]
+        trees.append(doc)
+    return {
+        "format": FORMAT_MAGIC,
+        "version": FORMAT_VERSION,
+        "variant": forest.variant,
+        "dimension": forest.dimension,
+        "t": forest.t,
+        "psi": forest.psi,
+        "extension_level": forest.extension_level,
+        "seed": forest.seed,
+        "rng_family": RNG_FAMILY,
+        "trees": trees,
+    }
+
+
 def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level, seed):
     """One forest trained and fully scored per entry of t_values."""
     means, variances = [], []
@@ -94,6 +128,19 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
         sample = _rotate_rows(subsample(stream, data, psi), angle)
         trees.append(_grow(sample, limit=height_limit_for(psi), extension_level=0, rng=stream, angle=angle))
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
+
+
+def draw_split_oracle(rng, dim, n_zero, lo, hi):
+    """``_draw_split`` with numpy's own uniform transform: the same normal
+    draws, then the intercept from ``Generator.uniform(lo, hi)``."""
+    normal = rng.standard_normal(dim)
+    keep = np.ones(dim, dtype=bool)
+    if n_zero:
+        keep[choose_indices(rng, dim, n_zero)] = False
+        normal[~keep] = 0.0
+    while not np.any(normal != 0.0):
+        normal[keep] = rng.standard_normal(int(keep.sum()))
+    return normal, rng.uniform(lo, hi)
 
 
 def grow_oracle(x, *, limit, extension_level, rng, angle=None):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eif.forest import (
     Forest,
     IsolationTree,
+    _draw_split,
     _grow,
     _margins,
     anomaly_score,
@@ -24,10 +25,10 @@ from eif.forest import (
     sample_hyperplane,
     score_batch,
 )
-from eif.model_io import forest_to_document, load_forest, save_forest
+from eif.model_io import load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
-from oracles import grow_oracle, knife_edge_points, leaf_depths, score_oracle, tree_from_nested
+from oracles import document_oracle, draw_split_oracle, grow_oracle, knife_edge_points, leaf_depths, score_oracle, tree_from_nested
 
 EULER = 0.5772156649
 
@@ -115,6 +116,102 @@ class TestHyperplaneSampling:
         with pytest.raises(ValueError):
             sample_hyperplane(data, -1, make_rng(1))
 
+    def assert_rejected_before_drawing(self, data, level, match):
+        rng = make_rng(1)
+        with pytest.raises(ValueError, match=match):
+            sample_hyperplane(data, level, rng)
+        assert rng.random(4).tobytes() == make_rng(1).random(4).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level,match", [
+        (1.5, r"^extension_level must be an integer, got float 1\.5$"),
+        (True, r"^extension_level must be an integer, got bool True$"),
+    ], ids=["float", "bool"])
+    def test_rejects_extension_level_that_is_not_an_integer(self, level, match):
+        self.assert_rejected_before_drawing(self.node_data(dim=4), level, match)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cells(self, value):
+        data = self.node_data(dim=3)
+        data[5, 2] = value
+        self.assert_rejected_before_drawing(
+            data, 1, rf"^node_data contains non-finite value {value} at row 5, column 2$")
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_span_that_overflows(self):
+        # numpy's uniform raised OverflowError here; lo + (hi - lo) * u would return inf
+        data = np.array([[0.0, 0.0], [1.5e308, 1.0], [-1.5e308, 2.0]])
+        self.assert_rejected_before_drawing(
+            data, 1, r"^node_data column 0 spans \[-1\.5e\+308, 1\.5e\+308\], whose width overflows float64$")
+
+
+_corners = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.5, 1e300, -1e300])
+
+
+@st.composite
+def _spans(draw):
+    """(lo, hi) per coordinate: finite, hi >= lo, width finite; some with lo == hi."""
+    dim = draw(st.integers(1, 20))
+    value = st.one_of(_corners, st.floats(-1e307, 1e307, allow_nan=False, allow_infinity=False))
+    lo, hi = [], []
+    for _ in range(dim):
+        a, b = draw(value), draw(value)
+        if draw(st.booleans()):
+            b = a
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    return np.array(lo), np.array(hi)
+
+
+@given(span=_spans(), data=st.data(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_intercept_equals_generator_uniform_bit_for_bit(span, data, seed):
+    # numpy's uniform is lower + range * next_double on the same doubles. A
+    # numpy built with a fused multiply-add for that line would differ here.
+    lo, hi = span
+    dim = lo.size
+    n_zero = dim - 1 - data.draw(st.integers(0, dim - 1), label="extension_level")
+    a, b = make_rng(seed), make_rng(seed)
+    normal, intercept = _draw_split(a, dim, n_zero, lo, hi)
+    expected_normal, expected = draw_split_oracle(b, dim, n_zero, lo, hi)
+    assert normal.tobytes() == expected_normal.tobytes()
+    assert intercept.tobytes() == expected.tobytes()
+    assert (intercept[lo == hi] == lo[lo == hi]).all()
+    # both streams stand at the same place afterwards
+    assert a.random(3).tobytes() == b.random(3).tobytes()
+    assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+
+
+class _ZeroFirstNormals:
+    """A stream whose first ``zeros`` standard_normal calls return zeros
+    (after drawing as usual), so the all-zero redraw runs."""
+
+    def __init__(self, seed, zeros):
+        self.stream, self.zeros = make_rng(seed), zeros
+
+    def standard_normal(self, size=None):
+        out = self.stream.standard_normal(size)
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros_like(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+@pytest.mark.parametrize("n_zero,zeros", [(0, 1), (2, 1), (2, 3)])
+def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
+    lo, hi = np.array([-1.0, 0.0, 2.0, 2.0]), np.array([1.0, 5.0, 3.0, 2.0])
+    a, b = _ZeroFirstNormals(9, zeros), _ZeroFirstNormals(9, zeros)
+    normal, intercept = _draw_split(a, 4, n_zero, lo, hi)
+    expected_normal, expected = draw_split_oracle(b, 4, n_zero, lo, hi)
+    assert np.count_nonzero(normal) == 4 - n_zero
+    assert normal.tobytes() == expected_normal.tobytes()
+    assert intercept.tobytes() == expected.tobytes()
+    assert a.random(3).tobytes() == b.random(3).tobytes()
+
 
 class TestBranchLeft:
     def goes_left(self, x, normal, intercept):
@@ -185,7 +282,7 @@ class TestBuildTree:
         data = gen_gaussian_blob(256, 2, seed=11)
         f1 = build_forest(data, 3, 256, 1, seed=5)
         f2 = build_forest(data, 3, 256, 1, seed=5)
-        assert forest_to_document(f1) == forest_to_document(f2)
+        assert document_oracle(f1) == document_oracle(f2)
 
 
 def two_leaves(normal=(1.0, 1.0), sizes=(1, 1), angle=None):
@@ -241,7 +338,7 @@ class TestBuildForest:
         assert f.psi == 256
         assert f.dimension == 2
         assert f.normalizer == c_factor(256)
-        assert [tree["height_limit"] for tree in forest_to_document(f)["trees"]] == [8] * 20
+        assert [tree["height_limit"] for tree in document_oracle(f)["trees"]] == [8] * 20
 
     def test_variant_labels(self, blob_2d):
         assert build_forest(blob_2d, 2, 64, 0, seed=1).variant == "standard-equivalent"
@@ -310,7 +407,7 @@ class TestBuildForest:
             stream = derive_stream(root, i)
             reversed_trees[i] = _grow(subsample(stream, blob_2d, 128), limit=7, extension_level=1, rng=stream)
         g = Forest(trees=reversed_trees, psi=128, extension_level=1, seed=21)
-        assert json.dumps(forest_to_document(f)) == json.dumps(forest_to_document(g))
+        assert json.dumps(document_oracle(f)) == json.dumps(document_oracle(g))
 
 
 class TestPathLengthAndScore:
@@ -534,7 +631,7 @@ def test_build_is_pure_function_of_inputs(seed, dim):
     data = gen_gaussian_blob(80, dim, seed=seed % 1000)
     a = build_forest(data, 4, 40, dim - 1, seed=seed)
     b = build_forest(data, 4, 40, dim - 1, seed=seed)
-    assert forest_to_document(a) == forest_to_document(b)
+    assert document_oracle(a) == document_oracle(b)
 
 
 @given(

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid, grid_points
-from eif.forest import build_forest, build_rotated_forest, height_limit_for, score_batch
+from eif.forest import Forest, build_forest, build_rotated_forest, height_limit_for, score_batch, tree_from_rows
 from eif.model_io import (
     format_score,
-    forest_to_document,
     load_forest,
     read_csv,
     save_forest,
@@ -26,7 +25,7 @@ from eif.model_io import (
 )
 from eif.rng import RNG_FAMILY
 from eif.synthetic import gen_gaussian_blob
-from oracles import choose_indices_oracle, leaf_depths, read_csv_oracle
+from oracles import choose_indices_oracle, document_oracle, leaf_depths, read_csv_oracle, tree_from_nested
 
 
 @pytest.fixture()
@@ -300,7 +299,7 @@ def _tiny_rotated_document():
     # valid version, t, height_limit, left_index, size, split entry and angle
     # here, and false as a valid extension_level.
     forest = build_rotated_forest(gen_gaussian_blob(10, 2, seed=1), 1, 2, seed=1)
-    return forest_to_document(forest)
+    return document_oracle(forest)
 
 
 def _load_document(tmp_path, doc):
@@ -346,7 +345,7 @@ def test_height_limit_is_exact_beyond_float_precision(tmp_path):
     doc = _tiny_rotated_document()
     doc["psi"] = psi
     doc["trees"][0].update(height_limit=54, nodes=[{"kind": "external", "size": psi}])
-    assert forest_to_document(_load_document(tmp_path, doc))["trees"][0]["height_limit"] == 54
+    assert document_oracle(_load_document(tmp_path, doc))["trees"][0]["height_limit"] == 54
     doc["trees"][0]["height_limit"] = 53
     with pytest.raises(ModelFormatError, match=f"tree 0 has height_limit 53, expected 54 for psi={psi}"):
         _load_document(tmp_path, doc)
@@ -378,7 +377,7 @@ _CONTRADICTORY = [
                          ids=["standard-at-level-1", "extended-at-level-0", "rotated-at-level-1",
                               "standard-with-angles"])
 def test_variant_must_agree_with_the_model(tmp_path, build, mutate, match):
-    doc = forest_to_document(build())
+    doc = document_oracle(build())
     mutate(doc)
     with pytest.raises(ModelFormatError, match=match):
         _load_document(tmp_path, doc)
@@ -719,13 +718,69 @@ def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
     assert (tmp_path / "m.json").read_text() == expected
 
 
+@st.composite
+def _forests(draw):
+    """Built forests over the cases the writer's templates meet: 1-20
+    columns, levels 0, middle and full, the rotated baseline, lone-leaf
+    trees (constant data), t = 1, and seeds up to 2**64 - 1."""
+    seed = draw(st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 - 1)))
+    t = draw(st.integers(1, 3))
+    psi = draw(st.sampled_from([2, 3, 16]))
+    if draw(st.integers(0, 5)) == 0:
+        return build_rotated_forest(gen_gaussian_blob(20, 2, seed=draw(st.integers(0, 99))), t, psi, seed)
+    dim = draw(st.integers(1, 20))
+    level = draw(st.sampled_from([0, (dim - 1) // 2, dim - 1]))
+    data = gen_gaussian_blob(20, dim, seed=draw(st.integers(0, 99)))
+    if draw(st.integers(0, 5)) == 0:
+        data[:] = data[0]  # every tree is a lone leaf
+    return build_forest(data, t, psi, level, seed)
+
+
+def _hand_made_forest(rotated):
+    """Two 3-D trees, or one 2-D rotated tree, whose split values are -0.0,
+    subnormals and magnitudes near 1e300."""
+    if rotated:
+        tree = tree_from_nested(([-0.0, 5e-324], [1e300, -0.0], 1, 1), angle=5e-324)
+        return Forest(trees=[tree], psi=2, extension_level=0, seed=2**64 - 1)
+    root = ([5e-324, -1e300, -0.0], [-0.0, 1e300, 2.2250738585072014e-308],
+            2, ([-2.5e-310, -0.0, 1e300], [-1e300, -5e-324, 0.1], 1, 1))
+    other = ([1.0, -0.0, 1.0], [0.0, 0.0, 0.0], 3, 1)
+    return Forest(trees=[tree_from_nested(root), tree_from_nested(other)], psi=4, extension_level=1, seed=0)
+
+
+def _assert_saved_as_json_writes_it(forest, path):
+    save_forest(forest, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(document_oracle(forest), indent=1)
+    assert document_oracle(load_forest(path)) == document_oracle(forest)
+
+
+@given(forest=_forests())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_saved_text_is_json_dumps_of_the_document(tmp_path, forest):
+    _assert_saved_as_json_writes_it(forest, tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["extended", "rotated"])
+def test_hand_made_split_values_save_as_json_writes_them(tmp_path, rotated):
+    _assert_saved_as_json_writes_it(_hand_made_forest(rotated), tmp_path / "m.json")
+
+
+def test_lone_leaf_model_of_huge_dimension_saves_and_loads(tmp_path):
+    # A loaded model may claim any dimension below 2**60 when every tree is a
+    # single leaf; its zero split row is a broadcast view that must not be listed.
+    forest = Forest(trees=[tree_from_rows([[None, None, -1, -1, 2]], 2**40)], psi=2, extension_level=0, seed=1)
+    save_forest(forest, tmp_path / "m.json")
+    assert load_forest(tmp_path / "m.json").dimension == 2**40
+
+
 def _fuzz_base(kind):
     data = gen_gaussian_blob(200, 2, seed=31)
     if kind == "rotated":
         forest = build_rotated_forest(data, 3, 16, seed=32)
     else:
         forest = build_forest(data, 3, 16, 1, seed=33)
-    return forest_to_document(forest)
+    return document_oracle(forest)
 
 
 def _paths(value, prefix=()):
@@ -787,7 +842,7 @@ def test_mutated_documents_fail_loudly_or_score_in_unit_interval(tmp_path, doc):
     except ModelFormatError:
         return
     # What the forest derives must read back as the document states it.
-    saved = forest_to_document(forest)
+    saved = document_oracle(forest)
     for key in ("variant", "dimension", "t", "psi", "extension_level", "seed"):
         assert saved[key] == doc[key], key
     assert [tree["height_limit"] for tree in saved["trees"]] == [tree["height_limit"] for tree in doc["trees"]]

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import Forest, _grow, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
-from eif.model_io import forest_to_document
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
-from oracles import rotated_forest_with_angles
+from oracles import document_oracle, rotated_forest_with_angles
 
 
 def rotate_point(x, angle):
@@ -53,7 +52,7 @@ class TestBuildRotatedForest:
     def test_deterministic_replay(self, blob_2d):
         a = build_rotated_forest(blob_2d, 6, 128, seed=9)
         b = build_rotated_forest(blob_2d, 6, 128, seed=9)
-        assert forest_to_document(a) == forest_to_document(b)
+        assert document_oracle(a) == document_oracle(b)
 
     def test_each_tree_grows_on_its_subsample_turned_by_the_next_draw(self, blob_2d):
         f = build_rotated_forest(blob_2d, 6, 128, seed=17)
@@ -66,7 +65,7 @@ class TestBuildRotatedForest:
             assert tree.angle == angle
             replayed.append(_grow(_rotate_rows(sample, angle), limit=7, extension_level=0, rng=stream, angle=angle))
         g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
-        assert forest_to_document(g) == forest_to_document(f)
+        assert document_oracle(g) == document_oracle(f)
 
     def test_forced_zero_angles_reduce_to_extension_zero(self, blob_2d):
         # with no rotation drawn or applied, the build consumes the same
