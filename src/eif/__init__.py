@@ -31,7 +31,6 @@ from .evaluation import (
 )
 from .forest import (
     Forest,
-    Hyperplane,
     IsolationTree,
     anomaly_score,
     build_forest,

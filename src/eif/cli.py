@@ -284,7 +284,7 @@ def _cmd_levelset(args) -> int:
         raise UsageError(f"--n-probe must be at least 2, got {args.n_probe}")
     forest = load_forest(args.model)
     if args.radii is not None:
-        stats = levelset_stats(forest, args.radii, args.n_probe, forest.dimension, args.seed)
+        stats = levelset_stats(forest, args.radii, args.n_probe, args.seed)
     else:
         stats = line_levelset_stats(forest, args.offsets, args.n_probe,
                                     args.amplitude, args.x_max, args.seed)

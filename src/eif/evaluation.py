@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .forest import _columns, _path_lengths, _scores_from_depth_totals, as_dataset, build_forest
-from .rng import fold_seed
+from .rng import _check_count, fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
 
@@ -63,8 +63,7 @@ def score_map(scorer, x_min, x_max, y_min, y_max, nx: int = 100, ny: int = 100) 
     """Score the cell centers of an nx-by-ny grid with a 2-D scorer."""
     if scorer.dimension != 2:
         raise ValueError(f"score maps need a 2-D scorer, got dimension {scorer.dimension}")
-    if nx < 2 or ny < 2:
-        raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
+    nx, ny = _check_count("nx", nx, 2), _check_count("ny", ny, 2)
     if not (x_min < x_max and y_min < y_max):
         raise ValueError("empty grid bounds")
     values = scorer.score(grid_points(x_min, x_max, y_min, y_max, nx, ny)).reshape(ny, nx)
@@ -93,8 +92,7 @@ def _levelset_stats(scorer, levels, name: str, n_probe: int, mismatch, seed: int
     levels = list(levels)
     if not levels:
         raise ValueError(f"{name} must be nonempty")
-    if n_probe < 2:
-        raise ValueError(f"n_probe must be at least 2, got {n_probe}")
+    n_probe = _check_count("n_probe", n_probe, 2)
     if mismatch is not None:
         raise ValueError(mismatch)
     out = []
@@ -105,14 +103,16 @@ def _levelset_stats(scorer, levels, name: str, n_probe: int, mismatch, seed: int
     return out
 
 
-def levelset_stats(scorer, radii, n_probe: int, dim: int, seed: int) -> list[LevelSetStats]:
-    """Mean and population variance of scores on spheres of the given radii.
+def levelset_stats(scorer, radii, n_probe: int, seed: int) -> list[LevelSetStats]:
+    """Mean and population variance of scores on spheres of the given radii,
+    in the scorer's dimension.
 
     Probe sets are drawn per radius from seeds folded out of ``seed``.
     """
+    dim = scorer.dimension
     mismatch = None
-    if scorer.dimension != dim:
-        mismatch = f"dimension mismatch: scorer is {scorer.dimension}-D, probes are {dim}-D"
+    if dim < 2:
+        mismatch = f"sphere level sets need a scorer of dimension at least 2, got dimension {dim}"
     return _levelset_stats(scorer, radii, "radii", n_probe, mismatch, seed,
                            lambda r, s: gen_sphere_levelset(r, n_probe, dim, seed=s))
 
@@ -133,16 +133,6 @@ def line_levelset_stats(
                            lambda off, s: gen_line_levelset(off, n_probe, amplitude, x_max, seed=s))
 
 
-def _tree_count(t) -> int:
-    """A t_values entry as an int; ValueError if it is not a whole number."""
-    try:
-        if int(t) == t:
-            return int(t)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"t_values entries must be whole numbers, got {t!r}")
-
-
 def convergence_curve(
     data,
     probe_points,
@@ -160,9 +150,9 @@ def convergence_curve(
     every point equals scoring a separately trained t-tree forest
     bit-for-bit.
     """
-    t_values = [_tree_count(t) for t in t_values]
-    if not t_values or any(t < 1 for t in t_values):
-        raise ValueError("t_values must be nonempty with every entry >= 1")
+    t_values = [_check_count(f"t_values[{k}]", t, 1) for k, t in enumerate(t_values)]
+    if not t_values:
+        raise ValueError("t_values must be nonempty")
     if any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {t_values}")
     x = as_dataset(data)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, choose_indices, make_rng, subsample
+from .rng import RngStream, _check_count, _check_integer, choose_indices, derive_stream, make_rng, subsample
 
 #: Euler-Mascheroni constant, at the precision used by the harmonic estimate.
 EULER_GAMMA = 0.5772156649
@@ -45,14 +45,6 @@ TWO_PI = 2.0 * math.pi
 VARIANT_STANDARD = "standard-equivalent"
 VARIANT_EXTENDED = "extended"
 VARIANT_ROTATED = "rotated"
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """One split: normal vector and intercept point, both of length N."""
-
-    normal: np.ndarray
-    intercept: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,13 +150,6 @@ def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int,
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     _check_extension_level(extension_level, dimension)
     return t, psi, extension_level, seed
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as a Python int; floats and bools are not integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-    return int(value)
 
 
 def _check_extension_level(extension_level: int, dimension: int) -> None:
@@ -312,11 +297,11 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> Hyperplane:
-    """Draw one split for the points at a node, as ``_grow`` does (see
-    ``_draw_split``). The points must be finite, each column's range must
-    have a finite width, and ``extension_level`` must be an integer in
-    [0, dimension - 1]; nothing is drawn otherwise."""
+def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one split ``(normal, intercept)`` for the points at a node, as
+    ``_grow`` does (see ``_draw_split``). The points must be finite, each
+    column's range must have a finite width, and ``extension_level`` must be
+    an integer in [0, dimension - 1]; nothing is drawn otherwise."""
     x = np.asarray(node_data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
@@ -326,8 +311,7 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
-    normal, intercept = _draw_split(rng, dim, dim - 1 - level, lo, hi)
-    return Hyperplane(normal=normal, intercept=intercept)
+    return _draw_split(rng, dim, dim - 1 - level, lo, hi)
 
 
 def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, hi: np.ndarray):
@@ -424,9 +408,7 @@ def tree_from_rows(rows, dimension: int, angle: float | None = None) -> Isolatio
 
 def height_limit_for(psi: int) -> int:
     """ceiling(log2 psi), the depth cap used for every tree."""
-    if psi < 1:
-        raise ValueError(f"psi must be at least 1, got {psi}")
-    return int(psi - 1).bit_length()
+    return (_check_count("psi", psi, 1) - 1).bit_length()
 
 
 def build_forest(
@@ -468,7 +450,7 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
     root = make_rng(seed)
     trees = []
     for i in range(t):
-        stream = root.derive(i)
+        stream = derive_stream(root, i)
         sample = subsample(stream, x, psi)
         angle = None
         if rotated:

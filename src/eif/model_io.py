@@ -46,7 +46,7 @@ import numpy as np
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from .evaluation import grid_points
 from .forest import VARIANT_ROTATED, Forest, IsolationTree, as_dataset, height_limit_for, tree_from_rows
-from .rng import RNG_FAMILY
+from .rng import RNG_FAMILY, _check_integer
 
 FORMAT_MAGIC = "eif-model"
 FORMAT_VERSION = 1
@@ -319,7 +319,7 @@ def read_csv(path, label_column=None):
                 )
             label_idx = header.index(label_column)
         else:
-            label_idx = int(label_column)
+            label_idx = _check_integer("label_column", label_column)
             if not 0 <= label_idx < width:
                 raise CsvFormatError(
                     f"label column index {label_idx} out of range for {width} columns"

@@ -6,10 +6,15 @@ so that a single 64-bit seed reproduces a whole run bit-for-bit.
 
 A stream is a keyed Philox counter-based generator: the 128-bit Philox key
 is ``(seed, stream_index)``, so the pair fully names the sequence and two
-streams built from the same pair are identical. Child streams are derived by
-hashing ``(parent.stream_index, index)`` with a SplitMix64-style finalizer;
-derivation is a pure function of those two values, so siblings may be created
-in any order, or from different threads, without affecting one another.
+streams built from the same pair are identical. :func:`derive_stream` is the
+one way to derive a child stream: it hashes ``(parent.stream_index, index)``
+with a SplitMix64-style finalizer. Derivation is a pure function of those two
+values, so siblings may be created in any order, or from different threads,
+without affecting one another.
+
+Every count, seed and index the package takes from a caller passes
+:func:`_check_integer`: a Python or numpy integer is one, a float or a bool is
+not, even when its value is whole. :func:`_check_count` adds a lower bound.
 
 The Gaussian and uniform transforms are the ones numpy's ``Generator``
 applies on top of the Philox bit stream; :data:`RNG_FAMILY` records the
@@ -43,10 +48,24 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
-def _check_u64(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
+def _check_integer(name: str, value) -> int:
+    """``value`` as a Python int, or ValueError naming ``name``; floats and
+    bools are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``, or ValueError naming ``name``."""
+    value = _check_integer(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _check_u64(name: str, value) -> int:
+    value = _check_integer(name, value)
     if not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
     return value
@@ -63,15 +82,10 @@ class RngStream:
     __slots__ = ("seed", "stream_index", "_gen")
 
     def __init__(self, seed: int, stream_index: int = 0):
-        self.seed = _check_u64(seed, "seed")
-        self.stream_index = _check_u64(stream_index, "stream_index")
+        self.seed = _check_u64("seed", seed)
+        self.stream_index = _check_u64("stream_index", stream_index)
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def derive(self, index: int) -> "RngStream":
-        """Child stream, a pure function of (seed, stream_index, index)."""
-        index = _check_u64(index, "index")
-        return RngStream(self.seed, _mix64(self.stream_index, index))
 
     # Raw draw primitives: they advance state and nothing else, so callers
     # validate their arguments.
@@ -108,8 +122,9 @@ def make_rng(seed: int) -> RngStream:
 
 
 def derive_stream(parent: RngStream, index: int) -> RngStream:
-    """Child stream of ``parent``; independent of how many siblings exist."""
-    return parent.derive(index)
+    """Child stream of ``parent``, a pure function of (seed, stream_index,
+    index); independent of how many siblings exist."""
+    return RngStream(parent.seed, _mix64(parent.stream_index, _check_u64("index", index)))
 
 
 def fold_seed(seed: int, index: int) -> int:
@@ -118,7 +133,7 @@ def fold_seed(seed: int, index: int) -> int:
     Same mixing rule as :func:`derive_stream`, for call sites that take a
     plain seed rather than a stream.
     """
-    return _mix64(_check_u64(seed, "seed"), _check_u64(index, "index"))
+    return _mix64(_check_u64("seed", seed), _check_u64("index", index))
 
 
 def choose_indices(rng: RngStream, n: int, k: int) -> np.ndarray:
@@ -144,8 +159,7 @@ def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:
     """psi rows drawn uniformly without replacement; input left unmodified."""
     data = np.asarray(data)
     n = data.shape[0]
-    if psi < 1:
-        raise ValueError(f"psi must be at least 1, got {psi}")
+    psi = _check_count("psi", psi, 1)
     if psi > n:
         raise ValueError(f"insufficient data: psi={psi} exceeds dataset size {n}")
     return data[choose_indices(rng, n, psi)]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .rng import fold_seed, make_rng
+from .rng import _check_count, fold_seed, make_rng
 
 DOUBLE_BLOB_CENTERS = ((0.0, 10.0), (10.0, 0.0))
 
@@ -41,10 +41,8 @@ def _require_finite_points(points: np.ndarray, **scale) -> np.ndarray:
 
 def gen_gaussian_blob(n: int, dim: int, mean=None, sigma: float = 1.0, seed: int = 1) -> np.ndarray:
     """n points with coordinate d ~ N(mean_d, sigma^2)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    n = _check_count("n", n, 1)
+    dim = _check_count("dim", dim, 1)
     _require_finite(sigma=sigma, mean=mean)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -59,8 +57,7 @@ def gen_gaussian_blob(n: int, dim: int, mean=None, sigma: float = 1.0, seed: int
 
 def gen_double_blob(n_per_blob: int, seed: int = 1) -> np.ndarray:
     """Two unit-variance clusters centered at (0, 10) and (10, 0)."""
-    if n_per_blob < 1:
-        raise ValueError(f"n_per_blob must be at least 1, got {n_per_blob}")
+    n_per_blob = _check_count("n_per_blob", n_per_blob, 1)
     rng = make_rng(seed)
     parts = [
         np.asarray(c, dtype=np.float64) + rng.standard_normal((n_per_blob, 2))
@@ -77,8 +74,7 @@ def gen_sinusoid(
     seed: int = 1,
 ) -> np.ndarray:
     """x uniform on [0, x_max]; y = amplitude * sin(x) + N(0, noise_sigma^2)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_count("n", n, 1)
     _require_finite(amplitude=amplitude, x_max=x_max, noise_sigma=noise_sigma)
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
@@ -102,10 +98,8 @@ def gen_sphere_levelset(radius: float, n: int, dim: int, seed: int = 1) -> np.nd
     _require_finite(radius=radius)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if dim < 2:
-        raise ValueError(f"sphere probes need dim >= 2, got {dim}")
+    n = _check_count("n", n, 1)
+    dim = _check_count("dim", dim, 2)
     rng = make_rng(seed)
     g = rng.standard_normal((n, dim))
     norms = np.sqrt((g * g).sum(axis=1))
@@ -124,8 +118,7 @@ def gen_line_levelset(
     seed: int = 1,
 ) -> np.ndarray:
     """Noiseless probe curve: y = amplitude * sin(x) + offset."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_count("n", n, 1)
     _require_finite(offset=offset, amplitude=amplitude, x_max=x_max)
     rng = make_rng(seed)
     x = rng.uniform(0.0, x_max, n)
@@ -136,8 +129,7 @@ def gen_line_levelset(
 
 def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:
     """n points uniform over the axis-aligned box [lo, hi]."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_count("n", n, 1)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if lo.ndim != 1 or lo.shape != hi.shape:
@@ -175,8 +167,8 @@ def benchmark_task(
     ``n_anomalies`` points, as when a small training set's box lies wholly
     inside the rejection region.
     """
-    if n_anomalies < 1:
-        raise ValueError(f"n_anomalies must be at least 1, got {n_anomalies}")
+    n_train = _check_count("n_train", n_train, 1)
+    n_anomalies = _check_count("n_anomalies", n_anomalies, 1)
     if kind == "single_blob":
         train = gen_gaussian_blob(n_train, 2, seed=fold_seed(seed, 0))
         centers = np.array([[0.0, 0.0]])

@@ -154,12 +154,12 @@ def grow_oracle(x, *, limit, extension_level, rng, angle=None):
         if height >= limit or n <= 1 or bool((x == x[0]).all()):
             rows.append([None, None, -1, -1, n])
             return
-        split = sample_hyperplane(x, extension_level, rng)
-        row = [split.normal, split.intercept, len(rows) + 1, -1, 0]
+        normal, intercept = sample_hyperplane(x, extension_level, rng)
+        row = [normal, intercept, len(rows) + 1, -1, 0]
         rows.append(row)
         margins = np.zeros(n)
-        for d in np.flatnonzero(split.normal).tolist():
-            margins += (x[:, d] - split.intercept[d]) * split.normal[d]
+        for d in np.flatnonzero(normal).tolist():
+            margins += (x[:, d] - intercept[d]) * normal[d]
         went_left = margins <= 0.0
         grow(x[went_left], height + 1)
         row[3] = len(rows)

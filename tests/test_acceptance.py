@@ -101,8 +101,8 @@ def test_criterion_3_extension_zero_is_axis_parallel():
     for k in range(10_000):
         dim = 1 + k % 5
         data = stream.standard_normal((8, dim))
-        h = sample_hyperplane(data, 0, derive_stream(stream, k))
-        if np.count_nonzero(h.normal) != 1:
+        normal, _ = sample_hyperplane(data, 0, derive_stream(stream, k))
+        if np.count_nonzero(normal) != 1:
             violations += 1
     report(3, violations == 0,
            f"10000 level-0 hyperplanes sampled across dims 1..5, {violations} violations")
@@ -176,8 +176,8 @@ def test_criterion_7_levelset_variance():
             train = gen_gaussian_blob(2000, dim, seed=fold_seed(seed, 3))
             axis = build_forest(train, 100, 256, 0, seed=seed)
             full = build_forest(train, 100, 256, dim - 1, seed=seed)
-            v_axis = levelset_stats(axis, [4.0], 500, dim, seed)[0].variance
-            v_full = levelset_stats(full, [4.0], 500, dim, seed)[0].variance
+            v_axis = levelset_stats(axis, [4.0], 500, seed)[0].variance
+            v_full = levelset_stats(full, [4.0], 500, seed)[0].variance
             wins += v_axis > v_full
         per_dim[dim] = wins
     ok_gap = all(w >= 9 for w in per_dim.values())
@@ -190,7 +190,7 @@ def test_criterion_7_levelset_variance():
         variances = []
         for level in range(4):
             f = build_forest(train, 200, 256, level, seed=seed)
-            variances.append(levelset_stats(f, [4.0], 1000, 4, seed)[0].variance)
+            variances.append(levelset_stats(f, [4.0], 1000, seed)[0].variance)
         chain_wins += all(a >= b for a, b in zip(variances, variances[1:]))
     report(7, ok_gap and chain_wins >= 6,
            f"axis>full variance wins {per_dim}; 4-D level chain holds in {chain_wins}/10")

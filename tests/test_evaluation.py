@@ -153,16 +153,16 @@ class TestScoreMap:
 
 class TestLevelsetStats:
     def test_radius_zero_has_zero_variance(self, small_forest):
-        stats = levelset_stats(small_forest, [0.0], 50, 2, seed=3)
+        stats = levelset_stats(small_forest, [0.0], 50, seed=3)
         assert stats[0].variance == 0.0
         assert 0.0 < stats[0].mean < 1.0
 
     def test_means_grow_with_radius(self, small_forest):
-        stats = levelset_stats(small_forest, [1.0, 5.0], 300, 2, seed=3)
+        stats = levelset_stats(small_forest, [1.0, 5.0], 300, seed=3)
         assert stats[1].mean > stats[0].mean
 
     def test_variance_nonnegative(self, small_forest):
-        stats = levelset_stats(small_forest, [0.5, 2.0, 4.0], 200, 2, seed=9)
+        stats = levelset_stats(small_forest, [0.5, 2.0, 4.0], 200, seed=9)
         assert all(s.variance >= 0.0 for s in stats)
 
     def test_extension_zero_noisier_than_full_beyond_three_sigma(self, blob_2d):
@@ -170,18 +170,19 @@ class TestLevelsetStats:
         for seed in range(1, 11):
             f0 = build_forest(blob_2d, 60, 256, 0, seed=seed)
             f1 = build_forest(blob_2d, 60, 256, 1, seed=seed)
-            v0 = levelset_stats(f0, [4.0], 300, 2, seed=seed)[0].variance
-            v1 = levelset_stats(f1, [4.0], 300, 2, seed=seed)[0].variance
+            v0 = levelset_stats(f0, [4.0], 300, seed=seed)[0].variance
+            v1 = levelset_stats(f1, [4.0], 300, seed=seed)[0].variance
             wins += v0 > v1
         assert wins >= 8
 
-    def test_dimension_mismatch(self, small_forest):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            levelset_stats(small_forest, [1.0], 50, 3, seed=1)
+    def test_rejects_one_dimensional_scorer(self):
+        forest = build_forest(gen_gaussian_blob(50, 1, seed=1), 5, 16, 0, seed=1)
+        with pytest.raises(ValueError, match="^sphere level sets need a scorer of dimension at least 2, got dimension 1$"):
+            levelset_stats(forest, [1.0], 50, seed=1)
 
     def test_rejects_empty_radii(self, small_forest):
         with pytest.raises(ValueError):
-            levelset_stats(small_forest, [], 50, 2, seed=1)
+            levelset_stats(small_forest, [], 50, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +262,7 @@ class TestConvergence:
 
     def test_rejects_non_integral_t_values(self, blob_2d):
         probe = gen_gaussian_blob(10, 2, seed=1)
-        with pytest.raises(ValueError, match="t_values entries must be whole numbers, got 1.5"):
+        with pytest.raises(ValueError, match=r"^t_values\[0\] must be an integer, got float 1\.5$"):
             convergence_curve(blob_2d, probe, [1.5, 2.7], 64, 1, seed=1)
 
     @pytest.mark.parametrize("t_values", [[1], [1, 2, 3], [3, 7, 50]])

@@ -76,34 +76,34 @@ class TestHyperplaneSampling:
     def test_full_extension_keeps_every_coordinate(self):
         data = self.node_data(dim=4)
         for i in range(50):
-            h = sample_hyperplane(data, 3, make_rng(i))
-            assert np.count_nonzero(h.normal) == 4
+            normal, _ = sample_hyperplane(data, 3, make_rng(i))
+            assert np.count_nonzero(normal) == 4
 
     def test_extension_zero_is_axis_parallel(self):
         data = self.node_data(dim=4)
         for i in range(50):
-            h = sample_hyperplane(data, 0, make_rng(i))
-            assert np.count_nonzero(h.normal) == 1
+            normal, _ = sample_hyperplane(data, 0, make_rng(i))
+            assert np.count_nonzero(normal) == 1
 
     @pytest.mark.parametrize("dim,level", [(2, 0), (2, 1), (3, 1), (5, 2)])
     def test_nonzero_count_is_level_plus_one(self, dim, level):
         data = self.node_data(dim=dim)
         for i in range(30):
-            h = sample_hyperplane(data, level, make_rng(i))
-            assert np.count_nonzero(h.normal) == level + 1
+            normal, _ = sample_hyperplane(data, level, make_rng(i))
+            assert np.count_nonzero(normal) == level + 1
 
     def test_degenerate_coordinate_pins_intercept(self):
         data = self.node_data(dim=3)
         data[:, 1] = 4.25
-        h = sample_hyperplane(data, 2, make_rng(3))
-        assert h.intercept[1] == 4.25
+        _, intercept = sample_hyperplane(data, 2, make_rng(3))
+        assert intercept[1] == 4.25
 
     def test_intercept_inside_node_range(self):
         data = self.node_data(n=100, dim=3)
         for i in range(20):
-            h = sample_hyperplane(data, 1, make_rng(i))
-            assert np.all(h.intercept >= data.min(axis=0))
-            assert np.all(h.intercept <= data.max(axis=0))
+            _, intercept = sample_hyperplane(data, 1, make_rng(i))
+            assert np.all(intercept >= data.min(axis=0))
+            assert np.all(intercept <= data.max(axis=0))
 
     def test_rejects_singleton(self):
         with pytest.raises(ValueError):
@@ -672,8 +672,8 @@ def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
     inside the data's box, so the root draws the same split)."""
     level = dim - 1 if full else dim // 2
     data = gen_gaussian_blob(64, dim, seed=seed % 1000) * wide_scales(dim)
-    root = sample_hyperplane(data, level, make_rng(seed))
-    data = np.vstack([data, knife_edge_points(root.normal, root.intercept, data.min(axis=0), data.max(axis=0))])
+    normal, intercept = sample_hyperplane(data, level, make_rng(seed))
+    data = np.vstack([data, knife_edge_points(normal, intercept, data.min(axis=0), data.max(axis=0))])
     limit = height_limit_for(len(data))
     grown = _grow(data, limit=limit, extension_level=level, rng=make_rng(seed))
     oracle = grow_oracle(data, limit=limit, extension_level=level, rng=make_rng(seed))
