@@ -49,10 +49,16 @@ class ConvergenceSeries:
     variances: list[float]
 
 
-def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
-    """Cell-center lattice, x fastest: row k is (x_{k % nx}, y_{k // nx})."""
+def grid_axes(x_min, x_max, y_min, y_max, nx, ny) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice's cell-center coordinates, (x_0..x_{nx-1}, y_0..y_{ny-1})."""
     xs = x_min + (np.arange(nx) + 0.5) * (x_max - x_min) / nx
     ys = y_min + (np.arange(ny) + 0.5) * (y_max - y_min) / ny
+    return xs, ys
+
+
+def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
+    """Cell-center lattice, x fastest: row k is (x_{k % nx}, y_{k // nx})."""
+    xs, ys = grid_axes(x_min, x_max, y_min, y_max, nx, ny)
     pts = np.empty((nx * ny, 2))
     pts[:, 0] = np.tile(xs, ny)
     pts[:, 1] = np.repeat(ys, nx)

@@ -20,11 +20,15 @@ tree's ``height_limit``). Floats are written in Python's shortest round-trip
 form, so load(save(f)) scores bit-for-bit like f. ``save_forest`` writes the
 text itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
 (keys in the order above, one value per line, one space of indent per
-level); only the loader goes through ``json``.
+level); only the loader goes through ``json``. The loader fills each tree's
+arrays from its node list in a few bulk passes; when one raises or a check
+fails, a walk over the nodes in file order names the first fault, and
+nothing is built.
 
 CSV dialect throughout: comma separator, "." decimal, LF line endings,
 UTF-8, one optional header line. Scores are written with 9 significant
-digits; dataset values and grid coordinates in shortest round-trip form.
+digits; dataset values and grid coordinates in shortest round-trip form,
+each of a grid's nx + ny coordinates formatted once.
 
 Every output file is written atomically by ``_write_text``, with the mode
 ``open()`` would give it; a write error names the requested path.
@@ -36,6 +40,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 import stat
 import warnings
@@ -44,8 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
-from .evaluation import grid_points
-from .forest import VARIANT_ROTATED, Forest, IsolationTree, as_dataset, height_limit_for, tree_from_rows
+from .evaluation import grid_axes
+from .forest import VARIANT_ROTATED, Forest, IsolationTree, as_dataset, height_limit_for
 from .rng import RNG_FAMILY, _check_integer
 
 FORMAT_MAGIC = "eif-model"
@@ -149,6 +154,90 @@ def _floats(values: list, what: str) -> list[float]:
     raise _fail(f"{what} has non-numeric or non-finite entries")
 
 
+_KINDS = {"internal", "external"}
+_kind = operator.itemgetter("kind")
+_normal = operator.itemgetter("normal")
+_intercept = operator.itemgetter("intercept")
+_children = operator.itemgetter("left_index", "right_index")
+_size = operator.itemgetter("size")
+
+
+def _node_arrays(nodes: list, dimension: int):
+    """(normal, intercept, left, right, size) of a node list, filled in a few
+    bulk passes: kinds, children and sizes, one exact-type scan of every
+    vector entry, one ``np.array`` per vector column. None when a pass
+    raises or a check fails; ``_node_fault`` then names the fault."""
+    try:
+        kinds = list(map(_kind, nodes))
+        if not set(kinds) <= _KINDS:
+            return None
+        split = np.array([kind == "internal" for kind in kinds], dtype=bool)
+        inner = list(itertools.compress(nodes, split))
+        leaf = ~split
+        sizes = list(map(_size, itertools.compress(nodes, leaf)))
+        children = list(itertools.chain.from_iterable(map(_children, inner)))
+        normals, intercepts = list(map(_normal, inner)), list(map(_intercept, inner))
+        vectors = normals + intercepts
+        if not (set(map(type, itertools.chain(sizes, children))) <= {int}  # exact types: a JSON true is a bool
+                and set(map(type, vectors)) <= {list} and set(map(len, vectors)) <= {dimension}
+                and set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}
+                and min(children, default=0) >= 0  # in the node arrays a negative child marks a leaf
+                and len(nodes) <= 1 + 2 * len(inner)):  # the node-count bound, before any (nodes, dimension) array
+            return None
+        size = np.zeros(len(nodes), dtype=np.int64)
+        size[leaf] = sizes
+        left, right = np.full((2, len(nodes)), -1, dtype=np.int64)
+        left[split], right[split] = np.array(children, dtype=np.int64).reshape(-1, 2).T
+        if not inner:  # a lone leaf: no split confirms dimension, so no row of that width
+            zeros = np.broadcast_to(np.float64(0.0), (1, dimension))
+            return zeros, zeros, left, right, size
+        normal, intercept = np.zeros((2, len(nodes), dimension))
+        normal[split] = np.array(normals, dtype=np.float64)  # an int beyond the float range raises
+        intercept[split] = np.array(intercepts, dtype=np.float64)
+        return normal, intercept, left, right, size
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _node_fault(nodes: list, where: str, dimension: int) -> ModelFormatError:
+    """The first fault of a node list in file order, node by node, as the
+    error to raise; then a node count beyond what the splits reach, then a
+    child index or size beyond 64 bits. Called only once ``_node_arrays``
+    has failed, so there is one to find; it builds nothing."""
+    internal, ints = 0, []
+    try:
+        for i, rec in enumerate(nodes):
+            node = f"node {i} of {where}"
+            if not isinstance(rec, dict):
+                raise _fail(f"{node} is not an object")
+            kind = _require(rec, "kind", str, node)
+            if kind == "external":
+                ints.append(_require(rec, "size", int, node))
+            elif kind == "internal":
+                n_vec = _require(rec, "normal", list, node)
+                p_vec = _require(rec, "intercept", list, node)
+                if len(n_vec) != dimension or len(p_vec) != dimension:
+                    raise _fail(f"{node} has vectors of length != dimension {dimension}")
+                children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
+                if min(children) < 0:  # in the node arrays a negative child marks a leaf
+                    raise _fail(f"{node} has child index {min(children)} out of range")
+                _floats(n_vec, f"split normal of {node}")
+                _floats(p_vec, f"split intercept of {node}")
+                internal += 1
+                ints += children
+            else:
+                raise _fail(f"{node} has unknown kind {kind!r}")
+    except ModelFormatError as e:
+        return e
+    # Rows cost dimension floats each, so their count is bounded by the splits read.
+    if len(nodes) > 1 + 2 * internal:
+        return _fail(f"{where} has {len(nodes)} nodes, but its splits reach at most "
+                     f"{1 + 2 * internal}: some are unreachable")
+    if not all(-2**63 <= v < 2**63 for v in ints):
+        return _fail(f"{where} has a child index or size beyond 64 bits")
+    raise AssertionError("the bulk read failed on a node list with no fault")
+
+
 def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
     """Tree from its document: the nodes in file order, read into arrays."""
     if not isinstance(td, dict):
@@ -162,34 +251,11 @@ def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
     nodes = _require(td, "nodes", list, where)
     if not nodes:
         raise _fail(f"{where} has no nodes")
-    rows = []  # [normal, intercept, left, right, size] per node
-    for i, rec in enumerate(nodes):
-        node = f"node {i} of {where}"
-        if not isinstance(rec, dict):
-            raise _fail(f"{node} is not an object")
-        kind = _require(rec, "kind", str, node)
-        if kind == "external":
-            rows.append([None, None, -1, -1, _require(rec, "size", int, node)])
-        elif kind == "internal":
-            n_vec = _require(rec, "normal", list, node)
-            p_vec = _require(rec, "intercept", list, node)
-            if len(n_vec) != dimension or len(p_vec) != dimension:
-                raise _fail(f"{node} has vectors of length != dimension {dimension}")
-            children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
-            if min(children) < 0:  # in the node arrays a negative child marks a leaf
-                raise _fail(f"{node} has child index {min(children)} out of range")
-            rows.append([_floats(n_vec, f"split normal of {node}"),
-                         _floats(p_vec, f"split intercept of {node}"), *children, 0])
-        else:
-            raise _fail(f"{node} has unknown kind {kind!r}")
-    # Rows cost dimension floats each, so their count is bounded by the splits read.
-    reachable = 1 + 2 * sum(row[2] >= 0 for row in rows)
-    if len(rows) > reachable:
-        raise _fail(f"{where} has {len(rows)} nodes, but its splits reach at most {reachable}: some are unreachable")
-    try:
-        return tree_from_rows(rows, dimension, angle)
-    except OverflowError:
-        raise _fail(f"{where} has a child index or size beyond 64 bits") from None
+    arrays = _node_arrays(nodes, dimension)
+    if arrays is None:
+        raise _node_fault(nodes, where, dimension)
+    normal, intercept, left, right, size = arrays
+    return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
 
 
 def load_forest(path) -> Forest:
@@ -357,15 +423,25 @@ def write_dataset_csv(path, data: np.ndarray) -> None:
 
 
 def write_scores_csv(path, ids, scores) -> None:
-    pairs = zip(ids, scores, strict=True)
-    _write_csv(path, ["index", "score"], ((str(int(i)), format_score(float(s))) for i, s in pairs))
+    """One ``index,score`` row per pair. Every id must be an integer, as
+    ``rng._check_integer`` has it; ids that are all plain Python ints (a
+    ``range``, an integer array) pass on their set of types, with no
+    per-row check, and anything else is checked id by id."""
+    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+    if not set(map(type, ids)) <= {int}:
+        ids = [_check_integer(f"ids[{k}]", i) for k, i in enumerate(ids)]
+    pairs = zip(map(str, ids), map(format_score, map(float, scores)), strict=True)
+    _write_csv(path, ["index", "score"], pairs)
 
 
 def write_grid_csv(path, grid) -> None:
-    """Row-major, x fastest: one row per grid cell under an x,y,score header."""
-    points = grid_points(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny)
-    cells = zip(points.tolist(), grid.values.ravel().tolist(), strict=True)
-    _write_csv(path, ["x", "y", "score"], ((repr(x), repr(y), format_score(v)) for (x, y), v in cells))
+    """Row-major, x fastest: one row per grid cell under an x,y,score header.
+    Each of the nx x-values and ny y-values is formatted once."""
+    xs, ys = grid_axes(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny)
+    x_text, y_text = list(map(repr, xs.tolist())), list(map(repr, ys.tolist()))
+    column_y = [y for y in y_text for _ in x_text]
+    cells = zip(x_text * grid.ny, column_y, map(format_score, grid.values.ravel().tolist()), strict=True)
+    _write_csv(path, ["x", "y", "score"], cells)
 
 
 def write_stats_csv(path, stats) -> None:

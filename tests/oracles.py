@@ -6,12 +6,12 @@ import math
 import numpy as np
 
 from eif.errors import CsvFormatError
-from eif.evaluation import ConvergenceSeries, _population_variance
+from eif.evaluation import ConvergenceSeries, _population_variance, grid_points
 from eif.forest import (
     Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, sample_hyperplane,
     score_batch, tree_from_rows,
 )
-from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION
+from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION, _fail, _floats, _require, format_score
 from eif.rng import RNG_FAMILY, choose_indices, derive_stream, make_rng, subsample
 
 
@@ -105,6 +105,59 @@ def document_oracle(forest):
         "rng_family": RNG_FAMILY,
         "trees": trees,
     }
+
+
+def read_tree_oracle(td, where, dimension, rotated):
+    """One tree of a v1 model document read node by node in file order, each
+    field checked as it is met and each vector converted on its own; the
+    reference for ``model_io._read_tree``, with its signature."""
+    if not isinstance(td, dict):
+        raise _fail(f"{where} is not an object")
+    _require(td, "height_limit", int, where)
+    angle = None
+    if rotated:
+        angle = _floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
+    elif "angle" in td:
+        raise _fail(f"{where} has an angle, which only the rotated variant carries")
+    nodes = _require(td, "nodes", list, where)
+    if not nodes:
+        raise _fail(f"{where} has no nodes")
+    rows = []  # [normal, intercept, left, right, size] per node
+    for i, rec in enumerate(nodes):
+        node = f"node {i} of {where}"
+        if not isinstance(rec, dict):
+            raise _fail(f"{node} is not an object")
+        kind = _require(rec, "kind", str, node)
+        if kind == "external":
+            rows.append([None, None, -1, -1, _require(rec, "size", int, node)])
+        elif kind == "internal":
+            n_vec = _require(rec, "normal", list, node)
+            p_vec = _require(rec, "intercept", list, node)
+            if len(n_vec) != dimension or len(p_vec) != dimension:
+                raise _fail(f"{node} has vectors of length != dimension {dimension}")
+            children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
+            if min(children) < 0:
+                raise _fail(f"{node} has child index {min(children)} out of range")
+            rows.append([_floats(n_vec, f"split normal of {node}"),
+                         _floats(p_vec, f"split intercept of {node}"), *children, 0])
+        else:
+            raise _fail(f"{node} has unknown kind {kind!r}")
+    reachable = 1 + 2 * sum(row[2] >= 0 for row in rows)
+    if len(rows) > reachable:
+        raise _fail(f"{where} has {len(rows)} nodes, but its splits reach at most {reachable}: some are unreachable")
+    try:
+        return tree_from_rows(rows, dimension, angle)
+    except OverflowError:
+        raise _fail(f"{where} has a child index or size beyond 64 bits") from None
+
+
+def grid_csv_oracle(grid):
+    """The grid CSV text written one cell at a time: the cell's point from
+    ``grid_points`` through ``repr``, then its score through ``format_score``."""
+    points = grid_points(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny)
+    cells = zip(points.tolist(), grid.values.ravel().tolist(), strict=True)
+    rows = [["x", "y", "score"]] + [[repr(x), repr(y), format_score(v)] for (x, y), v in cells]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level, seed):

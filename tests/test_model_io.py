@@ -1,19 +1,21 @@
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eif import model_io
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
-from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid, grid_points
+from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid
 from eif.forest import Forest, build_forest, build_rotated_forest, height_limit_for, score_batch, tree_from_rows
 from eif.model_io import (
-    format_score,
     load_forest,
     read_csv,
     save_forest,
@@ -25,7 +27,10 @@ from eif.model_io import (
 )
 from eif.rng import RNG_FAMILY
 from eif.synthetic import gen_gaussian_blob
-from oracles import choose_indices_oracle, document_oracle, leaf_depths, read_csv_oracle, tree_from_nested
+from oracles import (
+    choose_indices_oracle, document_oracle, grid_csv_oracle, leaf_depths, read_csv_oracle, read_tree_oracle,
+    tree_from_nested,
+)
 
 
 @pytest.fixture()
@@ -504,6 +509,12 @@ def test_read_csv_matches_the_cell_by_cell_oracle(tmp_path, case):
     assert _csv_outcome(read_csv, path, label_column) == _csv_outcome(read_csv_oracle, path, label_column)
 
 
+# Grid bounds: negative, near zero, ordinary and huge lows; subnormal to huge spans.
+_grid_lows = st.one_of(st.floats(-1e300, -1e290), st.floats(-1e-300, 1e-300), st.floats(-1e3, 1e3),
+                       st.floats(1e290, 1e300))
+_grid_spans = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 1e3), st.floats(1e290, 1e300))
+
+
 class TestWriteCsv:
     def test_dataset_round_trips_bitwise(self, tmp_path):
         data = gen_gaussian_blob(50, 3, seed=8)
@@ -530,6 +541,25 @@ class TestWriteCsv:
             write_scores_csv(p, [0, 1], [0.5])
         assert not p.exists()
 
+    @pytest.mark.parametrize("ids,message", [
+        ([0.5, True], "ids[0] must be an integer, got float 0.5"),
+        ([0, True], "ids[1] must be an integer, got bool True"),
+        (np.array([0.0, 1.0]), "ids[0] must be an integer, got float 0.0"),
+        ([np.int64(0), np.float64(1.0)], "ids[1] must be an integer, got float64 np.float64(1.0)"),
+    ], ids=["float", "bool", "float-array", "numpy-float"])
+    def test_scores_index_that_is_not_an_integer_is_an_error(self, tmp_path, ids, message):
+        p = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_scores_csv(p, ids, [0.1, 0.2])
+        assert not p.exists()
+
+    def test_scores_ids_of_every_integer_kind_write_the_same_bytes(self, tmp_path):
+        p = tmp_path / "s.csv"
+        for ids in (range(3), [0, 1, 2], np.arange(3), np.arange(3, dtype=np.uint8),
+                    [np.int64(0), np.int32(1), 2], [0, 1, 2**70]):
+            write_scores_csv(p, ids, np.array([0.25, 0.5, 0.125]))
+            assert p.read_text() == f"index,score\n0,0.25\n1,0.5\n{ids[2]},0.125\n"
+
     @pytest.mark.parametrize("data,match", [(np.zeros(3), "must be 2-D"), ([[np.nan]], "non-finite")],
                              ids=["1-d", "nan"])
     def test_dataset_that_read_csv_would_reject_is_not_written(self, tmp_path, data, match):
@@ -550,15 +580,17 @@ class TestWriteCsv:
         assert [ln.split(",")[0] for ln in lines[1:3]] == ["0.5", "1.5"]
         assert lines[1].split(",")[1] == lines[2].split(",")[1]
 
-    def test_grid_rows_are_grid_points(self, tmp_path):
-        nx, ny = 7, 3
-        values = np.linspace(0.3, 0.9, nx * ny).reshape(ny, nx)
-        grid = ScoreGrid(x_min=-1.25, x_max=3.0, y_min=0.1, y_max=0.7, nx=nx, ny=ny, values=values)
+    @given(bounds=st.tuples(_grid_lows, _grid_spans, _grid_lows, _grid_spans),
+           nx=st.integers(2, 40), ny=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_grid_rows_are_grid_points(self, tmp_path, bounds, nx, ny, seed):
+        x_min, x_span, y_min, y_span = bounds
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, (ny, nx))
+        grid = ScoreGrid(x_min=x_min, x_max=x_min + x_span, y_min=y_min, y_max=y_min + y_span,
+                         nx=nx, ny=ny, values=values)
         p = tmp_path / "g.csv"
         write_grid_csv(p, grid)
-        rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
-        assert [[float(x), float(y)] for x, y, _ in rows] == grid_points(-1.25, 3.0, 0.1, 0.7, nx, ny).tolist()
-        assert [score for _, _, score in rows] == [format_score(v) for v in values.ravel()]
+        assert p.read_bytes() == grid_csv_oracle(grid).encode("utf-8")
 
     def test_stats_csv(self, tmp_path):
         p = tmp_path / "ls.csv"
@@ -774,12 +806,27 @@ def test_lone_leaf_model_of_huge_dimension_saves_and_loads(tmp_path):
     assert load_forest(tmp_path / "m.json").dimension == 2**40
 
 
+def _hand_made_document():
+    """A valid 2-D model whose split vectors hold -0.0, subnormals and JSON
+    integers up to 2**70 in magnitude."""
+    root = ([5e-324, -0.0], [-0.0, 2.2250738585072014e-308], 2, ([-0.0, -2.5e-310], [1e300, -5e-324], 1, 1))
+    doc = document_oracle(Forest(trees=[tree_from_nested(root)], psi=4, extension_level=0, seed=0))
+    nodes = doc["trees"][0]["nodes"]
+    nodes[0]["normal"], nodes[0]["intercept"] = [2**70, -0.0], [-2**70 - 1, 3]
+    nodes[1]["normal"] = [0, -1]
+    return doc
+
+
 def _fuzz_base(kind):
     data = gen_gaussian_blob(200, 2, seed=31)
     if kind == "rotated":
         forest = build_rotated_forest(data, 3, 16, seed=32)
+    elif kind == "lone-leaf":
+        forest = build_forest(np.ones((20, 2)), 2, 8, 1, seed=35)
+    elif kind == "hand-made":
+        return _hand_made_document()
     else:
-        forest = build_forest(data, 3, 16, 1, seed=33)
+        forest = build_forest(data, 3, 16, 1 if kind == "extended" else 0, seed=33)
     return document_oracle(forest)
 
 
@@ -792,7 +839,9 @@ def _paths(value, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-FUZZ_BASES = {kind: _fuzz_base(kind) for kind in ("extended", "rotated")}
+# The scoring fuzz mutates the first two; the reader comparison all five.
+FUZZ_BASES = {kind: _fuzz_base(kind)
+              for kind in ("extended", "rotated", "standard-equivalent", "lone-leaf", "hand-made")}
 FUZZ_PATHS = {kind: list(_paths(doc)) for kind, doc in FUZZ_BASES.items()}
 
 _json_values = st.one_of(
@@ -804,14 +853,19 @@ _json_values = st.one_of(
 )
 
 
+# Numbers at the edges of the int64 and float ranges, and signed zeros and subnormals.
+_edge_numbers = st.sampled_from([2**63 - 1, 2**63, -2**63 - 1, 2**64, 2**1024 - 2**970 - 1, -(2**1024 - 2**970),
+                                 10**400, 5e-324, -5e-324, -0.0, 2.2250738585072014e-308])
+
+
 @st.composite
-def _mutated_documents(draw):
-    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+def _mutated_documents(draw, kinds=("extended", "rotated"), min_mutations=1, values=_json_values, in_nodes=False):
+    kind = draw(st.sampled_from(kinds))
     doc = json.loads(json.dumps(FUZZ_BASES[kind]))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_mutations, 3))):
         paths = FUZZ_PATHS[kind]
-        if draw(st.booleans()):  # weight the few top-level and per-tree fields
-            paths = [p for p in paths if len(p[0]) <= 2]
+        if draw(st.booleans()):  # weight the few top-level and per-tree fields, or with in_nodes the node lists
+            paths = [p for p in paths if (len(p[0]) > 2) == in_nodes]
         prefix, key = draw(st.sampled_from(paths))
         container = doc
         try:
@@ -828,7 +882,7 @@ def _mutated_documents(draw):
         elif op == "nudge" and isinstance(old, (int, float)) and not isinstance(old, bool):
             container[key] = old + draw(st.sampled_from([-1, 1] if isinstance(old, int) else [0.5, -1e-9]))
         else:
-            container[key] = draw(_json_values)
+            container[key] = draw(values)
     return doc
 
 
@@ -849,3 +903,80 @@ def test_mutated_documents_fail_loudly_or_score_in_unit_interval(tmp_path, doc):
     probes = np.vstack([gen_gaussian_blob(30, 2, seed=34), [[1e6, -1e6], [0.0, 0.0]]])
     scores = score_batch(probes, forest)
     assert np.all((scores > 0.0) & (scores <= 1.0))
+
+
+def _load_outcome(path):
+    """The ModelFormatError a load raises, or each tree's angle and arrays:
+    dtype, shape, strides and bytes (one element of a stride-0 lone-leaf row)."""
+    try:
+        forest = load_forest(path)
+    except ModelFormatError as e:
+        return type(e).__name__, str(e)
+    return [(None if tree.angle is None else np.float64(tree.angle).tobytes(),
+             [(a.dtype.str, a.shape, a.strides, (a if all(a.strides) else a[..., :1]).tobytes())
+              for a in (tree.normal, tree.intercept, tree.left, tree.right, tree.size)])
+            for tree in forest.trees]
+
+
+def _assert_readers_agree(path, doc):
+    """The document loads to the same bits, or fails with the same message,
+    whether its trees are read in bulk or node by node."""
+    path.write_text(json.dumps(doc))
+    bulk = _load_outcome(path)
+    with mock.patch.object(model_io, "_read_tree", read_tree_oracle):
+        assert bulk == _load_outcome(path)
+
+
+@given(doc=st.one_of(
+    _mutated_documents(kinds=tuple(FUZZ_BASES), min_mutations=0, values=st.one_of(_json_values, _edge_numbers),
+                       in_nodes=True),
+    _forests().map(document_oracle),
+))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("ignore:model .* was built under rng family:UserWarning")
+def test_bulk_tree_reader_matches_the_per_node_oracle(tmp_path, doc):
+    _assert_readers_agree(tmp_path / "m.json", doc)
+
+
+_INNER, _LEAF = ("trees", 1, "nodes", 0), ("trees", 1, "nodes", 1)  # in the extended base, of 15 nodes
+# One or two node-level edits each, for faults a random mutation rarely makes.
+_NODE_EDITS = {
+    "both-children-negative": [(_INNER + ("left_index",), -1), (_INNER + ("right_index",), -1)],
+    "child-negative": [(_INNER + ("right_index",), -3)],
+    "child-beyond-int64": [(_INNER + ("left_index",), 2**63)],
+    "child-bool": [(_INNER + ("left_index",), True)],
+    "size-beyond-int64": [(_LEAF + ("size",), 2**63)],
+    "size-below-int64": [(_LEAF + ("size",), -2**63 - 1)],
+    "entry-bool": [(_INNER + ("normal", 1), False)],
+    "entry-beyond-float": [(_INNER + ("intercept", 0), 2**1024 - 2**970)],
+    "entry-rounds-to-max-float": [(_INNER + ("intercept", 0), 2**1024 - 2**970 - 1)],
+    "entry-string": [(_INNER + ("normal", 0), "1.5")],
+    "vector-ragged": [(_INNER + ("normal",), [1.0])],
+    "vector-object": [(_INNER + ("intercept",), {"0": 1.0, "1": 2.0})],
+    "node-list": [(_INNER, [1, 2])],
+    "kind-missing": [(_LEAF, {"size": 3})],
+    "kind-unknown": [(_LEAF + ("kind",), "leaf")],
+    "kind-number": [(_LEAF + ("kind",), 3)],
+    "extra-leaf": [(("trees", 1, "nodes", 15), {"kind": "external", "size": 1})],
+    "leaf-with-children": [(_LEAF + ("left_index",), 5)],
+    "first-fault-in-file-order": [(("trees", 1, "nodes", 9, "normal"), None), (_INNER + ("left_index",), -1)],
+    # every vector of the hand-made base, whose internal nodes are 0 and 2, one entry long
+    "hand-made:vectors-of-length-one": [(("trees", 0, "nodes", k, key), [1.0])
+                                        for k in (0, 2) for key in ("normal", "intercept")],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_NODE_EDITS))
+@pytest.mark.filterwarnings("ignore:model .* was built under rng family:UserWarning")
+def test_bulk_tree_reader_matches_the_per_node_oracle_on_node_faults(tmp_path, edit):
+    base, _, _ = edit.rpartition(":")
+    doc = json.loads(json.dumps(FUZZ_BASES[base or "extended"]))
+    for keys, value in _NODE_EDITS[edit]:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        if keys[-1] == len(target):
+            target.append(value)
+        else:
+            target[keys[-1]] = value
+    _assert_readers_agree(tmp_path / "m.json", doc)
