@@ -311,22 +311,22 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
-    return _draw_split(rng, dim, dim - 1 - level, lo, hi)
+    return _draw_split(rng, dim, dim - 1 - level, lo, hi - lo)
 
 
-def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, hi: np.ndarray):
-    """Draw one split's normal and intercept for points spanning [lo, hi].
+def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarray):
+    """Draw one split's normal and intercept for points spanning [lo, lo + span].
 
     Normal coordinates come from N(0, 1); then ``n_zero`` of them, chosen
     uniformly without replacement, are zeroed. If the surviving coordinates
     all happen to be exactly zero the survivors are redrawn. The intercept
-    is ``lo + (hi - lo) * u`` with u = ``rng.random(dim)``, which is the
-    formula and the draws of numpy's ``Generator.uniform(lo, hi)``, so it
-    equals that call bit for bit, leaves the stream where that call does,
-    and gives lo exactly where lo == hi. Every coordinate is drawn, also
-    under a zeroed normal entry, where it is inert, so stream consumption
-    is fixed. The caller checks that [lo, hi] is finite: the formula would
-    not fail on an overflowing span.
+    is ``lo + span * u`` with span = hi - lo and u = ``rng.random(dim)``,
+    which is the formula and the draws of numpy's ``Generator.uniform(lo,
+    hi)``, so it equals that call bit for bit, leaves the stream where that
+    call does, and gives lo exactly where lo == hi. Every coordinate is
+    drawn, also under a zeroed normal entry, where it is inert, so stream
+    consumption is fixed. The caller checks that the span is finite: the
+    formula would not fail on an overflowing one.
 
     Draw order (normal, zero choice, redraws, intercept) is part of the
     reproducibility contract.
@@ -341,7 +341,7 @@ def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, hi: np.nd
             keep[zeroed] = False
         while not normal.any():
             normal[keep] = rng.standard_normal(dim - n_zero)
-    return normal, lo + (hi - lo) * rng.random(dim)
+    return normal, lo + span * rng.random(dim)
 
 
 def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
@@ -351,9 +351,10 @@ def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
     fewer remains, or every remaining point is identical (no hyperplane can
     separate duplicates, so spending depth on them is wasted). The points
     are held as a C-contiguous (dimension, points) block, split by column.
-    Each node takes its coordinates' range [lo, hi] once: it is both the
-    leaf test (lo == hi in every coordinate means identical points) and the
-    span of the intercept draw, and at the root it must have a finite width.
+    Each node takes its coordinates' span hi - lo once: it is both the leaf
+    test (a zero span in every coordinate means identical points; for finite
+    doubles hi - lo == 0 only when hi == lo) and the width of the intercept
+    draw, and at the root it must be finite, which bounds every span below.
     """
     dim = x.shape[1]
     n_zero = dim - 1 - extension_level
@@ -365,8 +366,9 @@ def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
             lo, hi = xt.min(axis=1), xt.max(axis=1)
             if height == 0:
                 _require_finite_span(lo, hi, "training sample")
-            if (lo != hi).any():
-                normal, intercept = _draw_split(rng, dim, n_zero, lo, hi)
+            span = hi - lo
+            if span.any():
+                normal, intercept = _draw_split(rng, dim, n_zero, lo, span)
                 row = [normal, intercept, len(rows) + 1, -1, 0]
                 rows.append(row)
                 went_left = _margins(xt, normal, intercept) <= 0.0
@@ -401,8 +403,10 @@ def tree_from_rows(rows, dimension: int, angle: float | None = None) -> Isolatio
     normal = intercept = np.broadcast_to(np.float64(0.0), (len(rows), dimension))
     if len(rows) > 1:
         normal, intercept = np.zeros(normal.shape), np.zeros(normal.shape)
-        for k in np.flatnonzero(left >= 0):
-            normal[k], intercept[k] = rows[k][0], rows[k][1]
+        inner = np.flatnonzero(left >= 0)
+        splits = [rows[k] for k in inner.tolist()]
+        normal[inner] = [row[0] for row in splits]
+        intercept[inner] = [row[1] for row in splits]
     return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
 
 
@@ -463,22 +467,33 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
 def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
     """Per point, a column of the C-contiguous (dimension, points) block
     ``xt``: depth at which it lands, plus c(size) credit for the leaf. A
-    rotated tree turns the points into a block of its own."""
-    if tree.angle is not None:
-        xt = _columns(_rotate_rows(xt.T, tree.angle))
+    rotated tree turns the points into a block of its own.
+
+    Query rows are finite but not bounded, so a margin (or a rotated
+    coordinate) can overflow float64; its sign, and so the branch, is then
+    unknown, and a ValueError says so instead of routing the point by an
+    inf or NaN margin.
+    """
     left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
     out = np.empty(xt.shape[1])
     stack = [(0, np.arange(xt.shape[1]), 0)]
-    while stack:
-        k, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if left[k] < 0:
-            out[idx] = depth + c_factor(size[k])
-            continue
-        went_left = _margins(xt, tree.normal[k], tree.intercept[k], idx) <= 0.0
-        stack.append((left[k], idx[went_left], depth + 1))
-        stack.append((right[k], idx[~went_left], depth + 1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if tree.angle is not None:
+                xt = _columns(_rotate_rows(xt.T, tree.angle))
+            while stack:
+                k, idx, depth = stack.pop()
+                if idx.size == 0:
+                    continue
+                if left[k] < 0:
+                    out[idx] = depth + c_factor(size[k])
+                    continue
+                went_left = _margins(xt, tree.normal[k], tree.intercept[k], idx) <= 0.0
+                stack.append((left[k], idx[went_left], depth + 1))
+                stack.append((right[k], idx[~went_left], depth + 1))
+    except FloatingPointError as err:
+        raise ValueError("a split margin overflowed float64 while scoring: a query row lies too far "
+                         "out for this forest's splits to tell its side") from err
     return out
 
 

@@ -20,6 +20,19 @@ The Gaussian and uniform transforms are the ones numpy's ``Generator``
 applies on top of the Philox bit stream; :data:`RNG_FAMILY` records the
 generator family and numpy version so serialized models state exactly which
 bit-level convention they were built under.
+
+Bounded integers (:func:`choose_indices`' swap targets) follow numpy's own
+rule for ``Generator.integers(i, n)``, applied in Python ints to the 64-bit
+Philox words: for a span ``s = n - i <= 2**32``, take the next 32-bit half
+``u``, reject while ``(u * s) & 0xFFFFFFFF < (2**32 - s) % s``, and return
+``i + (u * s >> 32)``; a span of 1 draws nothing. A 32-bit draw takes the
+low half of a fresh word and keeps the high half as the next one. The kept
+half lives in the stream's own slot: float64 draws read whole words and
+never touch it, so it carries from one call to the next, as numpy's does.
+Spans above ``2**32`` go through ``Generator.integers``, whose 64-bit rule
+reads whole words and leaves the half alone. Values and stream state equal
+numpy's bit for bit. A float32 or other 32-bit numpy draw on ``_gen`` would
+read numpy's own kept half, not this one, so none is made.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 #: Generator family identifier embedded in serialized models.
 RNG_FAMILY = f"numpy-philox4x64/{np.__version__}"
@@ -77,15 +91,21 @@ class RngStream:
     A stream is single-owner state: do not share one across concurrent
     tasks. Fan out by deriving one child per task first; derivation never
     touches the parent's draw state.
+
+    Besides numpy's generator, a stream holds the high 32-bit half of the
+    last word a bounded draw split, pending for the next bounded draw (see
+    the module docstring). Only :meth:`_fisher_yates` reads or sets it; a
+    float32 or other 32-bit numpy draw on ``_gen`` would bypass it.
     """
 
-    __slots__ = ("seed", "stream_index", "_gen")
+    __slots__ = ("seed", "stream_index", "_gen", "_half")
 
     def __init__(self, seed: int, stream_index: int = 0):
         self.seed = _check_u64("seed", seed)
         self.stream_index = _check_u64("stream_index", stream_index)
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._half = None
 
     # Raw draw primitives: they advance state and nothing else, so callers
     # validate their arguments.
@@ -100,17 +120,54 @@ class RngStream:
     def uniform(self, lo, hi, size=None):
         return self._gen.uniform(lo, hi, size)
 
-    def integers(self, lo: int, hi: int) -> int:
-        """One integer uniform on [lo, hi)."""
-        return int(self._gen.integers(lo, hi))
+    def _fisher_yates(self, n: int, k: int) -> list[int]:
+        """The first k slots of range(n) after k partial Fisher-Yates swaps.
 
-    def integers_from(self, lows: np.ndarray, hi: int) -> np.ndarray:
-        """One integer uniform on [lows[i], hi) per entry, drawn in order.
-
-        Same values, and the same stream state afterwards, as calling
-        :meth:`integers` once per entry of ``lows``.
+        Swap i exchanges slots i and j_i, j_i drawn uniform on [i, n) by the
+        bounded rule of the module docstring, so the targets are those of
+        ``Generator.integers(np.arange(k), n)``. The words the 32-bit draws
+        need come in one ``random_raw`` call; each rejection reads one more
+        word later, which is next in the stream, so none is lost. The swaps
+        run over a sparse table of the slots moved so far: O(k) work, no
+        length-n index array.
         """
-        return self._gen.integers(lows, hi)
+        gen = self._gen
+        raw = gen.bit_generator.random_raw
+        # Spans above 2**32 come first, at i < n - 2**32, and are drawn before
+        # any word is fetched. Span 1, at i = n - 1, draws nothing.
+        wide = [int(gen.integers(i, n)) for i in range(min(k, n - 2**32))] if n > 2**32 else []
+        n_wide, drawn = len(wide), k - (k == n)
+        halves = [] if self._half is None else [self._half]
+        short = drawn - n_wide - len(halves)
+        if short > 0:
+            for word in raw((short + 1) // 2).tolist():
+                halves += (word & _MASK32, word >> 32)
+        p = 0
+        moved: dict[int, int] = {}
+        out = []
+        for i in range(drawn):
+            s = n - i
+            if i < n_wide:
+                j = wide[i]
+            else:
+                m = halves[p] * s
+                p += 1
+                if (m & _MASK32) < s:  # only then can it fall below the threshold
+                    threshold = (2**32 - s) % s
+                    while (m & _MASK32) < threshold:
+                        if len(halves) - p < drawn - i:  # the redraw took a half the fetch counted on
+                            word = raw()
+                            halves += (word & _MASK32, word >> 32)
+                        m = halves[p] * s
+                        p += 1
+                j = i + (m >> 32)
+            # Slot i is final once swapped: every later target is above it.
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        if drawn < k:
+            out.append(moved.get(drawn, drawn))
+        self._half = halves[p] if p < len(halves) else None
+        return out
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
@@ -139,20 +196,16 @@ def fold_seed(seed: int, index: int) -> int:
 def choose_indices(rng: RngStream, n: int, k: int) -> np.ndarray:
     """k distinct indices uniform over range(n), by partial Fisher-Yates.
 
-    Swap i exchanges slots i and j_i with j_i uniform on [i, n). All k
-    targets are drawn in one call, and the swaps run over a sparse table of
-    the slots moved so far: O(k) work, no length-n index array.
+    Swap i exchanges slots i and j_i with j_i uniform on [i, n), drawn by
+    numpy's bounded-integer rule from the stream's Philox words (see the
+    module docstring): the same values, and the same stream state after,
+    as ``Generator.integers(np.arange(k), n)``. A draw may leave the high
+    half of a word pending on the stream for its next call; a float32 or
+    other 32-bit numpy draw on the stream's ``_gen`` would bypass it.
     """
     if k < 0 or k > n:
         raise ValueError(f"cannot choose {k} indices from {n}")
-    targets = rng.integers_from(np.arange(k), n).tolist()
-    moved: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(targets):
-        # Slot i is final once swapped: every later target is above it.
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return np.array(out, dtype=np.int64)
+    return np.array(rng._fisher_yates(n, k), dtype=np.int64)
 
 
 def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:

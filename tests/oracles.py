@@ -50,12 +50,19 @@ def auprc_oracle(scores, labels):
     return total
 
 
+def bounded_integer(rng, lo, hi):
+    """One integer uniform on [lo, hi) from an ``RngStream``: the first swap
+    target of ``choose_indices``, the value and draws of numpy's
+    ``Generator.integers(lo, hi)``."""
+    return lo + int(choose_indices(rng, hi - lo, 1)[0])
+
+
 def random_labeled_instance(rng, max_size=50, allow_ties=True):
     """A random-scores instance with at least one anomaly; half the draws
     round scores to one decimal to exercise tie handling."""
-    n = rng.integers(2, max_size + 1)
+    n = bounded_integer(rng, 2, max_size + 1)
     labels = np.zeros(n, dtype=int)
-    labels[: rng.integers(1, n)] = 1
+    labels[: bounded_integer(rng, 1, n)] = 1
     perm = np.argsort(rng.uniform(0.0, 1.0, n))
     labels = labels[perm]
     if allow_ties and rng.uniform(0.0, 1.0) < 0.5:
@@ -65,13 +72,21 @@ def random_labeled_instance(rng, max_size=50, allow_ties=True):
     return scores, labels
 
 
-def choose_indices_oracle(rng, n, k):
-    """Partial Fisher-Yates with one scalar bounded-integer draw per swap."""
-    idx = np.arange(n)
-    for i in range(k):
-        j = rng.integers(i, n)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k].copy()
+def fisher_yates_oracle(targets):
+    """The first len(targets) slots after swapping slot i with slot
+    targets[i], in order. Slots not yet moved are implicit, so the
+    population may exceed memory."""
+    slot = {}
+    for i, j in enumerate(targets):
+        slot[i], slot[j] = slot.get(j, j), slot.get(i, i)
+    return np.array([slot.get(i, i) for i in range(len(targets))], dtype=np.int64)
+
+
+def choose_indices_oracle(gen, n, k):
+    """Partial Fisher-Yates with one scalar draw per swap from numpy itself:
+    ``gen`` is a ``np.random.Generator(np.random.Philox(key=[seed, index]))``
+    (the key as uint64), and swap i takes ``gen.integers(i, n)``."""
+    return fisher_yates_oracle([int(gen.integers(i, n)) for i in range(k)])
 
 
 def document_oracle(forest):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eif.evaluation import convergence_curve
 from eif.forest import (
     Forest,
     IsolationTree,
@@ -28,7 +29,10 @@ from eif.forest import (
 from eif.model_io import load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
-from oracles import document_oracle, draw_split_oracle, grow_oracle, knife_edge_points, leaf_depths, score_oracle, tree_from_nested
+from oracles import (
+    bounded_integer, document_oracle, draw_split_oracle, grow_oracle, knife_edge_points, leaf_depths, score_oracle,
+    tree_from_nested,
+)
 
 EULER = 0.5772156649
 
@@ -173,7 +177,7 @@ def test_intercept_equals_generator_uniform_bit_for_bit(span, data, seed):
     dim = lo.size
     n_zero = dim - 1 - data.draw(st.integers(0, dim - 1), label="extension_level")
     a, b = make_rng(seed), make_rng(seed)
-    normal, intercept = _draw_split(a, dim, n_zero, lo, hi)
+    normal, intercept = _draw_split(a, dim, n_zero, lo, hi - lo)
     expected_normal, expected = draw_split_oracle(b, dim, n_zero, lo, hi)
     assert normal.tobytes() == expected_normal.tobytes()
     assert intercept.tobytes() == expected.tobytes()
@@ -205,7 +209,7 @@ class _ZeroFirstNormals:
 def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
     lo, hi = np.array([-1.0, 0.0, 2.0, 2.0]), np.array([1.0, 5.0, 3.0, 2.0])
     a, b = _ZeroFirstNormals(9, zeros), _ZeroFirstNormals(9, zeros)
-    normal, intercept = _draw_split(a, 4, n_zero, lo, hi)
+    normal, intercept = _draw_split(a, 4, n_zero, lo, hi - lo)
     expected_normal, expected = draw_split_oracle(b, 4, n_zero, lo, hi)
     assert np.count_nonzero(normal) == 4 - n_zero
     assert normal.tobytes() == expected_normal.tobytes()
@@ -468,6 +472,27 @@ class TestPathLengthAndScore:
         far, near = score_batch(np.array([[1e308, 0.0], [0.0, 0.0]]), forest)
         assert far.hex() == near.hex()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("measure", [
+        lambda data, x: score_batch(x, build_forest(data, 10, 64, 1, 1)),
+        lambda data, x: convergence_curve(data, x, [5, 10], 64, 1, 1),
+    ], ids=["score_batch", "convergence_curve"])
+    def test_margin_overflow_is_an_error_not_a_warning(self, measure):
+        data = gen_gaussian_blob(500, 2, seed=1)
+        with pytest.raises(ValueError, match="a split margin overflowed float64"):
+            measure(data, np.array([[1e308, 1e308], [1e308, -1e308]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("measure", [
+        lambda x, f: score_batch(x, f), lambda x, f: path_length(x[0], f.trees[0]),
+    ], ids=["score_batch", "path_length"])
+    def test_opposite_infinite_terms_do_not_route_by_a_nan_margin(self, measure):
+        # (2, -2) lies exactly on the split, but each term overflows: +inf + -inf
+        # is NaN, and NaN <= 0 is false, which would send the point right.
+        forest = forest_of(tree_from_nested(([1e308, 1e308], [0.0, 0.0], 1, 1)), psi=2)
+        with pytest.raises(ValueError, match="a split margin overflowed float64"):
+            measure(np.array([[2.0, -2.0]]), forest)
+
     def test_score_at_normalizer_depth_is_half(self, small_forest):
         # when the mean depth equals c(psi) the score is exactly 1/2
         assert 2.0 ** (-c_factor(256) / small_forest.normalizer) == 0.5
@@ -582,7 +607,7 @@ def textbook_standard_iforest_scores(data, t, psi, seed):
     def grow(pts, depth, rng):
         if depth >= limit or len(pts) <= 1 or np.all(pts == pts[0]):
             return ("leaf", len(pts))
-        feat = rng.integers(0, dim)
+        feat = bounded_integer(rng, 0, dim)
         lo, hi = pts[:, feat].min(), pts[:, feat].max()
         if lo == hi:
             return ("leaf", len(pts))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eif.rng import (
@@ -11,7 +11,7 @@ from eif.rng import (
     make_rng,
     subsample,
 )
-from oracles import choose_indices_oracle
+from oracles import choose_indices_oracle, fisher_yates_oracle
 
 
 def draws(stream, n):
@@ -182,9 +182,14 @@ def test_choose_indices_exact_and_distinct():
 def test_replay_any_seed_bitwise(seed):
     a = make_rng(seed)
     b = make_rng(seed)
-    ops_a = [a.standard_normal(), a.uniform(-2.0, 5.0), a.integers(0, 1000)]
-    ops_b = [b.standard_normal(), b.uniform(-2.0, 5.0), b.integers(0, 1000)]
+    ops_a = [a.standard_normal(), a.uniform(-2.0, 5.0), choose_indices(a, 1000, 3).tolist()]
+    ops_b = [b.standard_normal(), b.uniform(-2.0, 5.0), choose_indices(b, 1000, 3).tolist()]
     assert ops_a == ops_b
+
+
+def numpy_twin(seed, index):
+    """numpy's own generator under the key an ``RngStream(seed, index)`` uses."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 @st.composite
@@ -197,8 +202,42 @@ def population_and_count(draw):
 @settings(max_examples=200, deadline=None)
 def test_choose_indices_matches_scalar_fisher_yates(seed, nk):
     n, k = nk
-    a, b = RngStream(seed, 5), RngStream(seed, 5)
+    a, b = RngStream(seed, 5), numpy_twin(seed, 5)
     assert choose_indices(a, n, k).tolist() == choose_indices_oracle(b, n, k).tolist()
     # the stream is left in the same state: later draws agree too
     assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist()
     assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
+
+
+# Spans around the 32-bit boundaries of numpy's bounded rule: 3 * 2**30
+# rejects a quarter of its 32-bit draws, 2**32 - 1 is the widest span the
+# 32-bit rule rejects on, 2**32 never rejects, and 2**32 + 5 starts with
+# five spans that numpy's 64-bit rule draws from whole words.
+_WIDE = [3 * 2**30, 2**32 - 1, 2**32, 2**32 + 5]
+
+
+@st.composite
+def draw_call(draw):
+    """One ``choose_indices(n, k)``: odd k leaves half a word pending."""
+    n = draw(st.sampled_from(_WIDE) | st.integers(1, 40))
+    k = draw(st.sampled_from([0, 1, 3, 40]).map(lambda k: min(k, n)) | st.integers(0, min(n, 40)))
+    return n, k, draw(st.sampled_from(["random", "standard_normal", None])), draw(st.integers(0, 3))
+
+
+@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(draw_call(), min_size=1, max_size=8))
+@example(seed=2**64 - 1, calls=[(9, 3, "random", 2), (7, 0, None, 0), (5, 5, "standard_normal", 1),
+                                (3 * 2**30, 31, "random", 1), (2**32 - 1, 1, None, 0), (2**32, 3, "random", 3),
+                                (2**32 + 5, 9, "standard_normal", 2), (8, 7, None, 0)])
+@settings(max_examples=200, deadline=None)
+def test_choose_indices_sequence_matches_numpy_integers(seed, calls):
+    """A run of choose_indices calls, float draws between them, against
+    ``Generator.integers(np.arange(k), n)`` on a twin numpy generator. A
+    pending half must carry over the float draws into the next call."""
+    a, b = RngStream(seed, 3), numpy_twin(seed, 3)
+    for n, k, floats, size in calls:
+        expected = fisher_yates_oracle(b.integers(np.arange(k), n).tolist())
+        assert choose_indices(a, n, k).tolist() == expected.tolist()
+        if floats:
+            assert getattr(a, floats)(size).tobytes() == getattr(b, floats)(size).tobytes()
+    assert a.random(2).tobytes() == b.random(2).tobytes()
+    assert choose_indices(a, 2**32, 3).tolist() == choose_indices_oracle(b, 2**32, 3).tolist()
