@@ -16,10 +16,17 @@ which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
 population, and c(n) is the expected unsuccessful-search depth in a binary
 search tree of n points.
 
+Training grows the trees of a forest in lockstep, a chunk of them at a time
+(``_grow_trees``): each step makes one numpy pass over the next node of every
+tree, while each node still draws its split from its own tree's stream, in
+the tree's preorder. So a tree is the same grown alone or with others, and
+the forest is the same for any chunk size.
+
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
 Building and scoring hold the points column-major, as a (dimension, points)
-block, and ``_margins`` adds the terms either one at a time or as an axis-0
+block. Scoring's ``_margins`` adds the terms one at a time; training's
+``_split_margins`` does too, or at full extension sums them by an axis-0
 reduce over a C-contiguous block, which adds its rows in order. A reduce over
 an F-ordered view or along ``axis=1`` must never sum them: numpy sums those
 pairwise, which changes the bits from 9 terms up. ``score_batch`` is the
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +49,13 @@ from .rng import RngStream, _check_count, _check_integer, choose_indices, derive
 EULER_GAMMA = 0.5772156649
 
 TWO_PI = 2.0 * math.pi
+
+#: Trees that ``_build_forest`` grows in lockstep at a time. The block of
+#: their points, and its per-step copies, grow with it; fewer trees share
+#: each step's numpy calls among fewer nodes. In paired benchmark runs of
+#: 500 level-0 trees at 8-D, 50 and 200 were slower than 100, and 200 held
+#: 3 MB more at its peak.
+_CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
 VARIANT_EXTENDED = "extended"
@@ -261,26 +276,15 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T)
 
 
-def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx=None) -> np.ndarray:
-    """(x - p) . n for the points that are the columns of the (dimension,
-    points) block ``xt``, or only for its columns ``idx``.
+def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(x - p) . n for the points that are the columns ``idx`` of the
+    (dimension, points) block ``xt``, as scoring sends them down a tree.
 
     Only n's nonzero entries add a term, in index order (a zero entry would
-    add a signed zero, or NaN where x - p overflows). A single term is one
-    1-D expression. For all the columns, which ``_grow`` uses, the terms are
-    an axis-0 reduce over the nonzero rows of ``xt``, which must be
-    C-contiguous: the reduce then adds one row at a time. For the columns
-    ``idx``, which scoring uses, each term gathers one 1-D column and is
-    added in place, so no (points, dimension) copy is made.
+    add a signed zero, or NaN where x - p overflows). Each term gathers one
+    1-D column and is added in place, so no (points, dimension) copy is made.
     """
-    nz = normal.nonzero()[0]
-    if nz.size == 1:
-        d = nz[0]
-        return ((xt[d] if idx is None else xt[d][idx]) - intercept[d]) * normal[d]
-    if idx is None:
-        block = xt if nz.size == xt.shape[0] else xt[nz]
-        return np.add.reduce((block - intercept[nz, None]) * normal[nz, None], axis=0)
-    dims = nz.tolist()
+    dims = normal.nonzero()[0].tolist()
     acc = (xt[dims[0]][idx] - intercept[dims[0]]) * normal[dims[0]]
     for d in dims[1:]:
         acc += (xt[d][idx] - intercept[d]) * normal[d]
@@ -299,9 +303,10 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
 
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Draw one split ``(normal, intercept)`` for the points at a node, as
-    ``_grow`` does (see ``_draw_split``). The points must be finite, each
-    column's range must have a finite width, and ``extension_level`` must be
-    an integer in [0, dimension - 1]; nothing is drawn otherwise."""
+    training draws each node's split (see ``_draw_split``). The points must
+    be finite, each column's range must have a finite width, and
+    ``extension_level`` must be an integer in [0, dimension - 1]; nothing is
+    drawn otherwise."""
     x = np.asarray(node_data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
@@ -344,43 +349,140 @@ def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, span: np.
     return normal, lo + span * rng.random(dim)
 
 
-def _grow(x, *, limit, extension_level, rng, angle=None) -> IsolationTree:
-    """Grow a tree on the rows of ``x``, drawing its splits from ``rng``.
+def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
+    """Grow one tree per stream on the points that are the columns of the
+    C-contiguous (dimension, points) ``block``, which it reorders in place:
+    tree j on the j-th of ``len(streams)`` equal column ranges, drawing its
+    splits from ``streams[j]``. Record ``angles[j]`` on it if angles are given.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
-    separate duplicates, so spending depth on them is wasted). The points
-    are held as a C-contiguous (dimension, points) block, split by column.
-    Each node takes its coordinates' span hi - lo once: it is both the leaf
-    test (a zero span in every coordinate means identical points; for finite
-    doubles hi - lo == 0 only when hi == lo) and the width of the intercept
-    draw, and at the root it must be finite, which bounds every span below.
+    separate duplicates, so spending depth on them is wasted).
+
+    The trees grow in lockstep. Each keeps a preorder stack of the column
+    ranges ``[a, b)`` of ``block`` it has yet to visit. Each step pops, per
+    tree, the next node that may split, and takes every popped node's span
+    hi - lo in one numpy pass. The span is both the leaf test (a zero span
+    in every coordinate means identical points; for finite doubles
+    hi - lo == 0 only when hi == lo) and the width of the intercept draw,
+    and at the root it must be finite, which bounds every span below. Each
+    splitting node draws its split from its own tree's stream, and a tree
+    visits its nodes in preorder, so each stream is read as by the tree
+    grown alone. The step then takes the splitting nodes' margins in one
+    pass (``_split_margins``) and sorts each node's range in place, stably:
+    left points first, each side in order.
     """
-    dim = x.shape[1]
-    n_zero = dim - 1 - extension_level
-    rows = []
+    dim, n = block.shape[0], block.shape[1] // len(streams)
+    nonzeros = extension_level + 1
+    # per tree, the ranges to visit: (a, b, height, node whose right child it is or -1)
+    stacks = [[(j * n, (j + 1) * n, 0, -1)] for j in range(len(streams))]
+    # per tree and node in preorder, the right child and the point count; a
+    # split's left child is the next node, and its count is set to 0 at the end
+    rights, sizes = [[] for _ in streams], [[] for _ in streams]
+    splits = []  # per step: tree, node, normal and intercept of each split
+    live = range(len(streams))
+    while True:
+        popped = []  # (tree, a, b, height, node) of each node that may split
+        for j in live:
+            stack, right, size = stacks[j], rights[j], sizes[j]
+            while stack:
+                a, b, height, parent = stack.pop()
+                node = len(size)
+                if parent >= 0:
+                    right[parent] = node
+                right.append(-1)
+                size.append(b - a)
+                if height < limit and b - a > 1:
+                    popped.append((j, a, b, height, node))
+                    break
+        if not popped:
+            break
+        starts = np.array([entry[1] for entry in popped])
+        counts = np.array([entry[2] for entry in popped]) - starts
+        offsets = np.cumsum(counts) - counts
+        idx = np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
+        points = block.take(idx, axis=1)
+        lo = np.minimum.reduceat(points, offsets, axis=1)
+        hi = np.maximum.reduceat(points, offsets, axis=1)
+        if popped[0][3] == 0:  # only the first step pops roots
+            with np.errstate(over="ignore"):
+                wide = np.flatnonzero(~np.isfinite(hi - lo).all(axis=0))
+            if wide.size:
+                _require_finite_span(lo[:, wide[0]], hi[:, wide[0]], "training sample")
+        span = hi - lo
+        splitting = span.any(axis=0)
+        live = [entry[0] for entry in popped]
+        if not splitting.all():  # identical points: these nodes stay leaves
+            keep = np.repeat(splitting, counts)
+            points, idx = points.compress(keep, axis=1), idx[keep]
+            starts, counts = starts[splitting], counts[splitting]
+            popped = [entry for entry, split in zip(popped, splitting.tolist()) if split]
+            lo, span = lo[:, splitting], span[:, splitting]
+            if not popped:
+                continue
+        drawn = [_draw_split(streams[entry[0]], dim, dim - nonzeros, lo_m, span_m)
+                 for entry, lo_m, span_m in zip(popped, lo.T, span.T)]
+        normals, intercepts = (np.array(column) for column in zip(*drawn))
+        at = np.repeat(np.arange(len(popped)), counts)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                went_right = _split_margins(points, at, normals, intercepts, nonzeros) > 0.0
+        except FloatingPointError as err:
+            raise ValueError("a split margin overflowed float64 while training: the sample's columns span "
+                             "too wide a range for a split's terms to sum within the float limit") from err
+        del points  # before the partition's copy, so that two copies of the block are never held
+        block[:, idx] = block.take(idx[np.argsort(2 * at + went_right, kind="stable")], axis=1)
+        n_left = counts - np.bincount(at[went_right], minlength=len(popped))
+        for (j, a, b, height, node), mid in zip(popped, (starts + n_left).tolist()):
+            stacks[j] += [(mid, b, height + 1, node), (a, mid, height + 1, -1)]
+        splits.append(([entry[0] for entry in popped], [entry[4] for entry in popped], normals, intercepts))
+    # every tree's node arrays are row ranges of chunk-wide ones
+    first = np.cumsum([0] + [len(size) for size in sizes])
+    normal, intercept = np.zeros((first[-1], dim)), np.zeros((first[-1], dim))
+    left = np.full(first[-1], -1, dtype=np.int64)
+    right = np.fromiter(chain.from_iterable(rights), np.int64, first[-1])
+    size = np.fromiter(chain.from_iterable(sizes), np.int64, first[-1])
+    if splits:
+        trees, nodes, normals, intercepts = (np.concatenate(column) for column in zip(*splits))
+        rows = first[trees] + nodes
+        normal[rows], intercept[rows], left[rows], size[rows] = normals, intercepts, nodes + 1, 0
+    return [IsolationTree(normal=normal[a:b], intercept=intercept[a:b], left=left[a:b], right=right[a:b],
+                          size=size[a:b], angle=angles[j] if angles else None)
+            for j, (a, b) in enumerate(zip(first[:-1].tolist(), first[1:].tolist()))]
 
-    def grow(xt, height) -> None:
-        n = xt.shape[1]
-        if height < limit and n > 1:
-            lo, hi = xt.min(axis=1), xt.max(axis=1)
-            if height == 0:
-                _require_finite_span(lo, hi, "training sample")
-            span = hi - lo
-            if span.any():
-                normal, intercept = _draw_split(rng, dim, n_zero, lo, span)
-                row = [normal, intercept, len(rows) + 1, -1, 0]
-                rows.append(row)
-                went_left = _margins(xt, normal, intercept) <= 0.0
-                # compress keeps the block C-contiguous, as _margins needs; xt[:, mask] is F-ordered
-                grow(xt.compress(went_left, axis=1), height + 1)
-                row[3] = len(rows)
-                grow(xt.compress(~went_left, axis=1), height + 1)
-                return
-        rows.append([None, None, -1, -1, n])
 
-    grow(_columns(x), 0)
-    return tree_from_rows(rows, dim, angle)
+def _split_margins(points, at, normal, intercept, nonzeros: int) -> np.ndarray:
+    """(x - p) . n for each column x of the C-contiguous (dimension, points)
+    block ``points``, under split ``at[c]`` for column c: the rows
+    ``normal[at[c]]`` and ``intercept[at[c]]``, each normal with ``nonzeros``
+    nonzero entries.
+
+    As in ``_margins``, the terms are those of the nonzero entries, added in
+    index order. At full extension, where every entry is one, the terms are
+    formed in place in ``points`` and summed by an axis-0 reduce, which adds
+    the rows in order. Below it, each term gathers one coordinate per column,
+    the next nonzero one of its split's normal, and is added in place.
+    """
+    if nonzeros == points.shape[0]:
+        points -= intercept.T.take(at, axis=1)
+        points *= normal.T.take(at, axis=1)
+        return np.add.reduce(points, axis=0)
+    # each split's nonzero coordinates, in index order; a normal that drew too
+    # few nonzeros (Forest rejects its tree) adds a zero term last, a signed 0
+    coords = np.argsort(normal == 0.0, axis=1, kind="stable")[:, :nonzeros].T
+    flat, width = points.ravel(), points.shape[1]
+    split, column = np.arange(len(normal)), np.arange(width)
+
+    def term(d):
+        x = flat.take(d.take(at) * width + column)
+        x -= intercept[split, d].take(at)
+        x *= normal[split, d].take(at)
+        return x
+
+    total = term(coords[0])
+    for d in coords[1:]:
+        total += term(d)
+    return total
 
 
 def _require_finite_span(lo: np.ndarray, hi: np.ndarray, name: str) -> None:
@@ -390,24 +492,6 @@ def _require_finite_span(lo: np.ndarray, hi: np.ndarray, name: str) -> None:
     if wide.any():
         col = int(np.flatnonzero(wide)[0])
         raise ValueError(f"{name} column {col} spans [{lo[col]}, {hi[col]}], whose width overflows float64")
-
-
-def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
-    """Tree from per-node ``[normal, intercept, left, right, size]`` rows.
-
-    Leaf rows carry None vectors and get zeros. A lone leaf has no split to
-    confirm ``dimension``, so its zero row is a read-only view of one value.
-    Raises OverflowError for an index or size beyond int64.
-    """
-    left, right, size = (np.array(column, dtype=np.int64) for column in list(zip(*rows))[2:])
-    normal = intercept = np.broadcast_to(np.float64(0.0), (len(rows), dimension))
-    if len(rows) > 1:
-        normal, intercept = np.zeros(normal.shape), np.zeros(normal.shape)
-        inner = np.flatnonzero(left >= 0)
-        splits = [rows[k] for k in inner.tolist()]
-        normal[inner] = [row[0] for row in splits]
-        intercept[inner] = [row[1] for row in splits]
-    return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
 
 
 def height_limit_for(psi: int) -> int:
@@ -447,20 +531,30 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
     """Per tree i, in this order: derive stream i from the seed's root stream,
     draw the psi-row subsample from it, and, for a rotated forest, draw the
     tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
-    the tree on the same stream. Tree i reads only stream i, so build order
-    cannot change a tree. The settings are checked before any tree grows."""
+    the tree on the same stream, in lockstep with the rest of its chunk of
+    ``_CHUNK_TREES`` trees. Tree i reads only stream i, so neither build
+    order nor chunking can change a tree. The settings are checked before
+    any tree grows."""
     t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1])
     limit = height_limit_for(psi)
     root = make_rng(seed)
     trees = []
-    for i in range(t):
-        stream = derive_stream(root, i)
-        sample = subsample(stream, x, psi)
-        angle = None
-        if rotated:
-            angle = float(stream.uniform(0.0, TWO_PI))
-            sample = _rotate_rows(sample, angle)
-        trees.append(_grow(sample, limit=limit, extension_level=extension_level, rng=stream, angle=angle))
+    for first in range(0, t, _CHUNK_TREES):
+        chunk = range(first, min(first + _CHUNK_TREES, t))
+        streams, angles = [], []
+        for j, i in enumerate(chunk):
+            stream = derive_stream(root, i)
+            sample = subsample(stream, x, psi)
+            if j == 0:  # subsample has checked psi against the rows: the block can be made
+                block = np.empty((x.shape[1], len(chunk) * psi))
+            angle = None
+            if rotated:
+                angle = float(stream.uniform(0.0, TWO_PI))
+                sample = _rotate_rows(sample, angle)
+            block[:, j * psi:(j + 1) * psi] = sample.T
+            streams.append(stream)
+            angles.append(angle)
+        trees += _grow_trees(block, streams, angles, limit=limit, extension_level=extension_level)
     return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 

@@ -8,8 +8,8 @@ import numpy as np
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance, grid_points
 from eif.forest import (
-    Forest, IsolationTree, _grow, _rotate_rows, build_forest, c_factor, height_limit_for, sample_hyperplane,
-    score_batch, tree_from_rows,
+    Forest, IsolationTree, _columns, _grow_trees, _rotate_rows, build_forest, c_factor, height_limit_for,
+    sample_hyperplane, score_batch,
 )
 from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION, _fail, _floats, _require, format_score
 from eif.rng import RNG_FAMILY, choose_indices, derive_stream, make_rng, subsample
@@ -190,11 +190,11 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
     ``angles[i]``. No angle is drawn, so each stream is consumed as by a
     level-0 tree of ``build_forest``."""
     root = make_rng(seed)
-    trees = []
-    for i in range(t):
-        stream, angle = derive_stream(root, i), float(angles[i])
-        sample = _rotate_rows(subsample(stream, data, psi), angle)
-        trees.append(_grow(sample, limit=height_limit_for(psi), extension_level=0, rng=stream, angle=angle))
+    streams = [derive_stream(root, i) for i in range(t)]
+    angles = [float(angles[i]) for i in range(t)]
+    samples = [_rotate_rows(subsample(stream, data, psi), angle) for stream, angle in zip(streams, angles)]
+    trees = _grow_trees(_columns(np.concatenate(samples)), streams, angles, limit=height_limit_for(psi),
+                        extension_level=0)
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 
 
@@ -211,8 +211,27 @@ def draw_split_oracle(rng, dim, n_zero, lo, hi):
     return normal, rng.uniform(lo, hi)
 
 
+def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
+    """Tree from per-node ``[normal, intercept, left, right, size]`` rows.
+
+    Leaf rows carry None vectors and get zeros. A lone leaf has no split to
+    confirm ``dimension``, so its zero row is a read-only view of one value.
+    Raises OverflowError for an index or size beyond int64.
+    """
+    left, right, size = (np.array(column, dtype=np.int64) for column in list(zip(*rows))[2:])
+    normal = intercept = np.broadcast_to(np.float64(0.0), (len(rows), dimension))
+    if len(rows) > 1:
+        normal, intercept = np.zeros(normal.shape), np.zeros(normal.shape)
+        inner = np.flatnonzero(left >= 0)
+        splits = [rows[k] for k in inner.tolist()]
+        normal[inner] = [row[0] for row in splits]
+        intercept[inner] = [row[1] for row in splits]
+    return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
+
+
 def grow_oracle(x, *, limit, extension_level, rng, angle=None):
-    """``_grow`` on row-major data: each node copies its rows with a mask,
+    """One tree grown alone, recursively, on row-major data, the reference
+    for ``_grow_trees``: each node copies its rows with a mask,
     draws its split with ``sample_hyperplane`` and adds the margin terms of
     the nonzero normal entries one coordinate at a time, in index order."""
     rows = []
@@ -235,6 +254,25 @@ def grow_oracle(x, *, limit, extension_level, rng, angle=None):
 
     grow(x, 0)
     return tree_from_rows(rows, x.shape[1], angle)
+
+
+def forest_oracle(data, t, psi, extension_level, seed, rotated=False):
+    """The forest ``build_forest`` trains, or ``build_rotated_forest`` when
+    ``rotated`` (at level 0), grown one tree at a time: derive tree i's
+    stream, draw its subsample and, when rotated, its angle, turn the
+    subsample by it, and grow the tree with ``grow_oracle``."""
+    root = make_rng(seed)
+    trees = []
+    for i in range(t):
+        stream = derive_stream(root, i)
+        sample = subsample(stream, data, psi)
+        angle = None
+        if rotated:
+            angle = float(stream.uniform(0.0, 2 * math.pi))
+            sample = _rotate_rows(sample, angle)
+        trees.append(grow_oracle(sample, limit=height_limit_for(psi), extension_level=extension_level,
+                                 rng=stream, angle=angle))
+    return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 
 def knife_edge_points(normal, intercept, lo, hi):

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from eif.evaluation import convergence_curve
 from eif.forest import (
+    _CHUNK_TREES,
     Forest,
     IsolationTree,
+    _columns,
     _draw_split,
-    _grow,
+    _grow_trees,
     _margins,
+    _split_margins,
     anomaly_score,
     build_forest,
     build_rotated_forest,
@@ -30,8 +33,8 @@ from eif.model_io import load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import (
-    bounded_integer, document_oracle, draw_split_oracle, grow_oracle, knife_edge_points, leaf_depths, score_oracle,
-    tree_from_nested,
+    bounded_integer, document_oracle, draw_split_oracle, forest_oracle, grow_oracle, knife_edge_points, leaf_depths,
+    score_oracle, tree_from_nested,
 )
 
 EULER = 0.5772156649
@@ -219,11 +222,14 @@ def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
 
 class TestBranchLeft:
     def goes_left(self, x, normal, intercept):
-        """The side of the split, from the margin over a node's own block and
-        from the margin gathered by index, which must agree."""
+        """The side of the split, from the margin training takes over a
+        node's block and from the margin scoring gathers by index, which
+        must agree."""
         xt = np.ascontiguousarray(np.array([x], float).T)
         normal, intercept = np.asarray(normal, float), np.asarray(intercept, float)
-        block, gathered = (_margins(xt, normal, intercept, idx)[0] for idx in (None, np.array([0])))
+        gathered = _margins(xt, normal, intercept, np.array([0]))[0]
+        block = _split_margins(xt.copy(), np.array([0]), normal[None], intercept[None],
+                               np.count_nonzero(normal))[0]
         assert block.hex() == gathered.hex()
         return bool(block <= 0.0)
 
@@ -235,6 +241,11 @@ class TestBranchLeft:
 
     def test_flipping_normal_swaps_side(self):
         assert self.goes_left([3.0, 5.0], [-1.0, 0.0], [0.0, 0.0]) is True
+
+
+def tree_bytes(tree):
+    """A tree's node arrays as bytes, and its angle."""
+    return [getattr(tree, name).tobytes() for name in ("normal", "intercept", "left", "right", "size")], tree.angle
 
 
 def leaf_sizes(tree):
@@ -251,32 +262,32 @@ def is_single_leaf(tree, size):
 
 class TestBuildTree:
     def test_singleton_becomes_leaf(self):
-        tree = _grow(np.array([[1.0, 2.0]]), limit=8, extension_level=1, rng=make_rng(1))
+        tree = _grow_trees(_columns(np.array([[1.0, 2.0]])), [make_rng(1)], limit=8, extension_level=1)[0]
         assert is_single_leaf(tree, 1)
 
     def test_identical_points_become_leaf(self):
         data = np.tile([1.5, -2.0], (20, 1))
-        tree = _grow(data, limit=8, extension_level=1, rng=make_rng(1))
+        tree = _grow_trees(_columns(data), [make_rng(1)], limit=8, extension_level=1)[0]
         assert is_single_leaf(tree, 20)
 
     def test_height_limit_reached_becomes_leaf(self):
         data = gen_gaussian_blob(10, 2, seed=1)
-        tree = _grow(data, limit=0, extension_level=1, rng=make_rng(1))
+        tree = _grow_trees(_columns(data), [make_rng(1)], limit=0, extension_level=1)[0]
         assert is_single_leaf(tree, 10)
 
     def test_four_points_depth_two(self):
         data = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = _grow(data, limit=2, extension_level=0, rng=make_rng(3))
+        tree = _grow_trees(_columns(data), [make_rng(3)], limit=2, extension_level=0)[0]
         assert max_depth(tree) == 2
         assert sum(leaf_sizes(tree)) == 4
 
     def test_leaf_mass_conservation(self):
         data = gen_gaussian_blob(256, 3, seed=4)
-        tree = _grow(data, limit=8, extension_level=2, rng=make_rng(9))
+        tree = _grow_trees(_columns(data), [make_rng(9)], limit=8, extension_level=2)[0]
         assert sum(leaf_sizes(tree)) == 256
 
     def test_nodes_are_in_preorder(self):
-        tree = _grow(gen_gaussian_blob(64, 2, seed=5), limit=6, extension_level=1, rng=make_rng(2))
+        tree = _grow_trees(_columns(gen_gaussian_blob(64, 2, seed=5)), [make_rng(2)], limit=6, extension_level=1)[0]
         internal = np.flatnonzero(tree.left >= 0)
         assert tree.left[internal].tolist() == (internal + 1).tolist()
         assert np.all(tree.right[internal] > tree.left[internal])
@@ -353,6 +364,11 @@ class TestBuildForest:
         with pytest.raises(ValueError, match="insufficient data"):
             build_forest(data, 5, 256, 1, seed=1)
 
+    def test_rejects_psi_above_data_before_making_room_for_it(self):
+        # a block of 2**60 points would not fit in memory
+        with pytest.raises(ValueError, match="insufficient data"):
+            build_forest(gen_gaussian_blob(100, 2, seed=1), 5, 2**60, 1, seed=1)
+
     def test_rejects_bad_extension(self, blob_2d):
         with pytest.raises(ValueError, match="extension_level"):
             build_forest(blob_2d, 5, 64, 2, seed=1)
@@ -379,6 +395,13 @@ class TestBuildForest:
         with pytest.raises(ValueError, match=r"column 0 spans \[-1e\+308, 1e\+308\]"):
             build_forest(data, 2, 4, 1, seed=1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_training_margin_overflow_is_an_error_not_a_warning(self):
+        # Column 0 spans 1.6e308, a finite width, but (x - p) * n passes the float limit for |n| > 1.1.
+        data = np.array([[-8e307, 0.0], [8e307, 1.0], [0.0, 2.0], [1e307, 3.0]] * 8)
+        with pytest.raises(ValueError, match="a split margin overflowed float64 while training"):
+            build_forest(data, 20, 8, 1, 1)
+
     def test_rejects_an_empty_forest(self):
         with pytest.raises(ValueError, match="forest has no trees"):
             Forest(trees=[], psi=4, extension_level=0, seed=1)
@@ -403,13 +426,24 @@ class TestBuildForest:
         with pytest.raises(error, match=match):
             make()
 
+    @pytest.mark.parametrize("kind", ["level-0", "full", "rotated"])
+    def test_trees_across_a_chunk_boundary_are_a_prefix(self, blob_2d, kind):
+        def build(t):
+            if kind == "rotated":
+                return build_rotated_forest(blob_2d, t, 32, seed=4)
+            return build_forest(blob_2d, t, 32, 0 if kind == "level-0" else 1, seed=4)
+
+        shorter, longer = build(_CHUNK_TREES).trees, build(_CHUNK_TREES + 1).trees[:_CHUNK_TREES]
+        assert [tree_bytes(tree) for tree in longer] == [tree_bytes(tree) for tree in shorter]
+
     def test_tree_build_order_is_irrelevant(self, blob_2d):
         f = build_forest(blob_2d, 8, 128, 1, seed=21)
         root = make_rng(21)
         reversed_trees = [None] * 8
         for i in reversed(range(8)):
             stream = derive_stream(root, i)
-            reversed_trees[i] = _grow(subsample(stream, blob_2d, 128), limit=7, extension_level=1, rng=stream)
+            sample = _columns(subsample(stream, blob_2d, 128))
+            reversed_trees[i] = _grow_trees(sample, [stream], limit=7, extension_level=1)[0]
         g = Forest(trees=reversed_trees, psi=128, extension_level=1, seed=21)
         assert json.dumps(document_oracle(f)) == json.dumps(document_oracle(g))
 
@@ -691,7 +725,7 @@ def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
 @given(seed=st.integers(0, 2**32), dim=st.integers(9, 20), full=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
-    """_grow's node arrays equal the row-major oracle's on wide-scale data
+    """_grow_trees' node arrays equal the row-major oracle's on wide-scale data
     that holds points whose side of the root split depends on the order the
     margin terms are added in (from 9 nonzero normal entries; the points lie
     inside the data's box, so the root draws the same split)."""
@@ -700,10 +734,31 @@ def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
     normal, intercept = sample_hyperplane(data, level, make_rng(seed))
     data = np.vstack([data, knife_edge_points(normal, intercept, data.min(axis=0), data.max(axis=0))])
     limit = height_limit_for(len(data))
-    grown = _grow(data, limit=limit, extension_level=level, rng=make_rng(seed))
+    grown = _grow_trees(_columns(data), [make_rng(seed)], limit=limit, extension_level=level)[0]
     oracle = grow_oracle(data, limit=limit, extension_level=level, rng=make_rng(seed))
     for name in ("normal", "intercept", "left", "right", "size"):
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+@pytest.mark.parametrize("t", [1, _CHUNK_TREES - 1, _CHUNK_TREES, _CHUNK_TREES + 1])
+@pytest.mark.parametrize("kind", ["level-0", "full", "rotated", "duplicates"])
+def test_lockstep_trees_equal_trees_grown_alone(t, kind):
+    """Every tree of a chunked lockstep build equals the one grown alone by
+    the recursive oracle, on either side of a chunk boundary."""
+    data = gen_gaussian_blob(400, 3, seed=t)
+    if kind == "duplicates":
+        data = np.round(data / 2)  # about 30% of the rows are the origin: nodes of copies of one point
+    rotated = kind == "rotated"
+    if rotated:
+        data = data[:, :2]
+    level = 0 if kind in ("level-0", "rotated") else data.shape[1] - 1
+    built = build_rotated_forest(data, t, 32, seed=t) if rotated else build_forest(data, t, 32, level, seed=t)
+    oracle = forest_oracle(data, t, 32, level, seed=t, rotated=rotated)
+    assert [tree_bytes(tree) for tree in built.trees] == [tree_bytes(tree) for tree in oracle.trees]
+    if kind == "duplicates":
+        limit = height_limit_for(32)
+        assert any(tree.size[k] > 1 and depth < limit
+                   for tree in built.trees for k, depth in leaf_depths(tree).items())
 
 
 @pytest.mark.parametrize("source", ["built", "loaded"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from eif import model_io
 from eif.errors import CsvFormatError, ModelFormatError, UnsupportedVersionError
 from eif.evaluation import ConvergenceSeries, LevelSetStats, ScoreGrid
-from eif.forest import Forest, build_forest, build_rotated_forest, height_limit_for, score_batch, tree_from_rows
+from eif.forest import Forest, build_forest, build_rotated_forest, height_limit_for, score_batch
 from eif.model_io import (
     load_forest,
     read_csv,
@@ -29,7 +29,7 @@ from eif.rng import RNG_FAMILY
 from eif.synthetic import gen_gaussian_blob
 from oracles import (
     choose_indices_oracle, document_oracle, grid_csv_oracle, leaf_depths, read_csv_oracle, read_tree_oracle,
-    tree_from_nested,
+    tree_from_nested, tree_from_rows,
 )
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eif.forest import Forest, _grow, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch
+from eif.forest import (
+    Forest, _columns, _grow_trees, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch,
+)
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import document_oracle, rotated_forest_with_angles
@@ -63,7 +65,8 @@ class TestBuildRotatedForest:
             sample = subsample(stream, blob_2d, 128)
             angle = float(stream.uniform(0.0, 2 * math.pi))
             assert tree.angle == angle
-            replayed.append(_grow(_rotate_rows(sample, angle), limit=7, extension_level=0, rng=stream, angle=angle))
+            turned = _columns(_rotate_rows(sample, angle))
+            replayed += _grow_trees(turned, [stream], [angle], limit=7, extension_level=0)
         g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
         assert document_oracle(g) == document_oracle(f)
 
