@@ -32,13 +32,10 @@ from .evaluation import (
 from .forest import (
     Forest,
     IsolationTree,
-    anomaly_score,
     build_forest,
     build_rotated_forest,
     c_factor,
-    expected_depth,
-    harmonic_estimate,
-    path_length,
+    path_lengths,
     sample_hyperplane,
     score_batch,
 )

@@ -28,7 +28,7 @@ from .evaluation import (
     line_levelset_stats,
     score_map,
 )
-from .forest import build_forest, build_rotated_forest
+from .forest import build_forest, build_rotated_forest, score_batch
 from .model_io import (
     load_forest,
     read_csv,
@@ -263,7 +263,7 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     forest = load_forest(args.model)
     data, _ = read_csv(args.data)
-    scores = forest.score(data)
+    scores = score_batch(data, forest)
     write_scores_csv(args.out, range(len(scores)), scores)
     return 0
 
@@ -307,10 +307,10 @@ def _cmd_converge(args) -> int:
 def _cmd_bench(args) -> int:
     forest = load_forest(args.model)
     label_column = args.label_column
-    if label_column.lstrip("-").isdigit():
+    if label_column.removeprefix("-").isdecimal():
         label_column = int(label_column)
     data, labels = read_csv(args.data, label_column=label_column)
-    scores = forest.score(data)
+    scores = score_batch(data, forest)
     print(f"auroc={auroc(scores, labels):.9g} auprc={auprc(scores, labels):.9g}")
     return 0
 

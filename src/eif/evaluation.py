@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import _columns, _path_lengths, _scores_from_depth_totals, as_dataset, build_forest
+from .forest import Forest, _columns, _path_lengths, _scores_from_depth_totals, as_dataset, build_forest, score_batch
 from .rng import _check_count, fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -65,14 +65,14 @@ def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
     return pts
 
 
-def score_map(scorer, x_min, x_max, y_min, y_max, nx: int = 100, ny: int = 100) -> ScoreGrid:
-    """Score the cell centers of an nx-by-ny grid with a 2-D scorer."""
-    if scorer.dimension != 2:
-        raise ValueError(f"score maps need a 2-D scorer, got dimension {scorer.dimension}")
+def score_map(forest: Forest, x_min, x_max, y_min, y_max, nx: int = 100, ny: int = 100) -> ScoreGrid:
+    """Score the cell centers of an nx-by-ny grid with a 2-D forest."""
+    if forest.dimension != 2:
+        raise ValueError(f"score maps need a 2-D scorer, got dimension {forest.dimension}")
     nx, ny = _check_count("nx", nx, 2), _check_count("ny", ny, 2)
     if not (x_min < x_max and y_min < y_max):
         raise ValueError("empty grid bounds")
-    values = scorer.score(grid_points(x_min, x_max, y_min, y_max, nx, ny)).reshape(ny, nx)
+    values = score_batch(grid_points(x_min, x_max, y_min, y_max, nx, ny), forest).reshape(ny, nx)
     return ScoreGrid(
         x_min=float(x_min), x_max=float(x_max),
         y_min=float(y_min), y_max=float(y_max),
@@ -89,10 +89,10 @@ def _population_variance(scores: np.ndarray) -> float:
     return float((d * d).mean())
 
 
-def _levelset_stats(scorer, levels, name: str, n_probe: int, mismatch, seed: int, draw):
+def _levelset_stats(forest: Forest, levels, name: str, n_probe: int, mismatch, seed: int, draw):
     """Score ``draw(level, seed_k)`` for each level k and summarise each set.
 
-    ``mismatch`` is the caller's dimension error, or None when the scorer
+    ``mismatch`` is the caller's dimension error, or None when the forest
     fits its probes; it is raised after the ``levels`` and ``n_probe`` checks.
     """
     levels = list(levels)
@@ -103,28 +103,28 @@ def _levelset_stats(scorer, levels, name: str, n_probe: int, mismatch, seed: int
         raise ValueError(mismatch)
     out = []
     for k, level in enumerate(levels):
-        s = scorer.score(draw(level, fold_seed(seed, k)))
+        s = score_batch(draw(level, fold_seed(seed, k)), forest)
         out.append(LevelSetStats(level=float(level), mean=float(s.mean()),
                                  variance=_population_variance(s), n_probe=n_probe))
     return out
 
 
-def levelset_stats(scorer, radii, n_probe: int, seed: int) -> list[LevelSetStats]:
+def levelset_stats(forest: Forest, radii, n_probe: int, seed: int) -> list[LevelSetStats]:
     """Mean and population variance of scores on spheres of the given radii,
-    in the scorer's dimension.
+    in the forest's dimension.
 
     Probe sets are drawn per radius from seeds folded out of ``seed``.
     """
-    dim = scorer.dimension
+    dim = forest.dimension
     mismatch = None
     if dim < 2:
         mismatch = f"sphere level sets need a scorer of dimension at least 2, got dimension {dim}"
-    return _levelset_stats(scorer, radii, "radii", n_probe, mismatch, seed,
+    return _levelset_stats(forest, radii, "radii", n_probe, mismatch, seed,
                            lambda r, s: gen_sphere_levelset(r, n_probe, dim, seed=s))
 
 
 def line_levelset_stats(
-    scorer,
+    forest: Forest,
     offsets,
     n_probe: int,
     amplitude: float,
@@ -133,9 +133,9 @@ def line_levelset_stats(
 ) -> list[LevelSetStats]:
     """Level-set statistics along offset copies of the sinusoid center curve."""
     mismatch = None
-    if scorer.dimension != 2:
-        mismatch = f"line level sets need a 2-D scorer, got dimension {scorer.dimension}"
-    return _levelset_stats(scorer, offsets, "offsets", n_probe, mismatch, seed,
+    if forest.dimension != 2:
+        mismatch = f"line level sets need a 2-D scorer, got dimension {forest.dimension}"
+    return _levelset_stats(forest, offsets, "offsets", n_probe, mismatch, seed,
                            lambda off, s: gen_line_levelset(off, n_probe, amplitude, x_max, seed=s))
 
 

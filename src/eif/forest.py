@@ -30,9 +30,9 @@ block. Scoring's ``_margins`` adds the terms one at a time; training's
 reduce over a C-contiguous block, which adds its rows in order. A reduce over
 an F-ordered view or along ``axis=1`` must never sum them: numpy sums those
 pairwise, which changes the bits from 9 terms up. ``score_batch`` is the
-only scorer; the single-point functions are 1-row calls of it, so batch
-scoring equals a per-point loop by construction, and replays with an equal
-seed reproduce every output bit-for-bit.
+only scorer, and ``path_lengths`` gives its per-tree terms; a point scores
+the same alone or in any batch, and replays with an equal seed reproduce
+every output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .rng import RngStream, _check_count, _check_integer, choose_indices, derive_stream, make_rng, subsample
 
-#: Euler-Mascheroni constant, at the precision used by the harmonic estimate.
+#: Euler-Mascheroni constant: ``c_factor`` estimates the harmonic number H(i) as ln(i) + EULER_GAMMA.
 EULER_GAMMA = 0.5772156649
 
 TWO_PI = 2.0 * math.pi
@@ -97,11 +97,11 @@ class Forest:
     """Trees plus the settings they were grown with. ``t``, ``dimension`` (the
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
-    Making one checks every model invariant, in ``_check_settings``, here and
-    in ``_check_tree``, so built, loaded and hand-made forests pass the same
-    checks. The settings must be integers, not floats or bools, and are
-    stored as Python ints. It is frozen, with its trees in a tuple, so it
-    stays as checked.
+    Making one checks every model invariant, in ``_check_arrays``,
+    ``_check_settings``, here and in ``_check_tree``, so built, loaded and
+    hand-made forests pass the same checks. The settings must be integers,
+    not floats or bools, and are stored as Python ints. It is frozen, with
+    its trees in a tuple, so it stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -111,6 +111,8 @@ class Forest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trees", tuple(self.trees))
+        for k, tree in enumerate(self.trees):  # tree 0's normal sets the dimension
+            _check_arrays(tree, f"tree {k}", self.dimension if k else None)
         dim = self.dimension if self.trees else 0
         _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim)
         for name, value in (("psi", psi), ("extension_level", level), ("seed", seed)):
@@ -122,8 +124,6 @@ class Forest:
             raise ValueError(f"rotated variant requires extension_level 0, got {level}")
         limit = height_limit_for(self.psi)
         for k, tree in enumerate(self.trees):
-            if tree.normal.shape[1] != dim:
-                raise ValueError(f"tree {k} splits in dimension {tree.normal.shape[1]}, tree 0 in dimension {dim}")
             if (tree.angle is None) != (first.angle is None):
                 raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
                                  "either every tree is rotated or none is")
@@ -148,6 +148,7 @@ class Forest:
         return VARIANT_STANDARD if self.extension_level == 0 else VARIANT_EXTENDED
 
     def score(self, data: np.ndarray) -> np.ndarray:
+        """``score_batch(data, self)``, kept for ``bench/`` until ROADMAP item 2; the package calls that."""
         return score_batch(data, self)
 
 
@@ -171,6 +172,26 @@ def _check_extension_level(extension_level: int, dimension: int) -> None:
     if not 0 <= extension_level <= dimension - 1:
         raise ValueError(f"extension_level must be in [0, {dimension - 1}] for dimension {dimension}, "
                          f"got {extension_level}")
+
+
+def _check_arrays(tree: IsolationTree, where: str, dim: int | None) -> None:
+    """Raise ValueError naming the first node array of ``tree`` of the wrong
+    kind or shape: ``left``, ``right`` and ``size`` 1-D integer arrays of one
+    entry per node, at least one node, and ``normal`` and ``intercept`` 2-D
+    float arrays of one row per node, ``dim`` wide (tree 0: any one width)."""
+    n = len(tree.left) if tree.left.ndim == 1 else 0
+    for name, kind, ndim in (("left", np.integer, 1), ("right", np.integer, 1), ("size", np.integer, 1),
+                             ("normal", np.floating, 2), ("intercept", np.floating, 2)):
+        arr = getattr(tree, name)
+        if not np.issubdtype(arr.dtype, kind):
+            raise ValueError(f"{where} has {name} of dtype {arr.dtype}, expected {kind.__name__} values")
+        if arr.ndim != ndim or len(arr) != n or n == 0:
+            raise ValueError(f"{where} has {name} of shape {arr.shape}, expected {ndim}-D with "
+                             f"{n or 'at least 1'} row(s), one per node")
+    if dim is not None and tree.normal.shape[1] != dim:
+        raise ValueError(f"{where} splits in dimension {tree.normal.shape[1]}, tree 0 in dimension {dim}")
+    if tree.intercept.shape != tree.normal.shape:
+        raise ValueError(f"{where} has intercept of shape {tree.intercept.shape}, expected {tree.normal.shape}")
 
 
 def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
@@ -230,13 +251,6 @@ def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit:
                          else f"{node} has {count} nonzero normal entries, expected {nonzeros}")
 
 
-def harmonic_estimate(i: int) -> float:
-    """ln(i) plus Euler's constant, the usual harmonic-number estimate."""
-    if i < 1:
-        raise ValueError(f"harmonic_estimate requires i >= 1, got {i}")
-    return math.log(i) + EULER_GAMMA
-
-
 def c_factor(n: int) -> float:
     """Average depth of an unsuccessful binary-search-tree search over n points.
 
@@ -247,7 +261,7 @@ def c_factor(n: int) -> float:
         return 0.0
     if n == 2:
         return 1.0
-    return 2.0 * harmonic_estimate(n - 1) - 2.0 * (n - 1) / n
+    return 2.0 * (math.log(n - 1) + EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
 def as_dataset(data, name: str = "data") -> np.ndarray:
@@ -591,48 +605,36 @@ def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
     return out
 
 
-def _one_row(x, dimension: int) -> np.ndarray:
-    """A single point as a finite (1, dimension) array; errors name it ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != dimension:
-        raise ValueError(f"dimension mismatch: point shape {x.shape}, dimension is {dimension}")
-    row = x[np.newaxis, :]
-    _require_finite(row, "x")
-    return row
-
-
-def path_length(x, tree: IsolationTree) -> float:
-    """Depth at which x lands, plus c(size) credit for the leaf population."""
-    return float(_path_lengths(_columns(_one_row(x, tree.normal.shape[1])), tree)[0])
-
-
-def expected_depth(x, forest: Forest) -> float:
-    """Mean path length over all trees (summed in tree order)."""
-    return float(_depth_totals(_one_row(x, forest.dimension), forest)[0]) / forest.t
-
-
-def anomaly_score(x, forest: Forest) -> float:
-    """2 ** (-expected_depth / c(psi)); near 1 is anomalous, near 0.5 nominal."""
-    return float(score_batch(_one_row(x, forest.dimension), forest)[0])
-
-
 def score_batch(data, forest: Forest) -> np.ndarray:
-    """Scores for every row, order preserved."""
+    """Scores for every row, order preserved: 2 ** (-E[h(x)] / c(psi)), with E[h(x)]
+    the mean of the row's ``path_lengths``; near 1 is anomalous, near 0.5 nominal."""
     total = _depth_totals(data, forest)
     return _scores_from_depth_totals(total, forest.t, forest.normalizer)
 
 
-def _depth_totals(data, forest: Forest) -> np.ndarray:
-    """Per-row path lengths summed over the trees in tree order. The rows
-    are transposed once, into the block every tree reads."""
+def path_lengths(data, forest: Forest) -> np.ndarray:
+    """(rows, t) path lengths: entry [i, k] is the depth at which row i lands in
+    tree k plus its leaf's c(size) credit, the terms ``score_batch`` sums in tree order."""
+    xt = _query_columns(data, forest)
+    out = np.empty((xt.shape[1], forest.t))
+    for k, tree in enumerate(forest.trees):
+        out[:, k] = _path_lengths(xt, tree)
+    return out
+
+
+def _query_columns(data, forest: Forest) -> np.ndarray:
+    """Query rows, checked as finite and of the forest's dimension, as the block every tree reads."""
     x = as_dataset(data)
     if x.shape[1] != forest.dimension:
-        raise ValueError(
-            f"dimension mismatch: data has {x.shape[1]} columns, "
-            f"forest dimension is {forest.dimension}"
-        )
-    xt = _columns(x)
-    total = np.zeros(x.shape[0])
+        raise ValueError(f"dimension mismatch: data has {x.shape[1]} columns, forest dimension is {forest.dimension}")
+    return _columns(x)
+
+
+def _depth_totals(data, forest: Forest) -> np.ndarray:
+    """Per-row path lengths added tree by tree, in tree order, into one (rows,)
+    vector: no (rows, t) matrix is held, and no reduce reorders the sum."""
+    xt = _query_columns(data, forest)
+    total = np.zeros(xt.shape[1])
     for tree in forest.trees:
         total += _path_lengths(xt, tree)
     return total

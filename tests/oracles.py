@@ -363,24 +363,30 @@ def leaf_depths(tree):
     return depths
 
 
+def path_length_oracle(x, tree):
+    """One point's path length in one tree by a scalar walk over its node
+    arrays: Python floats, each margin accumulated in coordinate order, then
+    the leaf's c(size) credit."""
+    p = [float(v) for v in x]
+    if tree.angle is not None:
+        c, s = math.cos(tree.angle), math.sin(tree.angle)
+        p = [p[0] * c - p[1] * s, p[0] * s + p[1] * c]
+    k, depth = 0, 0
+    while tree.left[k] >= 0:
+        margin = 0.0
+        for d in range(len(p)):
+            margin += (p[d] - float(tree.intercept[k, d])) * float(tree.normal[k, d])
+        k = int(tree.left[k] if margin <= 0.0 else tree.right[k])
+        depth += 1
+    return depth + c_factor(int(tree.size[k]))
+
+
 def score_oracle(x, forest):
-    """One point's score by a scalar walk over each tree's node arrays:
-    Python floats, each margin accumulated in coordinate order, per-tree
-    depths summed in tree order."""
+    """One point's score from its ``path_length_oracle`` in each tree,
+    summed in tree order."""
     total = 0.0
     for tree in forest.trees:
-        p = [float(v) for v in x]
-        if tree.angle is not None:
-            c, s = math.cos(tree.angle), math.sin(tree.angle)
-            p = [p[0] * c - p[1] * s, p[0] * s + p[1] * c]
-        k, depth = 0, 0
-        while tree.left[k] >= 0:
-            margin = 0.0
-            for d in range(len(p)):
-                margin += (p[d] - float(tree.intercept[k, d])) * float(tree.normal[k, d])
-            k = int(tree.left[k] if margin <= 0.0 else tree.right[k])
-            depth += 1
-        total += depth + c_factor(int(tree.size[k]))
+        total += path_length_oracle(x, tree)
     return 2.0 ** (-(total / forest.t) / forest.normalizer)
 
 

@@ -16,7 +16,6 @@ from eif.cli import run as cli_run
 from eif.evaluation import auprc, auroc, convergence_curve, levelset_stats
 from eif.forest import (
     Forest,
-    anomaly_score,
     build_forest,
     c_factor,
     height_limit_for,
@@ -44,7 +43,7 @@ def test_criterion_1_formula_unit_suite():
     ok_c = abs(c_factor(256) - 10.24477) < 1e-5
     # a single root leaf of size psi gives every point depth c(psi) exactly
     stub = Forest(trees=[tree_from_nested(256, dimension=2)], psi=256, extension_level=1, seed=0)
-    ok_score = anomaly_score(np.zeros(2), stub) == 0.5
+    ok_score = score_batch(np.zeros((1, 2)), stub)[0] == 0.5
     ok_limit = height_limit_for(256) == 8
     elapsed = time.perf_counter() - start
     report(1, ok_c and ok_score and ok_limit and elapsed < 1.0,

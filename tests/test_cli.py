@@ -356,6 +356,17 @@ class TestBench:
                               "--data", str(labeled), "--label-column", "label")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["²", "--1"])
+    def test_label_column_name_that_int_rejects(self, tmp_path, model_json, capsys, name):
+        # "²" is a digit to str.isdigit, and "--1" is digits once every "-" is
+        # stripped, but int() takes neither: each names a header column
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text(f"x0,x1,{name}\n0,0,0\n5,5,1\n0.1,0,0\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "bench", "--model", str(model_json),
+                                "--data", str(labeled), f"--label-column={name}")
+        assert (code, err) == (0, "")
+        assert out.startswith("auroc=")
+
     def test_header_wider_than_rows_is_data_error(self, tmp_path, model_json, capsys):
         labeled = tmp_path / "labeled.csv"
         labeled.write_text("x,y,label\n0,0\n1,1\n")

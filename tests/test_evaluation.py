@@ -13,7 +13,7 @@ from eif.evaluation import (
     line_levelset_stats,
     score_map,
 )
-from eif.forest import anomaly_score, build_forest, build_rotated_forest, score_batch
+from eif.forest import build_forest, build_rotated_forest, score_batch
 from eif.rng import make_rng
 from eif.synthetic import gen_double_blob, gen_gaussian_blob
 from oracles import (
@@ -117,7 +117,7 @@ class TestScoreMap:
         assert grid.values.shape == (2, 2)
         for j, y in enumerate([-1.0, 1.0]):
             for i, x in enumerate([-1.0, 1.0]):
-                assert grid.values[j, i] == anomaly_score(np.array([x, y]), small_forest)
+                assert grid.values[j, i] == score_batch(np.array([[x, y]]), small_forest)[0]
 
     def test_grid_points_walk_x_fastest(self):
         pts = grid_points(0.0, 2.0, 0.0, 4.0, 2, 2)
@@ -133,10 +133,10 @@ class TestScoreMap:
         train = gen_double_blob(1000, seed=17)
         f0 = build_forest(train, 100, 256, 0, seed=17)
         f1 = build_forest(train, 100, 256, 1, seed=17)
-        origin = np.array([0.0, 0.0])
-        cluster = np.array([0.0, 10.0])
-        assert anomaly_score(origin, f1) > anomaly_score(cluster, f1)
-        assert anomaly_score(origin, f1) > anomaly_score(origin, f0)
+        origin = np.array([[0.0, 0.0]])
+        cluster = np.array([[0.0, 10.0]])
+        assert score_batch(origin, f1)[0] > score_batch(cluster, f1)[0]
+        assert score_batch(origin, f1)[0] > score_batch(origin, f0)[0]
 
     def test_rejects_non_2d_scorer(self):
         data = gen_gaussian_blob(300, 3, seed=4)

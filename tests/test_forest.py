@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -14,18 +15,16 @@ from eif.forest import (
     Forest,
     IsolationTree,
     _columns,
+    _depth_totals,
     _draw_split,
     _grow_trees,
     _margins,
     _split_margins,
-    anomaly_score,
     build_forest,
     build_rotated_forest,
     c_factor,
-    expected_depth,
-    harmonic_estimate,
     height_limit_for,
-    path_length,
+    path_lengths,
     sample_hyperplane,
     score_batch,
 )
@@ -34,7 +33,7 @@ from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import (
     bounded_integer, document_oracle, draw_split_oracle, forest_oracle, grow_oracle, knife_edge_points, leaf_depths,
-    score_oracle, tree_from_nested,
+    path_length_oracle, score_oracle, tree_from_nested,
 )
 
 EULER = 0.5772156649
@@ -46,20 +45,19 @@ def wide_scales(dim):
 
 
 class TestCFactorFormulas:
-    def test_harmonic_estimate_at_one_is_eulers_constant(self):
-        assert harmonic_estimate(1) == pytest.approx(EULER, abs=1e-12)
-
     def test_harmonic_estimate_255(self):
-        # ln(255) + 0.5772156649
-        assert harmonic_estimate(255) == pytest.approx(6.1184789, abs=1e-6)
+        # c(256) = 2 H(255) - 2 * 255 / 256, with H(255) estimated as ln(255) + 0.5772156649
+        assert (c_factor(256) + 2.0 * 255 / 256) / 2.0 == pytest.approx(6.1184789, abs=1e-6)
 
     def test_harmonic_estimate_monotone(self):
-        values = [harmonic_estimate(i) for i in range(1, 10_001)]
+        values = [c_factor(n) for n in range(1, 10_002)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_harmonic_estimate_rejects_zero(self):
-        with pytest.raises(ValueError):
-            harmonic_estimate(0)
+    def test_c_factor_bits_are_the_harmonic_formula_in_its_order(self):
+        # 2 (ln(n - 1) + gamma) - 2 (n - 1) / n, evaluated in this order, for
+        # every n past the exact small cases: each leaf credit keeps its bits.
+        for n in range(3, 10_001):
+            assert c_factor(n).hex() == (2.0 * (math.log(n - 1) + EULER) - 2.0 * (n - 1) / n).hex(), n
 
     def test_c_factor_small_n(self):
         assert c_factor(0) == 0.0
@@ -334,6 +332,27 @@ _REJECTED = [
      AttributeError, "cannot assign to field 'trees'"),
     ("replace-rechecks", lambda: dataclasses.replace(forest_of(two_leaves()), extension_level=0),
      ValueError, "node 0 of tree 0 has 2 nonzero normal entries, expected 1"),
+    # node arrays that disagree in kind or shape; each used to pass, or fail with a numpy error naming no tree
+    ("intercept-one-column", lambda: forest_of(dataclasses.replace(two_leaves(), intercept=np.zeros((3, 1)))),
+     ValueError, r"^tree 0 has intercept of shape \(3, 1\), expected \(3, 2\)$"),
+    ("normal-one-row", lambda: forest_of(dataclasses.replace(two_leaves(), normal=np.ones((1, 2)))),
+     ValueError, r"^tree 0 has normal of shape \(1, 2\), expected 2-D with 3 row\(s\), one per node$"),
+    ("right-one-entry", lambda: forest_of(dataclasses.replace(two_leaves(), right=np.array([2]))),
+     ValueError, r"^tree 0 has right of shape \(1,\), expected 1-D with 3 row\(s\), one per node$"),
+    ("normal-1-d", lambda: forest_of(dataclasses.replace(two_leaves(), normal=np.ones(3))),
+     ValueError, r"^tree 0 has normal of shape \(3,\), expected 2-D with 3 row\(s\), one per node$"),
+    ("intercept-1-d", lambda: forest_of(dataclasses.replace(two_leaves(), intercept=np.zeros(3))),
+     ValueError, r"^tree 0 has intercept of shape \(3,\), expected 2-D with 3 row\(s\), one per node$"),
+    ("left-float", lambda: forest_of(dataclasses.replace(two_leaves(), left=np.array([1.0, -1.0, -1.0]))),
+     ValueError, r"^tree 0 has left of dtype float64, expected integer values$"),
+    ("second-tree-normal-1-d",
+     lambda: Forest(trees=[two_leaves(), dataclasses.replace(two_leaves(), normal=np.ones(3))], psi=2,
+                    extension_level=1, seed=0),
+     ValueError, r"^tree 1 has normal of shape \(3,\), expected 2-D with 3 row\(s\), one per node$"),
+    ("no-nodes", lambda: forest_of(IsolationTree(normal=np.zeros((0, 2)), intercept=np.zeros((0, 2)),
+                                                 left=np.zeros(0, dtype=np.int64), right=np.zeros(0, dtype=np.int64),
+                                                 size=np.zeros(0, dtype=np.int64))),
+     ValueError, r"^tree 0 has left of shape \(0,\), expected 1-D with at least 1 row\(s\), one per node$"),
 ]
 
 
@@ -448,55 +467,52 @@ class TestBuildForest:
         assert json.dumps(document_oracle(f)) == json.dumps(document_oracle(g))
 
 
+def mean_path_length(x, forest):
+    """E[h(x)] of each row, as ``score_batch`` forms it from the tree-order sum."""
+    return _depth_totals(x, forest) / forest.t
+
+
 class TestPathLengthAndScore:
     def test_root_leaf_path(self):
-        tree = tree_from_nested(1, dimension=1)
-        assert path_length(np.array([1.0]), tree) == 0.0
+        # depth 0 plus the credit of a root leaf holding the whole sample
+        forest = forest_of(tree_from_nested(2, dimension=1), extension_level=0)
+        assert path_lengths(np.array([[1.0]]), forest)[0, 0] == 0.0 + c_factor(2)
 
     def test_depth_one_both_leaves(self):
-        tree = tree_from_nested(([1.0], [0.0], 1, 1))
-        assert path_length(np.array([-3.0]), tree) == 1.0
-        assert path_length(np.array([3.0]), tree) == 1.0
+        forest = forest_of(tree_from_nested(([1.0], [0.0], 1, 1)), extension_level=0)
+        assert path_lengths(np.array([[-3.0], [3.0]]), forest).tolist() == [[1.0], [1.0]]
 
     def test_leaf_credit_uses_c_factor(self):
-        # depth-8 chain ending in a size-10 leaf
+        # depth-8 chain ending in a size-10 leaf; psi 129 has height limit 8
         node = 10
-        for _ in range(8):
-            node = ([1.0], [1e9], node, 0)
-        tree = tree_from_nested(node)
+        for right in [0] * 7 + [119]:
+            node = ([1.0], [1e9], node, right)
+        forest = forest_of(tree_from_nested(node), psi=129, extension_level=0)
         expected = 8 + c_factor(10)
-        assert path_length(np.array([0.0]), tree) == pytest.approx(expected, abs=1e-12)
+        assert path_lengths(np.array([[0.0]]), forest)[0, 0] == pytest.approx(expected, abs=1e-12)
         assert c_factor(10) == pytest.approx(3.7489, abs=1e-4)
 
     def test_path_length_dimension_mismatch(self, small_forest):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            path_length(np.zeros(3), small_forest.trees[0])
+            path_lengths(np.zeros((1, 3)), small_forest)
 
     def test_root_leaf_tree_still_checks_dimension(self):
-        tree = tree_from_nested(256, dimension=2)
-        with pytest.raises(ValueError, match=r"dimension mismatch: point shape \(5,\), dimension is 2"):
-            path_length(np.zeros(5), tree)
-
-    @pytest.mark.parametrize("measure", [
-        lambda x, f: path_length(x, f.trees[0]), expected_depth, anomaly_score,
-    ], ids=["path_length", "expected_depth", "anomaly_score"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_single_point_names_x_when_not_finite(self, small_forest, measure, bad):
-        with pytest.raises(ValueError, match=rf"^x contains non-finite value {bad} at row 0, column 1$"):
-            measure(np.array([0.5, bad]), small_forest)
+        forest = forest_of(tree_from_nested(256, dimension=2), psi=256)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: data has 5 columns, forest dimension is 2$"):
+            path_lengths(np.zeros((1, 5)), forest)
 
     def test_single_tree_forest_mean(self, blob_2d):
         f = build_forest(blob_2d, 1, 64, 1, seed=2)
-        x = np.array([0.5, -0.5])
-        assert expected_depth(x, f) == path_length(x, f.trees[0])
+        x = np.array([[0.5, -0.5]])
+        assert mean_path_length(x, f)[0] == path_lengths(x, f)[0, 0]
 
     def test_expected_depth_is_mean_and_order_free(self, small_forest):
-        x = np.array([1.0, 1.0])
-        per_tree = [path_length(x, t) for t in small_forest.trees]
-        assert expected_depth(x, small_forest) == pytest.approx(np.mean(per_tree), rel=1e-15)
+        x = np.array([[1.0, 1.0]])
+        per_tree = path_lengths(x, small_forest)[0]
+        assert mean_path_length(x, small_forest)[0] == pytest.approx(np.mean(per_tree), rel=1e-15)
         shuffled = dataclasses.replace(small_forest, trees=tuple(reversed(small_forest.trees)))
-        assert expected_depth(x, shuffled) == pytest.approx(
-            expected_depth(x, small_forest), rel=1e-12
+        assert mean_path_length(x, shuffled)[0] == pytest.approx(
+            mean_path_length(x, small_forest)[0], rel=1e-12
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -517,9 +533,7 @@ class TestPathLengthAndScore:
             measure(data, np.array([[1e308, 1e308], [1e308, -1e308]]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("measure", [
-        lambda x, f: score_batch(x, f), lambda x, f: path_length(x[0], f.trees[0]),
-    ], ids=["score_batch", "path_length"])
+    @pytest.mark.parametrize("measure", [score_batch, path_lengths], ids=["score_batch", "path_lengths"])
     def test_opposite_infinite_terms_do_not_route_by_a_nan_margin(self, measure):
         # (2, -2) lies exactly on the split, but each term overflows: +inf + -inf
         # is NaN, and NaN <= 0 is false, which would send the point right.
@@ -554,12 +568,12 @@ class TestScoreBatch:
 
     def test_single_row_matches_pointwise(self, small_forest):
         x = np.array([0.3, 1.8])
-        assert score_batch(x[np.newaxis, :], small_forest)[0] == anomaly_score(x, small_forest)
+        assert score_batch(x[np.newaxis, :], small_forest)[0] == score_oracle(x, small_forest)
 
     def test_batch_equals_loop_bitwise(self, small_forest, blob_2d):
         pts = blob_2d[:100]
         batch = score_batch(pts, small_forest)
-        loop = np.array([anomaly_score(p, small_forest) for p in pts])
+        loop = np.array([score_batch(p[np.newaxis, :], small_forest)[0] for p in pts])
         assert np.array_equal(batch, loop)
 
     def test_dimension_mismatch(self, small_forest):
@@ -576,6 +590,46 @@ class TestScoreBatch:
     def test_scores_within_open_unit_interval(self, small_forest, blob_2d):
         s = score_batch(blob_2d, small_forest)
         assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+class TestPathLengths:
+    @pytest.fixture(scope="class", params=["level-0", "full", "rotated"])
+    def forest_and_probes(self, request, blob_2d):
+        if request.param == "rotated":
+            forest = build_rotated_forest(blob_2d, 12, 64, seed=8)
+        else:
+            forest = build_forest(blob_2d, 12, 64, 0 if request.param == "level-0" else 1, seed=8)
+        probes = np.vstack([blob_2d[:40], 3.0 * blob_2d[40:50], [tree.intercept[0] for tree in forest.trees]])
+        return forest, probes
+
+    def test_columns_equal_the_scalar_oracle_bitwise(self, forest_and_probes):
+        forest, probes = forest_and_probes
+        lengths = path_lengths(probes, forest)
+        assert lengths.shape == (len(probes), forest.t) and lengths.dtype == np.float64
+        for k, tree in enumerate(forest.trees):
+            assert [v.hex() for v in lengths[:, k].tolist()] == [path_length_oracle(p, tree).hex() for p in probes]
+
+    def test_columns_added_in_tree_order_are_the_depth_totals(self, forest_and_probes):
+        forest, probes = forest_and_probes
+        lengths = path_lengths(probes, forest)
+        total = np.zeros(len(probes))
+        for k in range(forest.t):
+            total += lengths[:, k]
+        assert total.tobytes() == _depth_totals(probes, forest).tobytes()
+
+    def test_empty_input(self, small_forest):
+        out = path_lengths(np.empty((0, 2)), small_forest)
+        assert out.shape == (0, small_forest.t) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("data", [
+        np.zeros((4, 3)), np.empty((0, 3)), np.array([[0.0, np.nan]]), np.array([[0.0, 1.0], [-np.inf, 0.0]]),
+        np.zeros(2), np.zeros((2, 0)),
+    ], ids=["wrong-width", "empty-wrong-width", "nan", "minus-inf", "1-d", "no-columns"])
+    def test_input_errors_are_worded_as_score_batch_words_them(self, small_forest, data):
+        with pytest.raises(ValueError) as scored:
+            score_batch(data, small_forest)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scored.value))}$"):
+            path_lengths(data, small_forest)
 
 
 def route_and_check(tree, sample, height_limit):

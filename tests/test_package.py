@@ -1,11 +1,14 @@
+import importlib
 import math
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eif
+from eif.cli import main
 from eif.rng import fold_seed
 
 DATA = eif.gen_gaussian_blob(16, 2, seed=1)
@@ -42,8 +45,8 @@ INTEGER_ARGUMENTS = [pytest.param(argument, call, id=id) for id, argument, call 
 
 
 def test_all_lists_only_public_names_not_modules():
-    assert len(eif.__all__) == 39
-    assert len(set(eif.__all__)) == 39
+    assert len(eif.__all__) == 36
+    assert len(set(eif.__all__)) == 36
     for name in eif.__all__:
         assert not isinstance(getattr(eif, name), types.ModuleType), name
 
@@ -61,3 +64,11 @@ def test_integer_arguments_take_integers_only(argument, call, small_forest, tmp_
             call(value, c)
         assert c.rng.random(4).tobytes() == eif.make_rng(1).random(4).tobytes()
     call(np.int64(3), fresh())
+
+
+def test_pyproject_states_the_version_and_the_console_script():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["version"] == eif.__version__
+    module, _, name = project["scripts"]["eif"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

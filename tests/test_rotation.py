@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import (
-    Forest, _columns, _grow_trees, _rotate_rows, anomaly_score, build_forest, build_rotated_forest, score_batch,
+    Forest, _columns, _grow_trees, _rotate_rows, build_forest, build_rotated_forest, score_batch,
 )
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
@@ -94,19 +94,19 @@ class TestRotatedScoring:
         f = build_rotated_forest(blob_2d, 20, 128, seed=5)
         pts = blob_2d[:40]
         batch = score_batch(pts, f)
-        loop = np.array([anomaly_score(p, f) for p in pts])
+        loop = np.array([score_batch(p[np.newaxis, :], f)[0] for p in pts])
         assert np.array_equal(batch, loop)
 
     def test_tree_order_invariance(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=6)
         g = dataclasses.replace(f, trees=list(reversed(f.trees)))
-        x = np.array([2.0, -1.0])
-        assert anomaly_score(x, f) == pytest.approx(anomaly_score(x, g), rel=1e-14)
+        x = np.array([[2.0, -1.0]])
+        assert score_batch(x, f)[0] == pytest.approx(score_batch(x, g)[0], rel=1e-14)
 
     def test_dimension_mismatch(self, blob_2d):
         f = build_rotated_forest(blob_2d, 4, 64, seed=6)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            anomaly_score(np.zeros(3), f)
+            score_batch(np.zeros((1, 3)), f)
 
     def test_far_point_outscores_center(self):
         # statistical: averaged over ten seeds on a centered blob
@@ -115,7 +115,7 @@ class TestRotatedScoring:
             train = gen_gaussian_blob(1000, 2, seed=seed)
             f = build_rotated_forest(train, 50, 256, seed=seed)
             diffs.append(
-                anomaly_score(np.array([4.0, 4.0]), f) - anomaly_score(np.array([0.0, 0.0]), f)
+                score_batch(np.array([[4.0, 4.0]]), f)[0] - score_batch(np.array([[0.0, 0.0]]), f)[0]
             )
         assert np.mean(diffs) > 0
 
