@@ -18,9 +18,10 @@ search tree of n points.
 
 Training grows the trees of a forest in lockstep, a chunk of them at a time
 (``_grow_trees``): each step makes one numpy pass over the next node of every
-tree, while each node still draws its split from its own tree's stream, in
-the tree's preorder. So a tree is the same grown alone or with others, and
-the forest is the same for any chunk size.
+tree, and draws the step's splits together (``_draw_splits``), each node's
+from its own tree's stream, in the tree's preorder. So a tree is the same
+grown alone or with others, and the forest is the same for any chunk size.
+``Forest`` checks the trees it is given a chunk at a time as well.
 
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
@@ -43,18 +44,18 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import RngStream, _check_count, _check_integer, choose_indices, derive_stream, make_rng, subsample
+from .rng import RngStream, _check_count, _check_integer, derive_stream, make_rng, subsample
 
 #: Euler-Mascheroni constant: ``c_factor`` estimates the harmonic number H(i) as ln(i) + EULER_GAMMA.
 EULER_GAMMA = 0.5772156649
 
 TWO_PI = 2.0 * math.pi
 
-#: Trees that ``_build_forest`` grows in lockstep at a time. The block of
-#: their points, and its per-step copies, grow with it; fewer trees share
-#: each step's numpy calls among fewer nodes. In paired benchmark runs of
-#: 500 level-0 trees at 8-D, 50 and 200 were slower than 100, and 200 held
-#: 3 MB more at its peak.
+#: Trees that ``_build_forest`` grows in lockstep at a time, and that
+#: ``Forest`` checks in one pass. The block of their points, and its per-step
+#: copies, grow with it; fewer trees share each step's numpy calls among
+#: fewer nodes. In paired benchmark runs of 500 level-0 trees at 8-D, 50 and
+#: 200 were slower than 100, and 200 held 3 MB more at its peak.
 _CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
@@ -73,9 +74,9 @@ class IsolationTree:
     rotated-baseline trees only. A grown tree is in preorder (an internal
     node k has its left child at k + 1); a loaded one keeps the file's order.
 
-    It is frozen and holds read-only views of the arrays it is given, so a
-    tree a Forest has checked stays as checked; the caller's arrays keep
-    their own flags.
+    It is frozen and holds read-only views of the arrays it is given (of
+    ``np.asarray`` of anything else), so a tree a Forest has checked stays as
+    checked; the caller's arrays keep their own flags.
     """
 
     normal: np.ndarray
@@ -87,7 +88,7 @@ class IsolationTree:
 
     def __post_init__(self) -> None:
         for name in ("normal", "intercept", "left", "right", "size"):
-            view = getattr(self, name).view()
+            view = np.asarray(getattr(self, name)).view()  # an ndarray is not copied
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
@@ -99,9 +100,11 @@ class Forest:
 
     Making one checks every model invariant, in ``_check_arrays``,
     ``_check_settings``, here and in ``_check_tree``, so built, loaded and
-    hand-made forests pass the same checks. The settings must be integers,
-    not floats or bools, and are stored as Python ints. It is frozen, with
-    its trees in a tuple, so it stays as checked.
+    hand-made forests pass the same checks. The tree checks run over
+    ``_CHUNK_TREES`` trees per pass (``_chunk_passes``); only a chunk that
+    fails is walked tree by tree, which names the first fault. The settings
+    must be integers, not floats or bools, and are stored as Python ints.
+    It is frozen, with its trees in a tuple, so it stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -123,11 +126,15 @@ class Forest:
         if self.variant == VARIANT_ROTATED and level != 0:
             raise ValueError(f"rotated variant requires extension_level 0, got {level}")
         limit = height_limit_for(self.psi)
-        for k, tree in enumerate(self.trees):
-            if (tree.angle is None) != (first.angle is None):
-                raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
-                                 "either every tree is rotated or none is")
-            _check_tree(tree, f"tree {k}", self.psi, level + 1, limit)
+        for start in range(0, self.t, _CHUNK_TREES):
+            chunk = self.trees[start:start + _CHUNK_TREES]
+            if _chunk_passes(chunk, first.angle is not None, self.psi, level + 1, limit):
+                continue
+            for k, tree in enumerate(chunk, start):  # find and name the first fault
+                if (tree.angle is None) != (first.angle is None):
+                    raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
+                                     "either every tree is rotated or none is")
+                _check_tree(tree, f"tree {k}", self.psi, level + 1, limit)
 
     @property
     def t(self) -> int:
@@ -251,6 +258,61 @@ def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit:
                          else f"{node} has {count} nonzero normal entries, expected {nonzeros}")
 
 
+def _chunk_passes(trees, rotated: bool, psi: int, nonzeros: int, limit: int) -> bool:
+    """True only if every tree in ``trees`` would pass the angle-mix test and
+    ``_check_tree``; False sends the caller to find the fault tree by tree.
+
+    The checks run over the chunk at once, on its trees' index arrays joined
+    end to end, with child indices offset into global node ids: the child
+    ranges, the level-by-level walk from every root together, and the leaf
+    mass per tree by ``np.add.reduceat``. The split vectors are each tree's
+    own internal rows, so no (nodes, dimension) array of many trees is made.
+    What the joined arrays cannot hold exactly, index arrays that do not join
+    as int64 or leaf masses that could wrap int64, and angles that are not
+    floats, are left to the tree-by-tree checks."""
+    if any((tree.angle is not None) != rotated for tree in trees):
+        return False
+    if rotated and not all(type(tree.angle) is float and math.isfinite(tree.angle) for tree in trees):
+        return False
+    lens = [len(tree.left) for tree in trees]
+    total = sum(lens)
+    if psi * total >= 2**63:  # leaf sizes of at most psi could sum beyond int64
+        return False
+    left, right, size = (np.concatenate([getattr(tree, name) for tree in trees])
+                         for name in ("left", "right", "size"))
+    if not left.dtype == right.dtype == size.dtype == np.int64:
+        return False
+    roots = np.cumsum([0] + lens[:-1])
+    base, tree_nodes = np.repeat(roots, lens), np.repeat(lens, lens)
+    inner = np.flatnonzero(left >= 0)
+    lo, hi, n = left[inner], right[inner], tree_nodes[inner]
+    if not ((hi >= 0) & (lo < n) & (hi < n) & (lo != hi)).all():
+        return False
+
+    down = np.full((2, total), -1, dtype=np.int64)  # global ids of each internal node's children
+    down[:, inner] = lo + base[inner], hi + base[inner]
+    visits = np.zeros(total, dtype=np.int64)
+    frontier, depth = roots, 0
+    while frontier.size:
+        visits += np.bincount(frontier, minlength=total)
+        if depth > limit or (visits[frontier] > 1).any():
+            return False
+        frontier, depth = down[:, frontier[down[0, frontier] >= 0]].ravel(), depth + 1
+    if not visits.all():
+        return False
+
+    mass = np.where(left < 0, size, 0)
+    if not ((mass >= 0) & (mass <= psi)).all() or not (np.add.reduceat(mass, roots) == psi).all():
+        return False
+    counts = []
+    for tree, split in zip(trees, np.split(left >= 0, roots[1:].tolist())):
+        normal, intercept = tree.normal[split], tree.intercept[split]
+        if not (np.isfinite(normal).all() and np.isfinite(intercept).all()):
+            return False
+        counts.append(np.count_nonzero(normal, axis=1))
+    return bool((np.concatenate(counts) == nonzeros).all())
+
+
 def c_factor(n: int) -> float:
     """Average depth of an unsuccessful binary-search-tree search over n points.
 
@@ -317,7 +379,7 @@ def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
 
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Draw one split ``(normal, intercept)`` for the points at a node, as
-    training draws each node's split (see ``_draw_split``). The points must
+    training draws each node's split (see ``_draw_splits``). The points must
     be finite, each column's range must have a finite width, and
     ``extension_level`` must be an integer in [0, dimension - 1]; nothing is
     drawn otherwise."""
@@ -330,37 +392,47 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
-    return _draw_split(rng, dim, dim - 1 - level, lo, hi - lo)
+    normal, intercept = _draw_splits([rng], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
+    return normal[0], intercept[0]
 
 
-def _draw_split(rng: RngStream, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarray):
-    """Draw one split's normal and intercept for points spanning [lo, lo + span].
+def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarray):
+    """Draw one split per stream: row r of the returned ``(normal,
+    intercept)``, each ``(len(streams), dim)``, is the split of node r, whose
+    points span [lo, lo + span] in column r of the ``(dim, nodes)`` arrays
+    ``lo`` and ``span``. Each kind of draw runs over every stream in turn, so
+    no stream may appear twice: it would interleave two nodes' draws.
 
-    Normal coordinates come from N(0, 1); then ``n_zero`` of them, chosen
-    uniformly without replacement, are zeroed. If the surviving coordinates
-    all happen to be exactly zero the survivors are redrawn. The intercept
-    is ``lo + span * u`` with span = hi - lo and u = ``rng.random(dim)``,
-    which is the formula and the draws of numpy's ``Generator.uniform(lo,
-    hi)``, so it equals that call bit for bit, leaves the stream where that
-    call does, and gives lo exactly where lo == hi. Every coordinate is
-    drawn, also under a zeroed normal entry, where it is inert, so stream
-    consumption is fixed. The caller checks that the span is finite: the
-    formula would not fail on an overflowing one.
+    Per node, normal coordinates come from N(0, 1); then ``n_zero`` of them,
+    chosen uniformly without replacement, are zeroed. If the surviving
+    coordinates all happen to be exactly zero the survivors are redrawn. The
+    intercept is ``lo + span * u`` with span = hi - lo and u =
+    ``stream.random(dim)``, which is the formula and the draws of numpy's
+    ``Generator.uniform(lo, hi)``, so it equals that call bit for bit, leaves
+    the stream where that call does, and gives lo exactly where lo == hi.
+    Every coordinate is drawn, also under a zeroed normal entry, where it is
+    inert, so stream consumption is fixed. The caller checks that the span is
+    finite: the formula would not fail on an overflowing one.
 
     Draw order (normal, zero choice, redraws, intercept) is part of the
-    reproducibility contract.
+    reproducibility contract. The zeroing, the all-zero test and the
+    intercept formula each run once over every row.
     """
-    normal = rng.standard_normal(dim)
+    normal, u = np.empty((len(streams), dim)), np.empty((len(streams), dim))
+    for stream, row in zip(streams, normal):
+        stream.standard_normal(out=row)
     if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
-        zeroed = choose_indices(rng, dim, n_zero)
-        normal[zeroed] = 0.0
-    if not normal.any():  # the survivors all drew exactly 0.0: redraw them
+        zeroed = [stream._fisher_yates(dim, n_zero) for stream in streams]
+        normal[np.repeat(np.arange(len(streams)), n_zero), list(chain.from_iterable(zeroed))] = 0.0
+    for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the survivors all drew exactly 0.0: redraw them
         keep = np.ones(dim, dtype=bool)
         if n_zero:
-            keep[zeroed] = False
-        while not normal.any():
-            normal[keep] = rng.standard_normal(dim - n_zero)
-    return normal, lo + span * rng.random(dim)
+            keep[zeroed[r]] = False
+        while not normal[r].any():
+            normal[r, keep] = streams[r].standard_normal(dim - n_zero)
+    for stream, row in zip(streams, u):
+        stream.random(out=row)
+    return normal, lo.T + span.T * u
 
 
 def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
@@ -379,12 +451,13 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
     hi - lo in one numpy pass. The span is both the leaf test (a zero span
     in every coordinate means identical points; for finite doubles
     hi - lo == 0 only when hi == lo) and the width of the intercept draw,
-    and at the root it must be finite, which bounds every span below. Each
-    splitting node draws its split from its own tree's stream, and a tree
-    visits its nodes in preorder, so each stream is read as by the tree
-    grown alone. The step then takes the splitting nodes' margins in one
-    pass (``_split_margins``) and sorts each node's range in place, stably:
-    left points first, each side in order.
+    and at the root it must be finite, which bounds every span below. The
+    step draws the splits of all its splitting nodes in one call
+    (``_draw_splits``), each from its own tree's stream; a step holds one
+    node per tree, and a tree visits its nodes in preorder, so each stream
+    is read as by the tree grown alone. The step then takes the splitting
+    nodes' margins in one pass (``_split_margins``) and sorts each node's
+    range in place, stably: left points first, each side in order.
     """
     dim, n = block.shape[0], block.shape[1] // len(streams)
     nonzeros = extension_level + 1
@@ -434,9 +507,7 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
             lo, span = lo[:, splitting], span[:, splitting]
             if not popped:
                 continue
-        drawn = [_draw_split(streams[entry[0]], dim, dim - nonzeros, lo_m, span_m)
-                 for entry, lo_m, span_m in zip(popped, lo.T, span.T)]
-        normals, intercepts = (np.array(column) for column in zip(*drawn))
+        normals, intercepts = _draw_splits([streams[entry[0]] for entry in popped], dim, dim - nonzeros, lo, span)
         at = np.repeat(np.arange(len(popped)), counts)
         try:
             with np.errstate(over="raise", invalid="raise"):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from eif.forest import (
     _CHUNK_TREES,
     Forest,
     IsolationTree,
+    _check_tree,
     _columns,
     _depth_totals,
-    _draw_split,
+    _draw_splits,
     _grow_trees,
     _margins,
     _split_margins,
@@ -169,6 +171,12 @@ def _spans(draw):
     return np.array(lo), np.array(hi)
 
 
+def draw_one_split(stream, dim, n_zero, lo, hi):
+    """``_draw_splits`` over the one node of one stream, as rows."""
+    normal, intercept = _draw_splits([stream], dim, n_zero, lo[:, None], (hi - lo)[:, None])
+    return normal[0], intercept[0]
+
+
 @given(span=_spans(), data=st.data(), seed=st.integers(0, 2**64 - 1))
 @settings(max_examples=200, deadline=None)
 def test_intercept_equals_generator_uniform_bit_for_bit(span, data, seed):
@@ -178,7 +186,7 @@ def test_intercept_equals_generator_uniform_bit_for_bit(span, data, seed):
     dim = lo.size
     n_zero = dim - 1 - data.draw(st.integers(0, dim - 1), label="extension_level")
     a, b = make_rng(seed), make_rng(seed)
-    normal, intercept = _draw_split(a, dim, n_zero, lo, hi - lo)
+    normal, intercept = draw_one_split(a, dim, n_zero, lo, hi)
     expected_normal, expected = draw_split_oracle(b, dim, n_zero, lo, hi)
     assert normal.tobytes() == expected_normal.tobytes()
     assert intercept.tobytes() == expected.tobytes()
@@ -195,12 +203,12 @@ class _ZeroFirstNormals:
     def __init__(self, seed, zeros):
         self.stream, self.zeros = make_rng(seed), zeros
 
-    def standard_normal(self, size=None):
-        out = self.stream.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        drawn = self.stream.standard_normal(size, out=out)
         if self.zeros:
             self.zeros -= 1
-            return np.zeros_like(out)
-        return out
+            drawn[...] = 0.0
+        return drawn
 
     def __getattr__(self, name):
         return getattr(self.stream, name)
@@ -210,12 +218,33 @@ class _ZeroFirstNormals:
 def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
     lo, hi = np.array([-1.0, 0.0, 2.0, 2.0]), np.array([1.0, 5.0, 3.0, 2.0])
     a, b = _ZeroFirstNormals(9, zeros), _ZeroFirstNormals(9, zeros)
-    normal, intercept = _draw_split(a, 4, n_zero, lo, hi - lo)
+    normal, intercept = draw_one_split(a, 4, n_zero, lo, hi)
     expected_normal, expected = draw_split_oracle(b, 4, n_zero, lo, hi)
     assert np.count_nonzero(normal) == 4 - n_zero
     assert normal.tobytes() == expected_normal.tobytes()
     assert intercept.tobytes() == expected.tobytes()
     assert a.random(3).tobytes() == b.random(3).tobytes()
+
+
+@pytest.mark.parametrize("n_zero", [0, 2])
+def test_redraw_inside_a_multi_node_step(n_zero):
+    """The middle node of a step draws all-zero survivors twice and redraws
+    them from its own stream; every row still equals its split drawn alone
+    on a twin stream, and every stream stands where its twin does."""
+    lo = np.array([[-1.0, 0.0, 5.0], [0.0, 2.0, 2.0], [2.0, -3.0, 0.0], [2.0, 1.0, 0.0]])
+    span = np.array([[2.0, 1.0, 0.5], [5.0, 0.0, 1.0], [1.0, 4.0, 2.0], [0.0, 1.0, 3.0]])
+    streams = [make_rng(3), _ZeroFirstNormals(9, 2), make_rng(4)]
+    twins = [make_rng(3), _ZeroFirstNormals(9, 2), make_rng(4)]
+    normal, intercept = _draw_splits(streams, 4, n_zero, lo, span)
+    assert streams[1].zeros == 0
+    for r, twin in enumerate(twins):
+        expected_normal, expected = draw_split_oracle(twin, 4, n_zero, lo[:, r], lo[:, r] + span[:, r])
+        assert normal[r].tobytes() == expected_normal.tobytes()
+        assert intercept[r].tobytes() == expected.tobytes()
+    for stream, twin in zip(streams, twins):
+        assert stream._half == twin._half
+        assert stream.random(3).tobytes() == twin.random(3).tobytes()
+        assert stream.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
 
 
 class TestBranchLeft:
@@ -349,6 +378,9 @@ _REJECTED = [
      lambda: Forest(trees=[two_leaves(), dataclasses.replace(two_leaves(), normal=np.ones(3))], psi=2,
                     extension_level=1, seed=0),
      ValueError, r"^tree 1 has normal of shape \(3,\), expected 2-D with 3 row\(s\), one per node$"),
+    ("left-float-list", lambda: forest_of(IsolationTree(normal=[[0.0]], intercept=[[0.0]], left=[-1.0], right=[-1],
+                                                        size=[2]), extension_level=0),
+     ValueError, r"^tree 0 has left of dtype float64, expected integer values$"),
     ("no-nodes", lambda: forest_of(IsolationTree(normal=np.zeros((0, 2)), intercept=np.zeros((0, 2)),
                                                  left=np.zeros(0, dtype=np.int64), right=np.zeros(0, dtype=np.int64),
                                                  size=np.zeros(0, dtype=np.int64))),
@@ -839,3 +871,103 @@ def test_tree_leaves_the_callers_arrays_writable():
         assert array.flags.writeable
         assert not getattr(tree, name).flags.writeable
         assert np.shares_memory(getattr(tree, name), array)
+
+
+def test_tree_from_lists_is_held_as_read_only_arrays():
+    tree = IsolationTree(normal=[[0.0]], intercept=[[0.0]], left=[-1], right=[-1], size=[2])
+    assert all(not getattr(tree, name).flags.writeable for name in ("normal", "intercept", "left", "right", "size"))
+    forest = Forest(trees=[tree], psi=2, extension_level=0, seed=0)
+    assert score_batch([[0.5]], forest).tolist() == [0.5]  # depth 0 plus c(2) = 1, over c(2) = 1
+
+
+def tree_by_tree_fault(trees, psi, extension_level):
+    """The message of the first fault the tree-by-tree checks find in
+    ``trees``, or None: the angle-mix test, then ``_check_tree``, per tree."""
+    for k, tree in enumerate(trees):
+        if (tree.angle is None) != (trees[0].angle is None):
+            return (f"tree {k} has angle {tree.angle} but tree 0 has angle {trees[0].angle}: "
+                    "either every tree is rotated or none is")
+        try:
+            _check_tree(tree, f"tree {k}", psi, extension_level + 1, height_limit_for(psi))
+        except ValueError as err:
+            return str(err)
+    return None
+
+
+def _replace_entry(tree, name, k, value):
+    array = getattr(tree, name).copy()
+    array[k] = value
+    return dataclasses.replace(tree, **{name: array})
+
+
+def _first_leaf(tree):
+    return int(np.flatnonzero(tree.left < 0)[0])
+
+
+_FAULTS = {  # tree -> the same tree with one fault
+    "child-out-of-range": lambda tree: _replace_entry(tree, "right", 0, len(tree.left) + 3),
+    "identical-children": lambda tree: _replace_entry(tree, "right", 0, tree.left[0]),
+    "unreachable-node": lambda tree: _replace_entry(tree, "right", 0, 2),
+    "leaf-mass": lambda tree: _replace_entry(tree, "size", _first_leaf(tree), tree.size[_first_leaf(tree)] + 1),
+    "negative-size": lambda tree: _replace_entry(tree, "size", _first_leaf(tree), -1),
+    "nan-split": lambda tree: _replace_entry(tree, "intercept", 0, np.nan),
+    "nonzero-count": lambda tree: _replace_entry(tree, "normal", 0, 0.0),
+    "angle": lambda tree: dataclasses.replace(tree, angle=0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def forest_250():
+    """250 trees, in three chunks of the Forest checks."""
+    return build_forest(gen_gaussian_blob(300, 3, seed=4), 250, 32, 1, seed=6)
+
+
+@pytest.mark.parametrize("faults,named", [
+    ({0: "child-out-of-range"}, 0),
+    ({150: "leaf-mass"}, 150),
+    ({249: "nan-split"}, 249),
+    ({120: "identical-children", 180: "negative-size"}, 120),
+    ({120: "unreachable-node", 180: "nonzero-count"}, 120),
+    ({130: "angle", 140: "leaf-mass"}, 130),
+    ({99: "nonzero-count", 100: "child-out-of-range"}, 99),
+])
+def test_chunked_checks_name_the_fault_the_tree_by_tree_checks_name(forest_250, faults, named):
+    trees = list(forest_250.trees)
+    for k, fault in faults.items():
+        trees[k] = _FAULTS[fault](trees[k])
+    expected = tree_by_tree_fault(trees, 32, 1)
+    assert re.search(rf"\btree {named}\b", expected)
+    with pytest.raises(ValueError) as info:
+        Forest(trees=trees, psi=32, extension_level=1, seed=6)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("change", ["leaf-row-nan", "int32-arrays", "numpy-float-angle"])
+def test_chunked_checks_pass_what_the_tree_by_tree_checks_pass(forest_250, change):
+    """Trees that the joined arrays do not take as they are go tree by tree
+    and pass: a NaN in a leaf row, which no check reads, index arrays of
+    another integer type, a rotated forest's angles as numpy floats."""
+    trees, level = list(forest_250.trees), 1
+    if change == "leaf-row-nan":
+        trees[170] = _replace_entry(trees[170], "normal", _first_leaf(trees[170]), np.nan)
+    elif change == "int32-arrays":
+        trees[170] = dataclasses.replace(trees[170], left=trees[170].left.astype(np.int32),
+                                         right=trees[170].right.astype(np.int32))
+    else:
+        rotated = build_rotated_forest(gen_gaussian_blob(300, 2, seed=4), 120, 32, seed=6)
+        trees, level = [dataclasses.replace(tree, angle=np.float64(tree.angle)) for tree in rotated.trees], 0
+    assert tree_by_tree_fault(trees, 32, level) is None
+    assert Forest(trees=trees, psi=32, extension_level=level, seed=6).t == len(trees)
+
+
+def test_forest_checks_hold_one_chunk_of_trees_at_a_time():
+    trees = build_forest(gen_gaussian_blob(1000, 4, seed=1), 500, 64, 3, seed=1).trees
+    peaks = []
+    for t in (100, 500):
+        tracemalloc.start()
+        try:
+            Forest(trees=trees[:t], psi=64, extension_level=3, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]

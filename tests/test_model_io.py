@@ -687,10 +687,9 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     # scalar draw per Fisher-Yates swap on the tree's own generator.
     data = gen_gaussian_blob(500, 4, seed=20)
     save_forest(build(data), tmp_path / "words.json")
-    def scalar(rng, n, k):
-        return choose_indices_oracle(rng._gen, n, k)
-    monkeypatch.setattr("eif.rng.choose_indices", scalar)
-    monkeypatch.setattr("eif.forest.choose_indices", scalar)
+    def scalar(rng, n, k):  # every bounded draw: subsample's and each split's zero choice
+        return choose_indices_oracle(rng._gen, n, k).tolist()
+    monkeypatch.setattr("eif.rng.RngStream._fisher_yates", scalar)
     save_forest(build(data), tmp_path / "scalar.json")
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 

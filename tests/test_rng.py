@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eif.rng as rng_module
 from eif.rng import (
+    _VECTOR_DRAWS,
     RngStream,
     choose_indices,
     derive_stream,
@@ -241,3 +243,35 @@ def test_choose_indices_sequence_matches_numpy_integers(seed, calls):
             assert getattr(a, floats)(size).tobytes() == getattr(b, floats)(size).tobytes()
     assert a.random(2).tobytes() == b.random(2).tobytes()
     assert choose_indices(a, 2**32, 3).tolist() == choose_indices_oracle(b, 2**32, 3).tolist()
+
+
+def scalar_fisher_yates(stream, n, k):
+    """``stream._fisher_yates(n, k)`` with every target taken by the scalar loop."""
+    saved = rng_module._VECTOR_DRAWS
+    rng_module._VECTOR_DRAWS = k + 1
+    try:
+        return stream._fisher_yates(n, k)
+    finally:
+        rng_module._VECTOR_DRAWS = saved
+
+
+# Just above 2**31 about half of all 32-bit draws are rejection candidates
+# and half of those are rejected, so the uint64 pass hands its halves to the
+# scalar loop; at 20,000 it almost never does. 2**32 + 5 starts with five
+# 64-bit draws.
+_SPANS = [2**31 + 1, 2**31 + 7, 20_000, 2**32 + 5]
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(_SPANS) | st.integers(300, 5000),
+       k=st.sampled_from([_VECTOR_DRAWS - 1, _VECTOR_DRAWS, _VECTOR_DRAWS + 1, 256]), pending=st.booleans())
+@example(seed=1, n=20_000, k=256, pending=True)
+@settings(max_examples=100, deadline=None)
+def test_uint64_targets_equal_the_scalar_loop(seed, n, k, pending):
+    a, b = RngStream(seed, 2), RngStream(seed, 2)
+    if pending:  # one 32-bit draw leaves the high half of its word pending
+        assert a._fisher_yates(10, 1) == b._fisher_yates(10, 1)
+        assert a._half is not None
+    assert a._fisher_yates(n, k) == scalar_fisher_yates(b, n, k)
+    assert a._half == b._half
+    assert a.random(2).tobytes() == b.random(2).tobytes()
+    assert a._fisher_yates(1000, 3) == b._fisher_yates(1000, 3)
