@@ -907,7 +907,8 @@ def _first_leaf(tree):
 _FAULTS = {  # tree -> the same tree with one fault
     "child-out-of-range": lambda tree: _replace_entry(tree, "right", 0, len(tree.left) + 3),
     "identical-children": lambda tree: _replace_entry(tree, "right", 0, tree.left[0]),
-    "unreachable-node": lambda tree: _replace_entry(tree, "right", 0, 2),
+    "shared-subtree": lambda tree: _replace_entry(tree, "right", 0, 2),
+    "unreachable-node": lambda tree: _replace_entry(tree, "left", 0, -1),
     "leaf-mass": lambda tree: _replace_entry(tree, "size", _first_leaf(tree), tree.size[_first_leaf(tree)] + 1),
     "negative-size": lambda tree: _replace_entry(tree, "size", _first_leaf(tree), -1),
     "nan-split": lambda tree: _replace_entry(tree, "intercept", 0, np.nan),
@@ -926,6 +927,7 @@ def forest_250():
     ({0: "child-out-of-range"}, 0),
     ({150: "leaf-mass"}, 150),
     ({249: "nan-split"}, 249),
+    ({200: "shared-subtree"}, 200),
     ({120: "identical-children", 180: "negative-size"}, 120),
     ({120: "unreachable-node", 180: "nonzero-count"}, 120),
     ({130: "angle", 140: "leaf-mass"}, 130),
