@@ -21,7 +21,7 @@ Training grows the trees of a forest in lockstep, a chunk of them at a time
 tree, and draws the step's splits together (``_draw_splits``), each node's
 from its own tree's stream, in the tree's preorder. So a tree is the same
 grown alone or with others, and the forest is the same for any chunk size.
-``Forest`` checks the trees it is given a chunk at a time as well.
+``Forest`` checks them a chunk per pass too, all in one ``_check_trees``.
 
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
@@ -39,6 +39,7 @@ every output bit-for-bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -76,7 +77,9 @@ class IsolationTree:
 
     It is frozen and holds read-only views of the arrays it is given (of
     ``np.asarray`` of anything else), so a tree a Forest has checked stays as
-    checked; the caller's arrays keep their own flags.
+    checked; the caller's arrays keep their own flags. An angle that is a
+    real number other than a bool is held as a Python float, so it saves as
+    JSON; ``Forest`` rejects any other angle.
     """
 
     normal: np.ndarray
@@ -91,6 +94,8 @@ class IsolationTree:
             view = np.asarray(getattr(self, name)).view()  # an ndarray is not copied
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        if isinstance(self.angle, numbers.Real) and not isinstance(self.angle, bool):
+            object.__setattr__(self, "angle", float(self.angle))
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,12 @@ class Forest:
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
     Making one checks every model invariant, in ``_check_arrays``,
-    ``_check_settings``, here and in ``_check_tree``, so built, loaded and
-    hand-made forests pass the same checks. The tree checks run over
-    ``_CHUNK_TREES`` trees per pass (``_chunk_passes``); only a chunk that
-    fails is walked tree by tree, which names the first fault. The settings
-    must be integers, not floats or bools, and are stored as Python ints.
-    It is frozen, with its trees in a tuple, so it stays as checked.
+    ``_check_settings``, here and in ``_check_trees``, so built, loaded and
+    hand-made forests pass the same checks. ``_check_trees`` states the tree
+    invariants once: it runs over ``_CHUNK_TREES`` trees per pass and names
+    the first fault, with no second path. The settings must be integers, not
+    floats or bools, and are stored as Python ints. It is frozen, with its
+    trees in a tuple, so it stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -120,21 +125,13 @@ class Forest:
         _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim)
         for name, value in (("psi", psi), ("extension_level", level), ("seed", seed)):
             object.__setattr__(self, name, value)  # a numpy integer would not save as JSON
-        first = self.trees[0]
         if self.variant == VARIANT_ROTATED and dim != 2:
             raise ValueError(f"rotated variant requires dimension 2, got {dim}")
         if self.variant == VARIANT_ROTATED and level != 0:
             raise ValueError(f"rotated variant requires extension_level 0, got {level}")
         limit = height_limit_for(self.psi)
         for start in range(0, self.t, _CHUNK_TREES):
-            chunk = self.trees[start:start + _CHUNK_TREES]
-            if _chunk_passes(chunk, first.angle is not None, self.psi, level + 1, limit):
-                continue
-            for k, tree in enumerate(chunk, start):  # find and name the first fault
-                if (tree.angle is None) != (first.angle is None):
-                    raise ValueError(f"tree {k} has angle {tree.angle} but tree 0 has angle {first.angle}: "
-                                     "either every tree is rotated or none is")
-                _check_tree(tree, f"tree {k}", self.psi, level + 1, limit)
+            _check_trees(self.trees[start:start + _CHUNK_TREES], start, self.trees[0].angle, psi, level + 1, limit)
 
     @property
     def t(self) -> int:
@@ -184,14 +181,17 @@ def _check_extension_level(extension_level: int, dimension: int) -> None:
 def _check_arrays(tree: IsolationTree, where: str, dim: int | None) -> None:
     """Raise ValueError naming the first node array of ``tree`` of the wrong
     kind or shape: ``left``, ``right`` and ``size`` 1-D integer arrays of one
-    entry per node, at least one node, and ``normal`` and ``intercept`` 2-D
-    float arrays of one row per node, ``dim`` wide (tree 0: any one width)."""
+    entry per node (at least one), and ``normal`` and ``intercept`` 2-D float
+    arrays, no wider than float64, of one row per node, ``dim`` wide if ``dim``
+    is given."""
     n = len(tree.left) if tree.left.ndim == 1 else 0
     for name, kind, ndim in (("left", np.integer, 1), ("right", np.integer, 1), ("size", np.integer, 1),
                              ("normal", np.floating, 2), ("intercept", np.floating, 2)):
         arr = getattr(tree, name)
         if not np.issubdtype(arr.dtype, kind):
             raise ValueError(f"{where} has {name} of dtype {arr.dtype}, expected {kind.__name__} values")
+        if kind is np.floating and arr.dtype.itemsize > 8:  # a longdouble would not save as JSON
+            raise ValueError(f"{where} has {name} of dtype {arr.dtype}, expected floating values of at most 64 bits")
         if arr.ndim != ndim or len(arr) != n or n == 0:
             raise ValueError(f"{where} has {name} of shape {arr.shape}, expected {ndim}-D with "
                              f"{n or 'at least 1'} row(s), one per node")
@@ -201,116 +201,96 @@ def _check_arrays(tree: IsolationTree, where: str, dim: int | None) -> None:
         raise ValueError(f"{where} has intercept of shape {tree.intercept.shape}, expected {tree.normal.shape}")
 
 
-def _check_tree(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
-    """Raise ValueError naming the first thing in ``tree`` that no grown tree
-    has: a non-finite angle; for internal rows (``left >= 0``) children out of
-    range or equal; a node that a level-by-level walk from the root reaches
-    twice, beyond ``limit`` or never; leaf sizes below 0 or not summing to psi;
-    non-finite split vectors, or normals without ``nonzeros`` nonzero entries.
+def _joined(arrays) -> np.ndarray:
+    """Integer arrays end to end as int64, a uint64 value beyond it as its maximum: still an out-of-range child."""
+    return np.concatenate([np.minimum(a, 2**63 - 1) if a.dtype == np.uint64 else a for a in arrays], dtype=np.int64)
+
+
+def _check_trees(trees, first: int, angle, psi: int, nonzeros: int, limit: int) -> None:
+    """Raise ValueError naming the first fault in ``trees``, trees ``first``
+    on of a forest whose tree 0 has ``angle``. In tree order, and in each tree
+    in this order, a fault is: an angle set where tree 0's is not (or unset
+    where it is), or not a finite float; for internal rows (``left >= 0``),
+    children out of range or equal; a node that a level-by-level walk from the
+    root reaches twice, beyond ``limit`` or never; leaf sizes below 0 or not
+    summing to psi; non-finite split vectors, or normals without ``nonzeros``
+    nonzero entries.
+
+    Each check runs once over the chunk, on its node arrays joined end to end
+    with child indices offset into global node ids, and looks only at the
+    trees before the first fault found so far (``end``), so a later check can
+    only name an earlier tree. The walk starts at every root at once and keeps
+    each tree's frontier order: per split, left child, then right. Leaf sizes
+    are summed exactly, in 32-bit halves.
     """
-    left, right, size = tree.left, tree.right, tree.size
-    n = len(left)
-    if tree.angle is not None and not math.isfinite(tree.angle):
-        raise ValueError(f"{where} has non-finite angle {tree.angle}")
-
-    inner = np.flatnonzero(left >= 0)
-    children = np.column_stack((left[inner], right[inner]))
-    bad = np.argwhere((children < 0) | (children >= n))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"node {inner[i]} of {where} has child index {children[i, j]} out of range")
-    same = np.flatnonzero(children[:, 0] == children[:, 1])
-    if same.size:
-        raise ValueError(f"node {inner[same[0]]} of {where} has identical children")
-
-    visits = np.zeros(n, dtype=np.int64)
-    frontier, depth = np.zeros(1, dtype=np.int64), 0
-    while frontier.size:
-        visits += np.bincount(frontier, minlength=n)
-        twice = frontier[visits[frontier] > 1]
-        if twice.size:
-            raise ValueError(f"node {twice[0]} of {where} is reached twice (cycle or shared subtree)")
-        if depth > limit:
-            raise ValueError(f"node {frontier[0]} of {where} is at depth {depth}, beyond height_limit {limit}")
-        split = frontier[left[frontier] >= 0]
-        frontier, depth = np.column_stack((left[split], right[split])).ravel(), depth + 1
-    unreached = np.flatnonzero(visits == 0)
-    if unreached.size:
-        raise ValueError(f"{where} has {unreached.size} unreachable node(s), the first is node {unreached[0]}")
-
-    leaves = left < 0
-    negative = np.flatnonzero(leaves & (size < 0))
-    if negative.size:
-        raise ValueError(f"node {negative[0]} of {where} has negative size {size[negative[0]]}")
-    mass = sum(size[leaves].tolist())  # Python ints: an int64 sum could wrap
-    if mass != psi:
-        raise ValueError(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
-
-    normal = tree.normal[inner]
-    bad = np.flatnonzero(~(np.isfinite(normal).all(axis=1) & np.isfinite(tree.intercept[inner]).all(axis=1)))
-    if bad.size:
-        raise ValueError(f"node {inner[bad[0]]} of {where} has a non-finite split vector")
-    counts = np.count_nonzero(normal, axis=1)
-    wrong = np.flatnonzero(counts != nonzeros)
-    if wrong.size:
-        node, count = f"node {inner[wrong[0]]} of {where}", counts[wrong[0]]
-        raise ValueError(f"{node} has an all-zero normal" if count == 0
-                         else f"{node} has {count} nonzero normal entries, expected {nonzeros}")
-
-
-def _chunk_passes(trees, rotated: bool, psi: int, nonzeros: int, limit: int) -> bool:
-    """True only if every tree in ``trees`` would pass the angle-mix test and
-    ``_check_tree``; False sends the caller to find the fault tree by tree.
-
-    The checks run over the chunk at once, on its trees' index arrays joined
-    end to end, with child indices offset into global node ids: the child
-    ranges, the level-by-level walk from every root together, and the leaf
-    mass per tree by ``np.add.reduceat``. The split vectors are each tree's
-    own internal rows, so no (nodes, dimension) array of many trees is made.
-    What the joined arrays cannot hold exactly, index arrays that do not join
-    as int64 or leaf masses that could wrap int64, and angles that are not
-    floats, are left to the tree-by-tree checks."""
-    if any((tree.angle is not None) != rotated for tree in trees):
-        return False
-    if rotated and not all(type(tree.angle) is float and math.isfinite(tree.angle) for tree in trees):
-        return False
     lens = [len(tree.left) for tree in trees]
-    total = sum(lens)
-    if psi * total >= 2**63:  # leaf sizes of at most psi could sum beyond int64
-        return False
-    left, right, size = (np.concatenate([getattr(tree, name) for tree in trees])
-                         for name in ("left", "right", "size"))
-    if not left.dtype == right.dtype == size.dtype == np.int64:
-        return False
-    roots = np.cumsum([0] + lens[:-1])
-    base, tree_nodes = np.repeat(roots, lens), np.repeat(lens, lens)
+    bounds = np.cumsum([0] + lens)  # tree k's nodes have the global ids bounds[k] to bounds[k + 1] - 1
+    roots, owner = bounds[:-1], np.repeat(np.arange(len(trees)), lens)
+    left, right, size = (_joined([getattr(tree, name) for tree in trees]) for name in ("left", "right", "size"))
+    end, fault = len(trees), None  # the trees before the first fault found so far, and its message
+
+    def fail(nodes, message) -> None:
+        """Make ``message(k, node, where)`` the fault if the global id ``nodes[0]`` is in a tree k before end."""
+        nonlocal end, fault
+        if nodes.size and nodes[0] < bounds[end]:
+            end = int(owner[nodes[0]])
+            fault = message(end, int(nodes[0] - bounds[end]), f"tree {first + end}")
+
+    fail(roots[[(tree.angle is None) != (angle is None) for tree in trees]],
+         lambda k, _, where: f"{where} has angle {trees[k].angle} but tree 0 has angle {angle}: "
+                             "either every tree is rotated or none is")
+    fail(roots[[not math.isfinite(tree.angle) if type(tree.angle) is float else tree.angle is not None
+                for tree in trees]],
+         lambda k, _, where: f"{where} has non-finite angle {trees[k].angle}" if type(trees[k].angle) is float
+         else f"{where} has angle {trees[k].angle!r}, expected a real number other than a bool")
+
+    def out_of_range(k, node, where):  # the left child is named if both are out
+        child = trees[k].left[node] if trees[k].left[node] >= lens[k] else trees[k].right[node]
+        return f"node {node} of {where} has child index {child} out of range"
+
     inner = np.flatnonzero(left >= 0)
-    lo, hi, n = left[inner], right[inner], tree_nodes[inner]
-    if not ((hi >= 0) & (lo < n) & (hi < n) & (lo != hi)).all():
-        return False
+    lo, hi, n = left[inner], right[inner], np.repeat(lens, lens)[inner]
+    fail(inner[(hi < 0) | (lo >= n) | (hi >= n)], out_of_range)
+    fail(inner[lo == hi], lambda k, node, where: f"node {node} of {where} has identical children")
 
-    down = np.full((2, total), -1, dtype=np.int64)  # global ids of each internal node's children
-    down[:, inner] = lo + base[inner], hi + base[inner]
-    visits = np.zeros(total, dtype=np.int64)
-    frontier, depth = roots, 0
+    down = np.full((bounds[-1], 2), -1)  # each internal node's children, as global ids; read only before tree end
+    down[inner] = np.column_stack((lo, hi)) + roots[owner[inner], None]
+    visits = np.zeros(bounds[end], dtype=np.int64)
+    frontier, depth = roots[:end], 0
     while frontier.size:
-        visits += np.bincount(frontier, minlength=total)
-        if depth > limit or (visits[frontier] > 1).any():
-            return False
-        frontier, depth = down[:, frontier[down[0, frontier] >= 0]].ravel(), depth + 1
-    if not visits.all():
-        return False
+        visits += np.bincount(frontier, minlength=len(visits))
+        fail(frontier[visits[frontier] > 1],
+             lambda k, node, where: f"node {node} of {where} is reached twice (cycle or shared subtree)")
+        if depth > limit:  # every tree left in the frontier is too deep; the first of them is named
+            fail(frontier, lambda k, node, where: f"node {node} of {where} is at depth {depth}, "
+                                                  f"beyond height_limit {limit}")
+        frontier = frontier[frontier < bounds[end]]
+        frontier, depth = down[frontier[down[frontier, 0] >= 0]].ravel(), depth + 1
+    fail(np.flatnonzero(visits == 0),
+         lambda k, node, where: f"{where} has {np.count_nonzero(visits[bounds[k]:bounds[k + 1]] == 0)} "
+                                f"unreachable node(s), the first is node {node}")
 
-    mass = np.where(left < 0, size, 0)
-    if not ((mass >= 0) & (mass <= psi)).all() or not (np.add.reduceat(mass, roots) == psi).all():
-        return False
-    counts = []
-    for tree, split in zip(trees, np.split(left >= 0, roots[1:].tolist())):
-        normal, intercept = tree.normal[split], tree.intercept[split]
-        if not (np.isfinite(normal).all() and np.isfinite(intercept).all()):
-            return False
-        counts.append(np.count_nonzero(normal, axis=1))
-    return bool((np.concatenate(counts) == nonzeros).all())
+    leaf = left < 0
+    fail(np.flatnonzero(leaf & (size < 0)),
+         lambda k, node, where: f"node {node} of {where} has negative size {trees[k].size[node]}")
+    # as uint64 every size of at least 0 is exact, and so is every leaf size of the trees before end
+    mass = np.where(leaf, np.concatenate([tree.size for tree in trees], dtype=np.uint64, casting="unsafe"), 0)
+    high, low = (np.add.reduceat(half, roots) for half in (mass >> 32, mass & 0xFFFFFFFF))
+    fail(roots[(high + (low >> 32) != psi >> 32) | (low & 0xFFFFFFFF != psi & 0xFFFFFFFF)],
+         lambda k, _, where: f"{where} has leaf sizes summing to "
+                             f"{sum(trees[k].size[trees[k].left < 0].tolist())}, expected psi={psi}")
+
+    splits = np.split(left >= 0, bounds[1:-1].tolist())  # internal rows only: leaf rows go unread, at any width
+    finite = np.concatenate([np.isfinite(tree.normal[split]).all(axis=1)
+                             & np.isfinite(tree.intercept[split]).all(axis=1) for tree, split in zip(trees, splits)])
+    fail(inner[~finite], lambda k, node, where: f"node {node} of {where} has a non-finite split vector")
+    counts = np.concatenate([np.count_nonzero(tree.normal[split], axis=1) for tree, split in zip(trees, splits)])
+    wrong = np.flatnonzero(counts != nonzeros)
+    fail(inner[wrong],
+         lambda k, node, where: f"node {node} of {where} has an all-zero normal" if counts[wrong[0]] == 0
+         else f"node {node} of {where} has {counts[wrong[0]]} nonzero normal entries, expected {nonzeros}")
+    if fault:
+        raise ValueError(fault)
 
 
 def c_factor(n: int) -> float:

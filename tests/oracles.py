@@ -211,6 +211,63 @@ def draw_split_oracle(rng, dim, n_zero, lo, hi):
     return normal, rng.uniform(lo, hi)
 
 
+def check_tree_oracle(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
+    """Raise ValueError naming the first thing in ``tree`` that no grown tree
+    has: a non-finite angle; for internal rows (``left >= 0``) children out of
+    range or equal; a node that a level-by-level walk from the root reaches
+    twice, beyond ``limit`` or never; leaf sizes below 0 or not summing to psi;
+    non-finite split vectors, or normals without ``nonzeros`` nonzero entries.
+    """
+    left, right, size = tree.left, tree.right, tree.size
+    n = len(left)
+    if tree.angle is not None and not math.isfinite(tree.angle):
+        raise ValueError(f"{where} has non-finite angle {tree.angle}")
+
+    inner = np.flatnonzero(left >= 0)
+    children = np.column_stack((left[inner], right[inner]))
+    bad = np.argwhere((children < 0) | (children >= n))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"node {inner[i]} of {where} has child index {children[i, j]} out of range")
+    same = np.flatnonzero(children[:, 0] == children[:, 1])
+    if same.size:
+        raise ValueError(f"node {inner[same[0]]} of {where} has identical children")
+
+    visits = np.zeros(n, dtype=np.int64)
+    frontier, depth = np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        visits += np.bincount(frontier, minlength=n)
+        twice = frontier[visits[frontier] > 1]
+        if twice.size:
+            raise ValueError(f"node {twice[0]} of {where} is reached twice (cycle or shared subtree)")
+        if depth > limit:
+            raise ValueError(f"node {frontier[0]} of {where} is at depth {depth}, beyond height_limit {limit}")
+        split = frontier[left[frontier] >= 0]
+        frontier, depth = np.column_stack((left[split], right[split])).ravel(), depth + 1
+    unreached = np.flatnonzero(visits == 0)
+    if unreached.size:
+        raise ValueError(f"{where} has {unreached.size} unreachable node(s), the first is node {unreached[0]}")
+
+    leaves = left < 0
+    negative = np.flatnonzero(leaves & (size < 0))
+    if negative.size:
+        raise ValueError(f"node {negative[0]} of {where} has negative size {size[negative[0]]}")
+    mass = sum(size[leaves].tolist())  # Python ints: an int64 sum could wrap
+    if mass != psi:
+        raise ValueError(f"{where} has leaf sizes summing to {mass}, expected psi={psi}")
+
+    normal = tree.normal[inner]
+    bad = np.flatnonzero(~(np.isfinite(normal).all(axis=1) & np.isfinite(tree.intercept[inner]).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"node {inner[bad[0]]} of {where} has a non-finite split vector")
+    counts = np.count_nonzero(normal, axis=1)
+    wrong = np.flatnonzero(counts != nonzeros)
+    if wrong.size:
+        node, count = f"node {inner[wrong[0]]} of {where}", counts[wrong[0]]
+        raise ValueError(f"{node} has an all-zero normal" if count == 0
+                         else f"{node} has {count} nonzero normal entries, expected {nonzeros}")
+
+
 def tree_from_rows(rows, dimension: int, angle: float | None = None) -> IsolationTree:
     """Tree from per-node ``[normal, intercept, left, right, size]`` rows.
 

@@ -15,7 +15,6 @@ from eif.forest import (
     _CHUNK_TREES,
     Forest,
     IsolationTree,
-    _check_tree,
     _columns,
     _depth_totals,
     _draw_splits,
@@ -34,8 +33,8 @@ from eif.model_io import load_forest, save_forest
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import (
-    bounded_integer, document_oracle, draw_split_oracle, forest_oracle, grow_oracle, knife_edge_points, leaf_depths,
-    path_length_oracle, score_oracle, tree_from_nested,
+    bounded_integer, check_tree_oracle, document_oracle, draw_split_oracle, forest_oracle, grow_oracle,
+    knife_edge_points, leaf_depths, path_length_oracle, score_oracle, tree_from_nested,
 )
 
 EULER = 0.5772156649
@@ -385,6 +384,21 @@ _REJECTED = [
                                                  left=np.zeros(0, dtype=np.int64), right=np.zeros(0, dtype=np.int64),
                                                  size=np.zeros(0, dtype=np.int64))),
      ValueError, r"^tree 0 has left of shape \(0,\), expected 1-D with at least 1 row\(s\), one per node$"),
+    # angles that would not save: each used to raise a bare TypeError, or to write a file that does not load
+    ("angle-str", lambda: forest_of(two_leaves(normal=(1.0, 0.0), angle="x"), extension_level=0),
+     ValueError, r"^tree 0 has angle 'x', expected a real number other than a bool$"),
+    ("angle-bool", lambda: forest_of(two_leaves(normal=(1.0, 0.0), angle=True), extension_level=0),
+     ValueError, r"^tree 0 has angle True, expected a real number other than a bool$"),
+    # a longdouble split used to save as text that no JSON reader takes
+    ("normal-longdouble", lambda: forest_of(dataclasses.replace(two_leaves(), normal=two_leaves().normal.astype(
+        np.longdouble), intercept=two_leaves().intercept.astype(np.longdouble))),
+     ValueError, rf"^tree 0 has normal of dtype {np.dtype(np.longdouble)}, "
+                 r"expected floating values of at most 64 bits$"),
+    # five leaves of 2**62 sum to psi + 2**64: an int64 sum would wrap to exactly psi
+    ("leaf-mass-beyond-int64", lambda: forest_of(tree_from_nested(
+        ([1.0], [0.0], 2**62, ([1.0], [0.0], 2**62, ([1.0], [0.0], 2**62, ([1.0], [0.0], 2**62, 2**62))))),
+        psi=2**62, extension_level=0),
+     ValueError, r"^tree 0 has leaf sizes summing to 23058430092136939520, expected psi=4611686018427387904$"),
 ]
 
 
@@ -882,13 +896,13 @@ def test_tree_from_lists_is_held_as_read_only_arrays():
 
 def tree_by_tree_fault(trees, psi, extension_level):
     """The message of the first fault the tree-by-tree checks find in
-    ``trees``, or None: the angle-mix test, then ``_check_tree``, per tree."""
+    ``trees``, or None: the angle-mix test, then ``check_tree_oracle``, per tree."""
     for k, tree in enumerate(trees):
         if (tree.angle is None) != (trees[0].angle is None):
             return (f"tree {k} has angle {tree.angle} but tree 0 has angle {trees[0].angle}: "
                     "either every tree is rotated or none is")
         try:
-            _check_tree(tree, f"tree {k}", psi, extension_level + 1, height_limit_for(psi))
+            check_tree_oracle(tree, f"tree {k}", psi, extension_level + 1, height_limit_for(psi))
         except ValueError as err:
             return str(err)
     return None
@@ -973,3 +987,73 @@ def test_forest_checks_hold_one_chunk_of_trees_at_a_time():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("angle", [np.float32(0.5), 1], ids=["float32", "int"])
+def test_a_real_angle_is_held_as_a_float_and_saves(tmp_path, angle):
+    forest = forest_of(two_leaves(normal=(1.0, 0.0), angle=angle), extension_level=0)
+    assert type(forest.trees[0].angle) is float and forest.trees[0].angle == float(angle)
+    save_forest(forest, tmp_path / "m.json")
+    loaded = load_forest(tmp_path / "m.json")
+    assert loaded.trees[0].angle == float(angle)
+    x = gen_gaussian_blob(50, 2, seed=3)
+    assert score_batch(x, loaded).tobytes() == score_batch(x, forest).tobytes()
+
+
+def test_index_arrays_of_any_integer_dtype_are_checked_alike(forest_250):
+    """Index arrays of narrower integer types, and uint64 sizes, pass as
+    int64 ones do. uint64 children hold no leaf (-1 becomes 2**64 - 1), and
+    the first such child is named as the tree-by-tree checks name it."""
+    trees = list(forest_250.trees[95:105])
+    trees[3] = dataclasses.replace(trees[3], left=trees[3].left.astype(np.int8),
+                                   right=trees[3].right.astype(np.int16), size=trees[3].size.astype(np.uint64))
+    assert tree_by_tree_fault(trees, 32, 1) is None
+    assert Forest(trees=trees, psi=32, extension_level=1, seed=6).t == 10
+    trees[6] = dataclasses.replace(trees[6], left=trees[6].left.astype(np.uint64),
+                                   right=trees[6].right.astype(np.uint64))
+    expected = tree_by_tree_fault(trees, 32, 1)
+    assert "has child index 18446744073709551615 out of range" in expected
+    with pytest.raises(ValueError) as info:
+        Forest(trees=trees, psi=32, extension_level=1, seed=6)
+    assert str(info.value) == expected
+
+
+@pytest.fixture(scope="module")
+def edge_trees():
+    """Trees 0 to _CHUNK_TREES + 2 of a forest grown at psi 8, and six trees
+    grown at psi 16 whose leaf sizes are moved to sum to 8: at psi 8 they
+    are deeper than the height limit, and only that."""
+    data = gen_gaussian_blob(200, 2, seed=8)
+    fit = build_forest(data, _CHUNK_TREES + 3, 8, 1, seed=8).trees
+    deep = [tree for tree in build_forest(data, 40, 16, 1, seed=9).trees if max_depth(tree) > height_limit_for(8)]
+    deep = [dataclasses.replace(tree, size=np.where(np.arange(len(tree.left)) == _first_leaf(tree), 8, 0))
+            for tree in deep[:6]]
+    return fit, deep
+
+
+_EDGE = st.integers(-3, 2)  # trees _CHUNK_TREES - 3 to _CHUNK_TREES + 2, three in each chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep=st.sets(_EDGE, max_size=2), edits=st.lists(st.tuples(
+    _EDGE, st.sampled_from(["left", "right", "size"]), st.integers(0, 2**16), st.integers(-2, 18)),
+    min_size=1, max_size=3))
+def test_forest_names_the_fault_the_tree_by_tree_checks_name(edge_trees, deep, edits):
+    """1-3 edits of ``left``, ``right`` or ``size`` entries in trees on both
+    sides of a chunk edge, among trees that fit the height limit and up to
+    two (``deep``) that exceed it: Forest names the fault tree_by_tree_fault
+    names, or passes what it passes."""
+    fit, deep_trees = edge_trees
+    trees = list(fit)
+    for offset in deep:
+        trees[_CHUNK_TREES + offset] = deep_trees[offset]
+    for offset, name, node, value in edits:
+        k = _CHUNK_TREES + offset
+        trees[k] = _replace_entry(trees[k], name, node % len(trees[k].left), value)
+    expected = tree_by_tree_fault(trees, 8, 1)
+    if expected is None:
+        assert Forest(trees=trees, psi=8, extension_level=1, seed=8).t == len(trees)
+        return
+    with pytest.raises(ValueError) as info:
+        Forest(trees=trees, psi=8, extension_level=1, seed=8)
+    assert str(info.value) == expected
