@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import Forest, _columns, _path_lengths, _scores_from_depth_totals, as_dataset, build_forest, score_batch
+from .forest import Forest, _prefix_scores, as_dataset, build_forest, score_batch
 from .rng import _check_count, fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -171,16 +171,10 @@ def convergence_curve(
             f"data has {x.shape[1]}"
         )
     forest = build_forest(x, t_values[-1], psi, extension_level, seed)
-    wanted = set(t_values)
-    probe_t = _columns(probe)
-    total = np.zeros(probe.shape[0])
     means, variances = [], []
-    for t, tree in enumerate(forest.trees, start=1):
-        total += _path_lengths(probe_t, tree)
-        if t in wanted:
-            s = _scores_from_depth_totals(total, t, forest.normalizer)
-            means.append(float(s.mean()))
-            variances.append(_population_variance(s))
+    for s in _prefix_scores(probe, forest, t_values):
+        means.append(float(s.mean()))
+        variances.append(_population_variance(s))
     return ConvergenceSeries(t_values=t_values, means=means, variances=variances)
 
 

@@ -30,10 +30,11 @@ block. Scoring's ``_margins`` adds the terms one at a time; training's
 ``_split_margins`` does too, or at full extension sums them by an axis-0
 reduce over a C-contiguous block, which adds its rows in order. A reduce over
 an F-ordered view or along ``axis=1`` must never sum them: numpy sums those
-pairwise, which changes the bits from 9 terms up. ``score_batch`` is the
-only scorer, and ``path_lengths`` gives its per-tree terms; a point scores
-the same alone or in any batch, and replays with an equal seed reproduce
-every output bit-for-bit.
+pairwise, which changes the bits from 9 terms up. ``_prefix_scores`` is
+the one place depths are summed in tree order and turned into scores:
+``score_batch`` and ``convergence_curve`` both read it, and ``path_lengths``
+gives its per-tree terms. A point scores the same alone or in any batch, and
+replays with an equal seed reproduce every output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class IsolationTree:
     ``np.asarray`` of anything else), so a tree a Forest has checked stays as
     checked; the caller's arrays keep their own flags. An angle that is a
     real number other than a bool is held as a Python float, so it saves as
-    JSON; ``Forest`` rejects any other angle.
+    JSON, or as +-inf beyond the float range; ``Forest`` rejects any other
+    angle, and a non-finite one.
     """
 
     normal: np.ndarray
@@ -95,7 +97,11 @@ class IsolationTree:
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         if isinstance(self.angle, numbers.Real) and not isinstance(self.angle, bool):
-            object.__setattr__(self, "angle", float(self.angle))
+            try:
+                angle = float(self.angle)
+            except OverflowError:  # an int beyond the float range: Forest names it as non-finite
+                angle = math.inf if self.angle > 0 else -math.inf
+            object.__setattr__(self, "angle", angle)
 
 
 @dataclass(frozen=True)
@@ -347,13 +353,14 @@ def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.
     return acc
 
 
-def _rotate_rows(x: np.ndarray, angle: float) -> np.ndarray:
-    """Turn each 2-D row by ``angle`` radians about the origin."""
+def _rotate(xt: np.ndarray, angle: float) -> np.ndarray:
+    """Turn each column of the (2, points) block ``xt`` by ``angle`` radians
+    about the origin, into a C-contiguous block of its own."""
     c = math.cos(angle)
     s = math.sin(angle)
-    out = np.empty_like(x)
-    out[:, 0] = x[:, 0] * c - x[:, 1] * s
-    out[:, 1] = x[:, 0] * s + x[:, 1] * c
+    out = np.empty(xt.shape)
+    out[0] = xt[0] * c - xt[1] * s
+    out[1] = xt[0] * s + xt[1] * c
     return out
 
 
@@ -615,8 +622,7 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
             angle = None
             if rotated:
                 angle = float(stream.uniform(0.0, TWO_PI))
-                sample = _rotate_rows(sample, angle)
-            block[:, j * psi:(j + 1) * psi] = sample.T
+            block[:, j * psi:(j + 1) * psi] = sample.T if angle is None else _rotate(sample.T, angle)
             streams.append(stream)
             angles.append(angle)
         trees += _grow_trees(block, streams, angles, limit=limit, extension_level=extension_level)
@@ -639,7 +645,7 @@ def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
     try:
         with np.errstate(over="raise", invalid="raise"):
             if tree.angle is not None:
-                xt = _columns(_rotate_rows(xt.T, tree.angle))
+                xt = _rotate(xt, tree.angle)
             while stack:
                 k, idx, depth = stack.pop()
                 if idx.size == 0:
@@ -659,8 +665,7 @@ def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
 def score_batch(data, forest: Forest) -> np.ndarray:
     """Scores for every row, order preserved: 2 ** (-E[h(x)] / c(psi)), with E[h(x)]
     the mean of the row's ``path_lengths``; near 1 is anomalous, near 0.5 nominal."""
-    total = _depth_totals(data, forest)
-    return _scores_from_depth_totals(total, forest.t, forest.normalizer)
+    return next(_prefix_scores(data, forest, [forest.t]))
 
 
 def path_lengths(data, forest: Forest) -> np.ndarray:
@@ -681,20 +686,19 @@ def _query_columns(data, forest: Forest) -> np.ndarray:
     return _columns(x)
 
 
-def _depth_totals(data, forest: Forest) -> np.ndarray:
-    """Per-row path lengths added tree by tree, in tree order, into one (rows,)
-    vector: no (rows, t) matrix is held, and no reduce reorders the sum."""
+def _prefix_scores(data, forest: Forest, t_values):
+    """At each t of the strictly increasing ``t_values``, yield every row's
+    score under the forest's first t trees. The only place scores are made:
+    the rows are checked once, and each tree's path lengths are added in tree
+    order into one (rows,) vector, so no (rows, t) matrix is held and no
+    reduce reorders the sum."""
     xt = _query_columns(data, forest)
     total = np.zeros(xt.shape[1])
-    for tree in forest.trees:
-        total += _path_lengths(xt, tree)
-    return total
-
-
-def _scores_from_depth_totals(total: np.ndarray, t: int, normalizer: float) -> np.ndarray:
-    """Scores from per-row path lengths summed in tree order over t trees."""
-    # Python's scalar 2.0 ** e, one exponent at a time: np.power and np.exp2
-    # differ from it in the last bit on about 5% of exponents, and the PINNED
-    # score hashes and the scalar oracle in the tests are held to these bits.
-    exponents = -(total / t) / normalizer
-    return np.array([2.0 ** e for e in exponents.tolist()])
+    for done, t in zip([0, *t_values], t_values):
+        for tree in forest.trees[done:t]:
+            total += _path_lengths(xt, tree)
+        # Python's scalar 2.0 ** e, one exponent at a time: np.power and np.exp2
+        # differ from it in the last bit on about 5% of exponents, and the PINNED
+        # score hashes and the scalar oracle in the tests are held to these bits.
+        exponents = -(total / t) / forest.normalizer
+        yield np.array([2.0 ** e for e in exponents.tolist()])

@@ -25,8 +25,9 @@ arrays from its node list in a few bulk passes; when one raises or a check
 fails, a walk over the nodes in file order names the first fault, and
 nothing is built.
 
-CSV dialect throughout: comma separator, "." decimal, LF line endings,
-UTF-8, one optional header line. Scores are written with 9 significant
+CSV dialect throughout: comma separator, "." decimal, UTF-8, one optional
+header line. The writers write LF line endings; ``read_csv`` also reads CRLF
+ones and quoted cells. Scores are written with 9 significant
 digits; dataset values and grid coordinates in shortest round-trip form,
 each of a grid's nx + ny coordinates formatted once.
 

@@ -145,9 +145,6 @@ def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:
     return rng.uniform(lo, hi, (n, lo.shape[0]))
 
 
-BENCHMARK_TASKS = ("single_blob", "double_blob", "sinusoid")
-
-
 def benchmark_task(
     kind: str,
     n_train: int = 2000,

@@ -8,7 +8,7 @@ import numpy as np
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance, grid_points
 from eif.forest import (
-    Forest, IsolationTree, _columns, _grow_trees, _rotate_rows, build_forest, c_factor, height_limit_for,
+    Forest, IsolationTree, _grow_trees, _rotate, build_forest, c_factor, height_limit_for,
     sample_hyperplane, score_batch,
 )
 from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION, _fail, _floats, _require, format_score
@@ -192,8 +192,8 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
     root = make_rng(seed)
     streams = [derive_stream(root, i) for i in range(t)]
     angles = [float(angles[i]) for i in range(t)]
-    samples = [_rotate_rows(subsample(stream, data, psi), angle) for stream, angle in zip(streams, angles)]
-    trees = _grow_trees(_columns(np.concatenate(samples)), streams, angles, limit=height_limit_for(psi),
+    samples = [_rotate(subsample(stream, data, psi).T, angle) for stream, angle in zip(streams, angles)]
+    trees = _grow_trees(np.concatenate(samples, axis=1), streams, angles, limit=height_limit_for(psi),
                         extension_level=0)
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 
@@ -224,12 +224,15 @@ def check_tree_oracle(tree: IsolationTree, where: str, psi: int, nonzeros: int, 
         raise ValueError(f"{where} has non-finite angle {tree.angle}")
 
     inner = np.flatnonzero(left >= 0)
-    children = np.column_stack((left[inner], right[inner]))
-    bad = np.argwhere((children < 0) | (children >= n))
+    # as Python ints: numpy would join uint64 and signed children as float64
+    children = np.array([left[inner].tolist(), right[inner].tolist()], dtype=object).T
+    bad = np.argwhere(((children < 0) | (children >= n)).astype(bool))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"node {inner[i]} of {where} has child index {children[i, j]} out of range")
-    same = np.flatnonzero(children[:, 0] == children[:, 1])
+    down = np.full((n, 2), -1, dtype=np.int64)  # each internal node's children, each in [0, n) now
+    down[inner] = children.astype(np.int64)
+    same = np.flatnonzero(down[inner, 0] == down[inner, 1])
     if same.size:
         raise ValueError(f"node {inner[same[0]]} of {where} has identical children")
 
@@ -242,8 +245,7 @@ def check_tree_oracle(tree: IsolationTree, where: str, psi: int, nonzeros: int, 
             raise ValueError(f"node {twice[0]} of {where} is reached twice (cycle or shared subtree)")
         if depth > limit:
             raise ValueError(f"node {frontier[0]} of {where} is at depth {depth}, beyond height_limit {limit}")
-        split = frontier[left[frontier] >= 0]
-        frontier, depth = np.column_stack((left[split], right[split])).ravel(), depth + 1
+        frontier, depth = down[frontier[down[frontier, 0] >= 0]].ravel(), depth + 1
     unreached = np.flatnonzero(visits == 0)
     if unreached.size:
         raise ValueError(f"{where} has {unreached.size} unreachable node(s), the first is node {unreached[0]}")
@@ -326,7 +328,7 @@ def forest_oracle(data, t, psi, extension_level, seed, rotated=False):
         angle = None
         if rotated:
             angle = float(stream.uniform(0.0, 2 * math.pi))
-            sample = _rotate_rows(sample, angle)
+            sample = _rotate(sample.T, angle).T
         trees.append(grow_oracle(sample, limit=height_limit_for(psi), extension_level=extension_level,
                                  rng=stream, angle=angle))
     return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)

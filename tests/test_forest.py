@@ -16,10 +16,10 @@ from eif.forest import (
     Forest,
     IsolationTree,
     _columns,
-    _depth_totals,
     _draw_splits,
     _grow_trees,
     _margins,
+    _prefix_scores,
     _split_margins,
     build_forest,
     build_rotated_forest,
@@ -389,6 +389,12 @@ _REJECTED = [
      ValueError, r"^tree 0 has angle 'x', expected a real number other than a bool$"),
     ("angle-bool", lambda: forest_of(two_leaves(normal=(1.0, 0.0), angle=True), extension_level=0),
      ValueError, r"^tree 0 has angle True, expected a real number other than a bool$"),
+    # an int beyond the float range used to raise a bare OverflowError when the tree was made
+    ("angle-int-beyond-float", lambda: forest_of(two_leaves(normal=(1.0, 0.0), angle=10**400), extension_level=0),
+     ValueError, r"^tree 0 has non-finite angle inf$"),
+    ("angle-minus-int-beyond-float",
+     lambda: forest_of(two_leaves(normal=(1.0, 0.0), angle=-10**400), extension_level=0),
+     ValueError, r"^tree 0 has non-finite angle -inf$"),
     # a longdouble split used to save as text that no JSON reader takes
     ("normal-longdouble", lambda: forest_of(dataclasses.replace(two_leaves(), normal=two_leaves().normal.astype(
         np.longdouble), intercept=two_leaves().intercept.astype(np.longdouble))),
@@ -515,7 +521,11 @@ class TestBuildForest:
 
 def mean_path_length(x, forest):
     """E[h(x)] of each row, as ``score_batch`` forms it from the tree-order sum."""
-    return _depth_totals(x, forest) / forest.t
+    lengths = path_lengths(x, forest)
+    total = np.zeros(len(lengths))
+    for k in range(forest.t):
+        total += lengths[:, k]
+    return total / forest.t
 
 
 class TestPathLengthAndScore:
@@ -661,7 +671,17 @@ class TestPathLengths:
         total = np.zeros(len(probes))
         for k in range(forest.t):
             total += lengths[:, k]
-        assert total.tobytes() == _depth_totals(probes, forest).tobytes()
+        expected = np.array([2.0 ** (-(v / forest.t) / c_factor(forest.psi)) for v in total.tolist()])
+        assert score_batch(probes, forest).tobytes() == expected.tobytes()
+
+    def test_prefix_scores_are_the_scores_of_each_prefix_forest(self, blob_2d):
+        forest = build_forest(blob_2d, 12, 64, 1, seed=8)
+        probes = np.vstack([blob_2d[:40], 3.0 * blob_2d[40:50]])
+        yielded = list(_prefix_scores(probes, forest, [1, 5, 12]))
+        assert len(yielded) == 3
+        for t, scores in zip([1, 5, 12], yielded):
+            prefix = Forest(trees=forest.trees[:t], psi=64, extension_level=1, seed=8)
+            assert scores.tobytes() == score_batch(probes, prefix).tobytes()
 
     def test_empty_input(self, small_forest):
         out = path_lengths(np.empty((0, 2)), small_forest)
@@ -960,9 +980,10 @@ def test_chunked_checks_name_the_fault_the_tree_by_tree_checks_name(forest_250, 
 
 @pytest.mark.parametrize("change", ["leaf-row-nan", "int32-arrays", "numpy-float-angle"])
 def test_chunked_checks_pass_what_the_tree_by_tree_checks_pass(forest_250, change):
-    """Trees that the joined arrays do not take as they are go tree by tree
-    and pass: a NaN in a leaf row, which no check reads, index arrays of
-    another integer type, a rotated forest's angles as numpy floats."""
+    """Trees that are valid though not as grown pass the chunked checks as
+    they pass the tree-by-tree ones: a NaN in a leaf row, which no check
+    reads, index arrays of another integer type, a rotated forest's angles
+    as numpy floats."""
     trees, level = list(forest_250.trees), 1
     if change == "leaf-row-nan":
         trees[170] = _replace_entry(trees[170], "normal", _first_leaf(trees[170]), np.nan)
@@ -1003,7 +1024,8 @@ def test_a_real_angle_is_held_as_a_float_and_saves(tmp_path, angle):
 def test_index_arrays_of_any_integer_dtype_are_checked_alike(forest_250):
     """Index arrays of narrower integer types, and uint64 sizes, pass as
     int64 ones do. uint64 children hold no leaf (-1 becomes 2**64 - 1), and
-    the first such child is named as the tree-by-tree checks name it."""
+    the first such child is named as the tree-by-tree checks name it, also
+    beside signed children of another width."""
     trees = list(forest_250.trees[95:105])
     trees[3] = dataclasses.replace(trees[3], left=trees[3].left.astype(np.int8),
                                    right=trees[3].right.astype(np.int16), size=trees[3].size.astype(np.uint64))
@@ -1011,6 +1033,12 @@ def test_index_arrays_of_any_integer_dtype_are_checked_alike(forest_250):
     assert Forest(trees=trees, psi=32, extension_level=1, seed=6).t == 10
     trees[6] = dataclasses.replace(trees[6], left=trees[6].left.astype(np.uint64),
                                    right=trees[6].right.astype(np.uint64))
+    expected = tree_by_tree_fault(trees, 32, 1)
+    assert "has child index 18446744073709551615 out of range" in expected
+    with pytest.raises(ValueError) as info:
+        Forest(trees=trees, psi=32, extension_level=1, seed=6)
+    assert str(info.value) == expected
+    trees[6] = dataclasses.replace(trees[6], right=forest_250.trees[101].right.astype(np.int8))
     expected = tree_by_tree_fault(trees, 32, 1)
     assert "has child index 18446744073709551615 out of range" in expected
     with pytest.raises(ValueError) as info:

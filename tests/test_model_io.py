@@ -460,6 +460,26 @@ class TestReadCsv:
         assert labels.tolist() == [0, 1]
         assert data.tolist() == [[1.5], [2.5]]
 
+    def test_quoted_cells_are_read_as_their_text(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'"1.5","2"\n3,"4"\n')
+        data, _ = read_csv(p)
+        assert data.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_quoted_header_cell_may_hold_a_comma(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'"a,b",x\n1,0.5\n0,2.5\n')
+        data, labels = read_csv(p, label_column="a,b")
+        assert labels.tolist() == [1, 0]
+        assert data.tolist() == [[0.5], [2.5]]
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x,y\r\n0.5,1\r\n2,3\r\n")
+        data, labels = read_csv(p)
+        assert labels is None
+        assert data.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

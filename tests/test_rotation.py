@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import (
-    Forest, _columns, _grow_trees, _rotate_rows, build_forest, build_rotated_forest, score_batch,
+    Forest, _grow_trees, _rotate, build_forest, build_rotated_forest, score_batch,
 )
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
@@ -15,7 +15,7 @@ from oracles import document_oracle, rotated_forest_with_angles
 
 
 def rotate_point(x, angle):
-    return _rotate_rows(np.array([x], dtype=float), angle)[0]
+    return _rotate(np.array([x], dtype=float).T, angle)[:, 0]
 
 
 class TestRotatePoint:
@@ -65,7 +65,7 @@ class TestBuildRotatedForest:
             sample = subsample(stream, blob_2d, 128)
             angle = float(stream.uniform(0.0, 2 * math.pi))
             assert tree.angle == angle
-            turned = _columns(_rotate_rows(sample, angle))
+            turned = _rotate(sample.T, angle)
             replayed += _grow_trees(turned, [stream], [angle], limit=7, extension_level=0)
         g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
         assert document_oracle(g) == document_oracle(f)
