@@ -26,15 +26,17 @@ grown alone or with others, and the forest is the same for any chunk size.
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
 Building and scoring hold the points column-major, as a (dimension, points)
-block. Scoring's ``_margins`` adds the terms one at a time; training's
-``_split_margins`` does too, or at full extension sums them by an axis-0
-reduce over a C-contiguous block, which adds its rows in order. A reduce over
-an F-ordered view or along ``axis=1`` must never sum them: numpy sums those
-pairwise, which changes the bits from 9 terms up. ``_prefix_scores`` is
-the one place depths are summed in tree order and turned into scores:
-``score_batch`` and ``convergence_curve`` both read it, and ``path_lengths``
-gives its per-tree terms. A point scores the same alone or in any batch, and
-replays with an equal seed reproduce every output bit-for-bit.
+block. Scoring's ``_margins`` and training's ``_split_margins`` add the
+terms one at a time, or, where every normal entry is nonzero (in scoring,
+of more than two), sum them by an axis-0 reduce over a C-contiguous block
+of two or more points, which adds its rows in order. A reduce over one
+point's (k, 1) block, over an F-ordered view or along ``axis=1`` must never
+sum them: numpy sums those pairwise, which changes the bits from 9 terms
+up. ``_prefix_scores`` is the one place depths are summed in tree order and
+turned into scores: ``score_batch`` and ``convergence_curve`` both read it,
+and ``path_lengths`` gives its per-tree terms. A point scores the same alone
+or in any batch, and replays with an equal seed reproduce every output
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -343,10 +345,29 @@ def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.
     (dimension, points) block ``xt``, as scoring sends them down a tree.
 
     Only n's nonzero entries add a term, in index order (a zero entry would
-    add a signed zero, or NaN where x - p overflows). Each term gathers one
-    1-D column and is added in place, so no (points, dimension) copy is made.
+    add a signed zero, or NaN where x - p overflows). When every entry is
+    nonzero, more than two coordinates and more than one point, the points
+    are gathered as one C-contiguous (dimension, points) block, the terms are
+    formed in place, and an axis-0 reduce adds its rows in order, as
+    training's ``_split_margins`` does. Each guard keeps a case where that is
+    slower or changes bits:
+
+    - two coordinates: the block took 1.00-1.21x as long as two column terms
+      on a 200x200 2-D score map, so 2-D scoring keeps its code;
+    - one point: numpy reduces a (k, 1) block as a contiguous line, pairwise,
+      which from 9 terms can differ in the last bit from the in-order sum;
+    - a zero entry: the block would add its term. Counting ``dims``, which the
+      column loop needs anyway, costs no numpy call on the level-0 path.
+
+    Otherwise each term gathers one 1-D column and is added in place, so no
+    (points, dimension) copy is made.
     """
     dims = normal.nonzero()[0].tolist()
+    if len(dims) == len(xt) > 2 and len(idx) > 1:
+        block = xt.take(idx, axis=1)
+        block -= intercept[:, None]
+        block *= normal[:, None]
+        return np.add.reduce(block, axis=0)
     acc = (xt[dims[0]][idx] - intercept[dims[0]]) * normal[dims[0]]
     for d in dims[1:]:
         acc += (xt[d][idx] - intercept[d]) * normal[d]

@@ -20,24 +20,30 @@ tree's ``height_limit``). Floats are written in Python's shortest round-trip
 form, so load(save(f)) scores bit-for-bit like f. ``save_forest`` writes the
 text itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
 (keys in the order above, one value per line, one space of indent per
-level); only the loader goes through ``json``. The loader fills each tree's
-arrays from its node list in a few bulk passes; when one raises or a check
-fails, a walk over the nodes in file order names the first fault, and
-nothing is built.
+level); only the loader goes through ``json``. It streams the text: the
+header, then one tree's text at a time, so a save holds one tree's text,
+never the whole document. The loader fills each tree's arrays from its node
+list in a few bulk passes; when one raises or a check fails, a walk over
+the nodes in file order names the first fault, and nothing is built.
 
 CSV dialect throughout: comma separator, "." decimal, UTF-8, one optional
 header line. The writers write LF line endings; ``read_csv`` also reads CRLF
-ones and quoted cells. Scores are written with 9 significant
-digits; dataset values and grid coordinates in shortest round-trip form,
-each of a grid's nx + ny coordinates formatted once.
+ones and quoted cells. It streams the file through csv.reader and converts
+a chunk of records at a time, so one str per cell is never held for the
+whole file; errors name the first faulty line. Scores are written with 9
+significant digits; dataset values and grid coordinates in shortest
+round-trip form, each of a grid's nx + ny coordinates formatted once.
 
 Every output file is written atomically by ``_write_text``, with the mode
-``open()`` would give it; a write error names the requested path.
+``open()`` would give it; a write error, or an error raised while the text
+is made, leaves any old file as it was, and a write error names the
+requested path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import itertools
 import json
 import math
@@ -58,17 +64,19 @@ FORMAT_MAGIC = "eif-model"
 FORMAT_VERSION = 1
 
 
-def _write_text(path, text: str) -> None:
-    """Whole file or nothing, with the mode open() gives: a new file beside
-    ``path`` (the umask applies, a replaced file's bits carry over), fsynced
-    and renamed over it; any failure removes it, and an OSError names ``path``."""
+def _write_text(path, pieces) -> None:
+    """Whole file or nothing, with the mode open() gives: each str of the
+    iterable ``pieces`` is written as it arrives into a new file beside
+    ``path`` (the umask applies, a replaced file's bits carry over), which is
+    fsynced and renamed over it; any failure, one raised by ``pieces``
+    included, removes it, and an OSError names ``path``."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
     created = False
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as f:
             created = True
-            f.write(text)
+            f.writelines(pieces)
             f.flush()
             os.fsync(f.fileno())
         with contextlib.suppress(FileNotFoundError):  # no file to replace: keep the umask's mode
@@ -115,7 +123,8 @@ def save_forest(forest: Forest, path) -> None:
     fixed node templates, which is several times faster than ``json``'s
     indenting encoder, a pure-Python one. The text is what
     ``json.dumps(document, indent=1)`` gives for the document the module
-    docstring lays out.
+    docstring lays out; it is written a tree at a time, so the whole text is
+    never held.
     """
     header = json.dumps({
         "format": FORMAT_MAGIC,
@@ -129,8 +138,16 @@ def save_forest(forest: Forest, path) -> None:
         "rng_family": RNG_FAMILY,
     }, indent=1)[:-2]  # the document goes on: drop the closing "\n}"
     height_limit = height_limit_for(forest.psi)
-    trees = ",\n".join(_tree_text(tree, height_limit) for tree in forest.trees)
-    _write_text(path, f'{header},\n "trees": [\n{trees}\n ]\n}}')
+
+    def pieces():
+        yield f'{header},\n "trees": [\n'
+        for k, tree in enumerate(forest.trees):
+            if k:
+                yield ",\n"
+            yield _tree_text(tree, height_limit)
+        yield "\n ]\n}"
+
+    _write_text(path, pieces())
 
 
 def _fail(msg: str) -> ModelFormatError:
@@ -343,34 +360,49 @@ def _first_fault(raw, width: int, label_idx: int | None) -> CsvFormatError:
     raise AssertionError("the bulk conversion failed on a table with no faulty cell")
 
 
+# Records converted per numpy call: one str per cell is held for this many, never for the whole file.
+_CHUNK_ROWS = 1024
+
+
+def _records(path):
+    """(line number, cells) of each non-empty record of the CSV file at
+    ``path``, as csv.reader reads them one at a time."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            reader = csv.reader(f)
+            try:
+                for row in reader:
+                    if row:
+                        yield reader.line_num, row
+            except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
+                raise CsvFormatError(f"unreadable CSV at line {reader.line_num}: {e}") from None
+    except OSError as e:
+        raise OSError(f"cannot read CSV from {path}: {e}") from e
+
+
 def read_csv(path, label_column=None):
     """Parse a dataset CSV into (rows-by-dimension array, labels or None).
 
     A first line with any non-numeric cell is a header, and every line, the
     header included, must have as many cells as the first. ``label_column``
     may be a column name (requires a header) or a 0-based index; that column
-    must hold only 0/1 and is returned separately. The table is converted in
-    one numpy call; errors name the first faulty line and column.
+    must hold only 0/1 and is returned separately. csv.reader streams the
+    file and each ``_CHUNK_ROWS`` records are converted in one numpy call;
+    errors name the first faulty line and column, which lies in the first
+    chunk whose conversion or checks fail.
     """
-    import csv as _csv
-
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            reader = _csv.reader(f)
-            raw = [(reader.line_num, row) for row in reader if row]
-    except OSError as e:
-        raise OSError(f"cannot read CSV from {path}: {e}") from e
-    if not raw:
+    records = _records(path)
+    chunk = list(itertools.islice(records, _CHUNK_ROWS))
+    if not chunk:
         raise CsvFormatError(f"{path}: file is empty")
 
-    width = len(raw[0][1])
+    width = len(chunk[0][1])
     header: list[str] | None = None
     try:
-        np.array(raw[0][1], dtype=np.float64)
+        np.array(chunk[0][1], dtype=np.float64)
     except ValueError:
-        header = [c.strip() for c in raw[0][1]]
-        raw = raw[1:]
-        if not raw:
+        header = [c.strip() for c in chunk.pop(0)[1]]
+        if not chunk:
             raise CsvFormatError(f"{path}: no data rows after header") from None
 
     label_idx: int | None = None
@@ -392,13 +424,18 @@ def read_csv(path, label_column=None):
                     f"label column index {label_idx} out of range for {width} columns"
                 )
 
-    try:
-        table = np.array([row for _, row in raw], dtype=np.float64)
-    except ValueError:  # a ragged row or a cell float() rejects
-        table = None
-    if (table is None or table.shape[1] != width or not np.isfinite(table).all()
-            or (label_idx is not None and not np.isin(table[:, label_idx], (0.0, 1.0)).all())):
-        raise _first_fault(raw, width, label_idx)
+    tables = []
+    while chunk:
+        try:
+            table = np.array([row for _, row in chunk], dtype=np.float64)
+        except ValueError:  # a ragged row or a cell float() rejects
+            table = None
+        if (table is None or table.shape[1] != width or not np.isfinite(table).all()
+                or (label_idx is not None and not np.isin(table[:, label_idx], (0.0, 1.0)).all())):
+            raise _first_fault(chunk, width, label_idx)
+        tables.append(table)
+        chunk = list(itertools.islice(records, _CHUNK_ROWS))
+    table = np.concatenate(tables)
     if label_idx is None:
         return table, None
     if width < 2:
@@ -413,7 +450,7 @@ def format_score(value: float) -> str:
 
 def _write_csv(path, header, rows) -> None:
     """The header, then each row: cells joined by commas, one line each."""
-    _write_text(path, "\n".join(map(",".join, itertools.chain([header], rows))) + "\n")
+    _write_text(path, ["\n".join(map(",".join, itertools.chain([header], rows))) + "\n"])
 
 
 def write_dataset_csv(path, data: np.ndarray) -> None:

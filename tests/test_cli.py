@@ -191,6 +191,16 @@ class TestTrain:
         assert "column 0 spans" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["1" * 200_000, '"' + "1" * 200_000 + '"'], ids=["plain", "quoted"])
+    def test_cell_beyond_the_csv_field_limit_is_data_error(self, tmp_path, capsys, cell):
+        data_path = tmp_path / "long.csv"
+        data_path.write_text(f"x0,x1\n0,1\n{cell},2\n3,4\n")
+        out = tmp_path / "m.json"
+        code, _, err = invoke(capsys, "train", "--data", str(data_path), "--out", str(out))
+        assert code == 2
+        assert err == "error: unreadable CSV at line 3: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         code, _, err = invoke(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                               "--seed", "1", "--out", str(tmp_path / "m.json"))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -579,23 +580,43 @@ class TestPathLengthAndScore:
         assert far.hex() == near.hex()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("measure", [
-        lambda data, x: score_batch(x, build_forest(data, 10, 64, 1, 1)),
-        lambda data, x: convergence_curve(data, x, [5, 10], 64, 1, 1),
-    ], ids=["score_batch", "convergence_curve"])
-    def test_margin_overflow_is_an_error_not_a_warning(self, measure):
-        data = gen_gaussian_blob(500, 2, seed=1)
+    @pytest.mark.parametrize("measure,rows", [
+        pytest.param(measure, rows, id=name + suffix)
+        # at 3-D full extension, the rows reach each root as one block
+        for rows, suffix in [([[1e308, 1e308], [1e308, -1e308]], ""),
+                             (list(itertools.product([1e308, -1e308], repeat=3)), "-3-D")]
+        for name, measure in [
+            ("score_batch", lambda data, x: score_batch(x, build_forest(data, 10, 64, data.shape[1] - 1, 1))),
+            ("convergence_curve", lambda data, x: convergence_curve(data, x, [5, 10], 64, data.shape[1] - 1, 1)),
+        ]
+    ])
+    def test_margin_overflow_is_an_error_not_a_warning(self, measure, rows):
+        data = gen_gaussian_blob(500, len(rows[0]), seed=1)
         with pytest.raises(ValueError, match="a split margin overflowed float64"):
-            measure(data, np.array([[1e308, 1e308], [1e308, -1e308]]))
+            measure(data, np.array(rows))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("measure", [score_batch, path_lengths], ids=["score_batch", "path_lengths"])
-    def test_opposite_infinite_terms_do_not_route_by_a_nan_margin(self, measure):
-        # (2, -2) lies exactly on the split, but each term overflows: +inf + -inf
-        # is NaN, and NaN <= 0 is false, which would send the point right.
-        forest = forest_of(tree_from_nested(([1e308, 1e308], [0.0, 0.0], 1, 1)), psi=2)
+    @pytest.mark.parametrize("measure,rows", [
+        pytest.param(measure, rows, id=measure.__name__ + suffix)
+        for rows, suffix in [([[2.0, -2.0]], ""), ([[2.0, -2.0, 0.0], [2.0, -2.0, 0.0]], "-3-D")]
+        for measure in (score_batch, path_lengths)
+    ])
+    def test_opposite_infinite_terms_do_not_route_by_a_nan_margin(self, measure, rows):
+        # (2, -2, ...) lies exactly on the split, but the first two terms overflow:
+        # +inf + -inf is NaN, and NaN <= 0 is false, which would send the point
+        # right. At 3-D the two rows reach the root as one block.
+        dim = len(rows[0])
+        forest = forest_of(tree_from_nested(([1e308] * dim, [0.0] * dim, 1, 1)), psi=2, extension_level=dim - 1)
         with pytest.raises(ValueError, match="a split margin overflowed float64"):
-            measure(np.array([[2.0, -2.0]]), forest)
+            measure(np.array(rows), forest)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_overflow_in_a_block_is_an_error(self):
+        # Every term is finite, each row's sum is not, and the rows reach the
+        # root split as one block: a margin of +-inf must not route them.
+        forest = forest_of(tree_from_nested(([1.0] * 3, [0.0] * 3, 1, 1)), psi=2, extension_level=2)
+        with pytest.raises(ValueError, match="a split margin overflowed float64"):
+            score_batch(np.array([[1e308] * 3, [-1e308] * 3]), forest)
 
     def test_score_at_normalizer_depth_is_half(self, small_forest):
         # when the mean depth equals c(psi) the score is exactly 1/2
@@ -840,6 +861,25 @@ def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
                                    for tree in forest.trees])
     batch = score_batch(probes, forest)
     assert [v.hex() for v in batch.tolist()] == [score_oracle(p, forest).hex() for p in probes]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_lone_knife_edge_points_score_as_the_scalar_oracle(seed):
+    """Points whose side of a root split depends on the summation order score
+    bit for bit as the scalar oracle alone, as a pair with themselves and in
+    a batch. Full extension gathers a node's points as one block; reduced
+    for a lone point, its (16, 1) block would be summed pairwise."""
+    dim = 16
+    data = gen_gaussian_blob(200, dim, seed=seed) * wide_scales(dim)
+    forest = build_forest(data, 20, 64, dim - 1, seed=seed)
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    points = np.vstack([knife_edge_points(tree.normal[0], tree.intercept[0], lo, hi) for tree in forest.trees])
+    assert len(points) >= 10
+    expected = [score_oracle(p, forest).hex() for p in points]
+    assert [score_batch(p[np.newaxis, :], forest)[0].hex() for p in points] == expected
+    for p, want in zip(points, expected):
+        assert [v.hex() for v in score_batch(np.vstack([p, p]), forest).tolist()] == [want, want]
+    assert [v.hex() for v in score_batch(points, forest).tolist()] == expected
 
 
 @given(seed=st.integers(0, 2**32), dim=st.integers(9, 20), full=st.booleans())

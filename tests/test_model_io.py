@@ -494,22 +494,35 @@ class TestReadCsv:
             read_csv(p, label_column=label_column)
 
 
-_CSV_CELLS = ["0", "1", "1.5", " 2 ", "1_0", "nan", "inf", "-0", "x", " x ", "", "\u0661", "1e400", "\xa03"]
+# Quoted cells, a stray quote, and whitespace that float() strips but only
+# str.splitlines() would end a line at ("\x0b", "\x85", U+2028).
+_CSV_CELLS = ["0", "1", "1.5", " 2 ", "1_0", "nan", "inf", "-0", "x", " x ", "", "\u0661", "1e400", "\xa03",
+              '"1.5"', '"1,0"', '"x"', '1"', "\x0b1", "2\x85", "\u20283"]
 
 
 @st.composite
 def _csv_files(draw):
-    """Small CSV texts: an optional header, 1-4 rows of 1-3 cells, sometimes one ragged row."""
+    """Small CSV texts: an optional BOM and header, 1-4 rows of 1-3 cells,
+    sometimes one ragged row, blank lines, LF, CRLF or CR line ends, and
+    sometimes none after the last line."""
     width = draw(st.integers(1, 3))
     lines = []
     if draw(st.booleans()):
-        lines.append(draw(st.lists(st.sampled_from(["a", "label", "x", "0"]), min_size=width, max_size=width)))
+        lines.append(draw(st.lists(st.sampled_from(["a", "label", "x", "0", '"label"']),
+                                   min_size=width, max_size=width)))
     rows = draw(st.lists(st.lists(st.sampled_from(_CSV_CELLS), min_size=width, max_size=width),
                          min_size=1, max_size=4))
     if draw(st.booleans()):
         rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(st.sampled_from(_CSV_CELLS), min_size=1, max_size=4))
+    lines = [",".join(row) for row in lines + rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(line + end for line in lines)
+    if draw(st.booleans()):
+        text = text[:-len(end)]
     label_column = draw(st.sampled_from([None, 0, width - 1, "label"]))
-    return "".join(",".join(row) + "\n" for row in lines + rows), label_column
+    return text, label_column
 
 
 def _csv_outcome(read, path, label_column):
@@ -527,6 +540,49 @@ def test_read_csv_matches_the_cell_by_cell_oracle(tmp_path, case):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _csv_outcome(read_csv, path, label_column) == _csv_outcome(read_csv_oracle, path, label_column)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("1,2", "ragged row at line 3000: expected 3 cells, got 2"),
+    ("1,2,0,3", "ragged row at line 3000: expected 3 cells, got 4"),
+    ("1,oops,0", "non-numeric cell 'oops' at line 3000, column 2"),
+    ("1,inf,0", "non-finite value 'inf' at line 3000, column 2"),
+    ("1,2,3", "label at line 3000 is '3', must be 0 or 1"),
+], ids=["short", "long", "non-numeric", "non-finite", "label"])
+def test_fault_past_the_first_chunk_is_named_as_the_oracle_names_it(tmp_path, fault, message):
+    # 4,000 lines, so the fault lies in the third chunk; blank lines before it
+    # count toward its line number.
+    lines = ["x0,x1,label"] + [f"{k}.25,{-k},{k % 2}" for k in range(1, 4000)]
+    lines[1500] = lines[2500] = ""
+    lines[2999] = fault
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    for label_column in ([None, "label"] if fault != "1,2,3" else ["label"]):
+        with pytest.raises(CsvFormatError) as caught:
+            read_csv(path, label_column=label_column)
+        assert str(caught.value) == message
+        assert _csv_outcome(read_csv, path, label_column) == _csv_outcome(read_csv_oracle, path, label_column)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_csv_converts_a_chunk_of_cells_at_a_time(tmp_path):
+    # A str per cell of a 20k x 16 file peaked at 30 MB, and the text with
+    # its lines at about 14 MB; a chunk of records at a time holds about 5 MB.
+    path = tmp_path / "d.csv"
+    data = gen_gaussian_blob(20_000, 16, seed=9)
+    write_dataset_csv(path, data)
+    read = []
+    assert _traced_peak(lambda: read.append(read_csv(path))) < 12_000_000
+    assert read[0][0].tobytes() == data.tobytes()
 
 
 # Grid bounds: negative, near zero, ordinary and huge lows; subnormal to huge spans.
@@ -678,6 +734,32 @@ class TestWritePath:
         message = str(caught.value)
         assert message.startswith(f"cannot write {path}: ")
         assert ".tmp" not in message
+
+    def test_save_failing_at_a_tree_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        save_forest(_TINY_FOREST, path)
+        old = path.read_bytes()
+        forest = build_forest(gen_gaussian_blob(300, 2, seed=5), 100, 16, 1, seed=5)
+        real, written = model_io._tree_text, []
+
+        def tree_text(tree, height_limit):
+            if len(written) == 50:
+                raise RuntimeError("tree 50")
+            written.append(tree)
+            return real(tree, height_limit)
+
+        monkeypatch.setattr(model_io, "_tree_text", tree_text)
+        with pytest.raises(RuntimeError, match="tree 50"):
+            save_forest(forest, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_save_holds_one_tree_text_at_a_time(self, tmp_path):
+        # The 100-tree 16-D full model is 7.7 MB of text, which peaked at
+        # 22.6 MB when the save built it whole.
+        forest = build_forest(gen_gaussian_blob(2000, 16, seed=9), 100, 256, 15, seed=9)
+        assert _traced_peak(lambda: save_forest(forest, tmp_path / "m.json")) < 5_000_000
+        assert (tmp_path / "m.json").stat().st_size > 7_000_000
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_failed_rename_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch, writer):
@@ -912,6 +994,7 @@ def _mutated_documents(draw, kinds=("extended", "rotated"), min_mutations=1, val
 
 @given(doc=_mutated_documents())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("ignore:model .* was built under rng family:UserWarning")
 def test_mutated_documents_fail_loudly_or_score_in_unit_interval(tmp_path, doc):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
