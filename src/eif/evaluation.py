@@ -7,6 +7,7 @@ per level so results replay exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ def score_map(forest: Forest, x_min, x_max, y_min, y_max, nx: int = 100, ny: int
     nx, ny = _check_count("nx", nx, 2), _check_count("ny", ny, 2)
     if not (x_min < x_max and y_min < y_max):
         raise ValueError("empty grid bounds")
+    for axis, lo, hi in (("x", x_min, x_max), ("y", y_min, y_max)):
+        if not math.isfinite(float(hi) - float(lo)):  # an infinite bound, or a width beyond float64
+            raise ValueError(f"grid {axis} bounds must be finite, with a width that fits float64, "
+                             f"got [{float(lo)!r}, {float(hi)!r}]")
     values = score_batch(grid_points(x_min, x_max, y_min, y_max, nx, ny), forest).reshape(ny, nx)
     return ScoreGrid(
         x_min=float(x_min), x_max=float(x_max),

@@ -22,9 +22,9 @@ text itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
 (keys in the order above, one value per line, one space of indent per
 level); only the loader goes through ``json``. It streams the text: the
 header, then one tree's text at a time, so a save holds one tree's text,
-never the whole document. The loader fills each tree's arrays from its node
-list in a few bulk passes; when one raises or a check fails, a walk over
-the nodes in file order names the first fault, and nothing is built.
+never the whole document. The loader reads each tree's node list in one
+walk, in file order, checking each field as it reaches it and naming the
+first fault; no node array is made before the walk ends.
 
 CSV dialect throughout: comma separator, "." decimal, UTF-8, one optional
 header line. The writers write LF line endings; ``read_csv`` also reads CRLF
@@ -47,7 +47,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 import warnings
@@ -154,12 +153,17 @@ def _fail(msg: str) -> ModelFormatError:
     return ModelFormatError(f"invalid model: {msg}")
 
 
-def _require(doc: dict, key: str, types, where: str):
+def _field_fault(doc: dict, key: str, where: str) -> ModelFormatError:
+    """The error for field ``key`` of ``doc`` when it is missing or of a wrong type."""
     if key not in doc:
-        raise _fail(f"missing field {key!r} in {where}")
-    value = doc[key]
+        return _fail(f"missing field {key!r} in {where}")
+    return _fail(f"field {key!r} in {where} has wrong type {type(doc[key]).__name__}")
+
+
+def _require(doc: dict, key: str, types, where: str):
+    value = doc.get(key)  # None when missing, which no caller accepts
     if isinstance(value, bool) or not isinstance(value, types):  # JSON true/false are not numbers
-        raise _fail(f"field {key!r} in {where} has wrong type {type(value).__name__}")
+        raise _field_fault(doc, key, where)
     return value
 
 
@@ -172,92 +176,12 @@ def _floats(values: list, what: str) -> list[float]:
     raise _fail(f"{what} has non-numeric or non-finite entries")
 
 
-_KINDS = {"internal", "external"}
-_kind = operator.itemgetter("kind")
-_normal = operator.itemgetter("normal")
-_intercept = operator.itemgetter("intercept")
-_children = operator.itemgetter("left_index", "right_index")
-_size = operator.itemgetter("size")
-
-
-def _node_arrays(nodes: list, dimension: int):
-    """(normal, intercept, left, right, size) of a node list, filled in a few
-    bulk passes: kinds, children and sizes, one exact-type scan of every
-    vector entry, one ``np.array`` per vector column. None when a pass
-    raises or a check fails; ``_node_fault`` then names the fault."""
-    try:
-        kinds = list(map(_kind, nodes))
-        if not set(kinds) <= _KINDS:
-            return None
-        split = np.array([kind == "internal" for kind in kinds], dtype=bool)
-        inner = list(itertools.compress(nodes, split))
-        leaf = ~split
-        sizes = list(map(_size, itertools.compress(nodes, leaf)))
-        children = list(itertools.chain.from_iterable(map(_children, inner)))
-        normals, intercepts = list(map(_normal, inner)), list(map(_intercept, inner))
-        vectors = normals + intercepts
-        if not (set(map(type, itertools.chain(sizes, children))) <= {int}  # exact types: a JSON true is a bool
-                and set(map(type, vectors)) <= {list} and set(map(len, vectors)) <= {dimension}
-                and set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}
-                and min(children, default=0) >= 0  # in the node arrays a negative child marks a leaf
-                and len(nodes) <= 1 + 2 * len(inner)):  # the node-count bound, before any (nodes, dimension) array
-            return None
-        size = np.zeros(len(nodes), dtype=np.int64)
-        size[leaf] = sizes
-        left, right = np.full((2, len(nodes)), -1, dtype=np.int64)
-        left[split], right[split] = np.array(children, dtype=np.int64).reshape(-1, 2).T
-        if not inner:  # a lone leaf: no split confirms dimension, so no row of that width
-            zeros = np.broadcast_to(np.float64(0.0), (1, dimension))
-            return zeros, zeros, left, right, size
-        normal, intercept = np.zeros((2, len(nodes), dimension))
-        normal[split] = np.array(normals, dtype=np.float64)  # an int beyond the float range raises
-        intercept[split] = np.array(intercepts, dtype=np.float64)
-        return normal, intercept, left, right, size
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-
-
-def _node_fault(nodes: list, where: str, dimension: int) -> ModelFormatError:
-    """The first fault of a node list in file order, node by node, as the
-    error to raise; then a node count beyond what the splits reach, then a
-    child index or size beyond 64 bits. Called only once ``_node_arrays``
-    has failed, so there is one to find; it builds nothing."""
-    internal, ints = 0, []
-    try:
-        for i, rec in enumerate(nodes):
-            node = f"node {i} of {where}"
-            if not isinstance(rec, dict):
-                raise _fail(f"{node} is not an object")
-            kind = _require(rec, "kind", str, node)
-            if kind == "external":
-                ints.append(_require(rec, "size", int, node))
-            elif kind == "internal":
-                n_vec = _require(rec, "normal", list, node)
-                p_vec = _require(rec, "intercept", list, node)
-                if len(n_vec) != dimension or len(p_vec) != dimension:
-                    raise _fail(f"{node} has vectors of length != dimension {dimension}")
-                children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
-                if min(children) < 0:  # in the node arrays a negative child marks a leaf
-                    raise _fail(f"{node} has child index {min(children)} out of range")
-                _floats(n_vec, f"split normal of {node}")
-                _floats(p_vec, f"split intercept of {node}")
-                internal += 1
-                ints += children
-            else:
-                raise _fail(f"{node} has unknown kind {kind!r}")
-    except ModelFormatError as e:
-        return e
-    # Rows cost dimension floats each, so their count is bounded by the splits read.
-    if len(nodes) > 1 + 2 * internal:
-        return _fail(f"{where} has {len(nodes)} nodes, but its splits reach at most "
-                     f"{1 + 2 * internal}: some are unreachable")
-    if not all(-2**63 <= v < 2**63 for v in ints):
-        return _fail(f"{where} has a child index or size beyond 64 bits")
-    raise AssertionError("the bulk read failed on a node list with no fault")
-
-
 def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
-    """Tree from its document: the nodes in file order, read into arrays."""
+    """Tree from its document. One walk over the nodes in file order checks
+    each field as it reaches it, by exact type (a JSON true is a bool), and
+    collects the node arrays' columns; the first fault is raised. Then a node
+    count beyond what the splits reach, checked before any (nodes, dimension)
+    array is made, then a child index or size beyond 64 bits."""
     if not isinstance(td, dict):
         raise _fail(f"{where} is not an object")
     _require(td, "height_limit", int, where)
@@ -269,10 +193,59 @@ def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
     nodes = _require(td, "nodes", list, where)
     if not nodes:
         raise _fail(f"{where} has no nodes")
-    arrays = _node_arrays(nodes, dimension)
-    if arrays is None:
-        raise _node_fault(nodes, where, dimension)
-    normal, intercept, left, right, size = arrays
+    node = f"node {{}} of {where}".format  # a node's name, made only for a message
+    is_float = float.__instancecheck__  # json makes no float subclass: this is the exact type
+    left, right, size = [-1] * len(nodes), [-1] * len(nodes), [0] * len(nodes)
+    normals, intercepts = [], []
+    for i, rec in enumerate(nodes):
+        if type(rec) is not dict:
+            raise _fail(f"{node(i)} is not an object")
+        kind = rec.get("kind")
+        if kind == "external":
+            n = rec.get("size")
+            if type(n) is not int:
+                raise _field_fault(rec, "size", node(i))
+            size[i] = n
+        elif kind == "internal":
+            normal, intercept = rec.get("normal"), rec.get("intercept")
+            if type(normal) is not list:
+                raise _field_fault(rec, "normal", node(i))
+            if type(intercept) is not list:
+                raise _field_fault(rec, "intercept", node(i))
+            if len(normal) != dimension or len(intercept) != dimension:
+                raise _fail(f"{node(i)} has vectors of length != dimension {dimension}")
+            left_index, right_index = rec.get("left_index"), rec.get("right_index")
+            if type(left_index) is not int:
+                raise _field_fault(rec, "left_index", node(i))
+            if type(right_index) is not int:
+                raise _field_fault(rec, "right_index", node(i))
+            if left_index < 0 or right_index < 0:  # in the node arrays a negative child marks a leaf
+                raise _fail(f"{node(i)} has child index {min(left_index, right_index)} out of range")
+            if not all(map(is_float, normal)):
+                normal = _floats(normal, f"split normal of {node(i)}")
+            if not all(map(is_float, intercept)):
+                intercept = _floats(intercept, f"split intercept of {node(i)}")
+            left[i], right[i] = left_index, right_index
+            normals.append(normal)
+            intercepts.append(intercept)
+        elif type(kind) is str:
+            raise _fail(f"{node(i)} has unknown kind {kind!r}")
+        else:
+            raise _field_fault(rec, "kind", node(i))
+    # Rows cost dimension floats each, so their count is bounded by the splits read.
+    if len(nodes) > 1 + 2 * len(normals):
+        raise _fail(f"{where} has {len(nodes)} nodes, but its splits reach at most "
+                    f"{1 + 2 * len(normals)}: some are unreachable")
+    try:
+        left, right, size = np.array([left, right, size], dtype=np.int64)
+    except OverflowError:
+        raise _fail(f"{where} has a child index or size beyond 64 bits") from None
+    if normals:
+        normal, intercept = np.zeros((2, len(nodes), dimension))
+        split = left >= 0
+        normal[split], intercept[split] = normals, intercepts
+    else:  # a lone leaf: no split confirms dimension, so no row of that width
+        normal = intercept = np.broadcast_to(np.float64(0.0), (1, dimension))
     return IsolationTree(normal=normal, intercept=intercept, left=left, right=right, size=size, angle=angle)
 
 
@@ -364,6 +337,21 @@ def _first_fault(raw, width: int, label_idx: int | None) -> CsvFormatError:
 _CHUNK_ROWS = 1024
 
 
+def _undecodable_line(path) -> int | None:
+    """1-based line of the first byte of the file at ``path`` that is not
+    UTF-8, counting the line ends csv.reader counts (LF, CRLF and a lone CR)."""
+    line = 1
+    with open(path, "rb") as f:
+        for chunk in f:  # split after each LF, which no multi-byte UTF-8 character holds
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as e:
+                head = chunk[:e.start]
+                return line + head.count(b"\r") - head.count(b"\r\n")
+            line += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    return None
+
+
 def _records(path):
     """(line number, cells) of each non-empty record of the CSV file at
     ``path``, as csv.reader reads them one at a time."""
@@ -376,6 +364,8 @@ def _records(path):
                         yield reader.line_num, row
             except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
                 raise CsvFormatError(f"unreadable CSV at line {reader.line_num}: {e}") from None
+            except UnicodeDecodeError as e:  # decoded ahead in blocks, so reader.line_num may lag
+                raise CsvFormatError(f"{path}: not UTF-8 at line {_undecodable_line(path)}: {e.reason}") from None
     except OSError as e:
         raise OSError(f"cannot read CSV from {path}: {e}") from e
 

@@ -201,6 +201,15 @@ class TestTrain:
         assert err == "error: unreadable CSV at line 3: field larger than field limit (131072)\n"
         assert not out.exists()
 
+    def test_data_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_bytes(b"x0,x1\n1,2\n3,\xff\n")
+        out = tmp_path / "m.json"
+        code, _, err = invoke(capsys, "train", "--data", str(data_path), "--out", str(out))
+        assert code == 2
+        assert err == f"error: {data_path}: not UTF-8 at line 3: invalid start byte\n"
+        assert not out.exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         code, _, err = invoke(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                               "--seed", "1", "--out", str(tmp_path / "m.json"))
@@ -266,6 +275,18 @@ class TestScoremap:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,score"
         assert len(lines) == 1 + 48
+
+    @pytest.mark.parametrize("bounds,axis", [
+        (["--xmin=-1e308", "--xmax", "1e308", "--ymin", "-3", "--ymax", "3"], "x"),
+        (["--xmin=-inf", "--xmax", "3", "--ymin", "-3", "--ymax", "3"], "x"),
+        (["--xmin", "-3", "--xmax", "3", "--ymin", "-3", "--ymax", "inf"], "y"),
+    ], ids=["width-overflows", "infinite-xmin", "infinite-ymax"])
+    def test_bounds_infinite_or_too_wide_are_data_error(self, tmp_path, model_json, capsys, bounds, axis):
+        out = tmp_path / "g.csv"
+        code, _, err = invoke(capsys, "scoremap", "--model", str(model_json), *bounds, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: grid {axis} bounds must be finite, with a width that fits float64")
+        assert not out.exists()
 
     def test_inverted_bounds_usage_error(self, tmp_path, model_json, capsys):
         code, _, err = invoke(capsys, "scoremap", "--model", str(model_json),

@@ -144,6 +144,16 @@ class TestScoreMap:
         with pytest.raises(ValueError, match="2-D"):
             score_map(f, -1, 1, -1, 1, 4, 4)
 
+    @pytest.mark.parametrize("bounds,message", [
+        ((-1e308, 1e308, -1.0, 1.0), r"grid x bounds .* got \[-1e\+308, 1e\+308\]"),
+        ((-1.0, 1.0, -np.inf, 1.0), r"grid y bounds .* got \[-inf, 1.0\]"),
+        ((-1.0, np.inf, -1.0, 1.0), r"grid x bounds .* got \[-1.0, inf\]"),
+    ], ids=["width-overflows", "infinite-min", "infinite-max"])
+    def test_rejects_bounds_that_are_infinite_or_overflow_in_width(self, small_forest, bounds, message):
+        # They reached score_batch, whose message named a query row the caller never passed.
+        with pytest.raises(ValueError, match=message):
+            score_map(small_forest, *bounds, 4, 4)
+
     def test_works_with_rotated_forest(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=3)
         grid = score_map(f, -3.0, 3.0, -3.0, 3.0, 4, 4)

@@ -564,6 +564,19 @@ def test_fault_past_the_first_chunk_is_named_as_the_oracle_names_it(tmp_path, fa
         assert _csv_outcome(read_csv, path, label_column) == _csv_outcome(read_csv_oracle, path, label_column)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_byte_not_utf8_is_named_with_the_file_and_its_line(tmp_path, newline):
+    # Line 3,000 lies past the decoder's first 8 KB block; the decoder reads
+    # ahead a block at a time, so csv.reader's line count lags the bad byte.
+    lines = [b"x0,x1"] + [b"%d.25,%d" % (k, -k) for k in range(1, 4000)]
+    lines[2999] = b"1,\xff2"
+    path = tmp_path / "d.csv"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(CsvFormatError) as caught:
+        read_csv(path)
+    assert str(caught.value) == f"{path}: not UTF-8 at line 3000: invalid start byte"
+
+
 def _traced_peak(call) -> int:
     """Peak bytes that tracemalloc sees allocated while ``call()`` runs."""
     tracemalloc.start()
@@ -806,12 +819,30 @@ PINNED = {
     "rotated": ("21fa42a9e168da67aff7026e0cf3311503d82776887d05c8d46600a6cd25261b",
                 "7b89a2d4b9f105eefcbbe26a8ce6f88792edfd24e16556d34af1002b5e36a6c1"),
 }
+# SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``), which
+# name no numpy version, recorded under numpy-philox4x64/2.4.6.
+PINNED_TREE_ARRAYS = {
+    "level-0": "003fe6a82912018a28bf8271c82c6c74849229d315d4fa3541a18a84b350bf5c",
+    "full": "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
+    "rotated": "fd59c76f54d74334b299a5df54eab20c0df6a8d8741ecd71dfbbbf93fb304470",
+}
 
 
-@pytest.mark.skipif(RNG_FAMILY != "numpy-philox4x64/2.4.6",
-                    reason=f"hashes pinned under numpy-philox4x64/2.4.6, running {RNG_FAMILY}")
+def _tree_arrays_sha(forest) -> str:
+    """SHA-256 over each tree's node arrays, then its angle when it has one."""
+    digest = hashlib.sha256()
+    for tree in forest.trees:
+        for array in (tree.normal, tree.intercept, tree.left, tree.right, tree.size):
+            digest.update(array.tobytes())
+        if tree.angle is not None:
+            digest.update(np.float64(tree.angle).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_pinned_model_and_score_bytes(tmp_path, kind):
+    # The scores and the tree arrays name no numpy version, so every numpy
+    # must reproduce them; the model file spells out its rng_family.
     data = gen_gaussian_blob(500, 4, seed=20)
     probes = gen_gaussian_blob(50, 4, seed=24)
     if kind == "rotated":
@@ -820,10 +851,12 @@ def test_pinned_model_and_score_bytes(tmp_path, kind):
     else:
         forest = build_forest(data, 12, 64, 0 if kind == "level-0" else 3,
                               seed=21 if kind == "level-0" else 22)
-    save_forest(forest, tmp_path / "m.json")
-    model_sha = hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
     score_sha = hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest()
-    assert (model_sha, score_sha) == PINNED[kind]
+    assert (score_sha, _tree_arrays_sha(forest)) == (PINNED[kind][1], PINNED_TREE_ARRAYS[kind])
+    if RNG_FAMILY != "numpy-philox4x64/2.4.6":
+        pytest.skip(f"model file hash pinned under numpy-philox4x64/2.4.6, running {RNG_FAMILY}")
+    save_forest(forest, tmp_path / "m.json")
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == PINNED[kind][0]
 
 
 # The three PINNED builds as version-1 files, written under numpy-philox4x64/2.4.6,
@@ -1033,7 +1066,7 @@ def _load_outcome(path):
 
 def _assert_readers_agree(path, doc):
     """The document loads to the same bits, or fails with the same message,
-    whether its trees are read in bulk or node by node."""
+    whether its trees are read by ``_read_tree`` or by ``read_tree_oracle``."""
     path.write_text(json.dumps(doc))
     bulk = _load_outcome(path)
     with mock.patch.object(model_io, "_read_tree", read_tree_oracle):
@@ -1073,6 +1106,13 @@ _NODE_EDITS = {
     "extra-leaf": [(("trees", 1, "nodes", 15), {"kind": "external", "size": 1})],
     "leaf-with-children": [(_LEAF + ("left_index",), 5)],
     "first-fault-in-file-order": [(("trees", 1, "nodes", 9, "normal"), None), (_INNER + ("left_index",), -1)],
+    # the walk's order: node faults in file order, then the node count, then 64 bits
+    "entry-beyond-float-before-kind-missing": [(_INNER + ("intercept", 0), 2**1024),
+                                               (("trees", 1, "nodes", 4), {"size": 3})],
+    "size-beyond-int64-before-kind-unknown": [(_LEAF + ("size",), 2**63), (("trees", 1, "nodes", 4, "kind"), "leaf")],
+    "extra-leaf-before-size-beyond-int64": [(_LEAF + ("size",), 2**63),
+                                            (("trees", 1, "nodes", 15), {"kind": "external", "size": 1})],
+    "entries-int": [(_INNER + ("normal",), [2, -1]), (_INNER + ("intercept", 1), 2**53 + 1)],
     # every vector of the hand-made base, whose internal nodes are 0 and 2, one entry long
     "hand-made:vectors-of-length-one": [(("trees", 0, "nodes", k, key), [1.0])
                                         for k in (0, 2) for key in ("normal", "intercept")],
