@@ -151,10 +151,10 @@ def _build_parser() -> _Parser:
     group.add_argument("--offsets", type=_float_list, default=None,
                        help="curve offsets, comma list (2-D sinusoid models)")
     p.add_argument("--n-probe", type=int, default=500)
-    p.add_argument("--amplitude", type=float, default=SINUSOID_AMPLITUDE,
-                   help="center-curve amplitude for --offsets")
-    p.add_argument("--x-max", type=float, default=SINUSOID_X_MAX,
-                   help="center-curve x range for --offsets")
+    p.add_argument("--amplitude", type=float, default=None,
+                   help=f"center-curve amplitude for --offsets (default {SINUSOID_AMPLITUDE})")
+    p.add_argument("--x-max", type=float, default=None,
+                   help=f"center-curve x range for --offsets (default {SINUSOID_X_MAX:.6f})")
     p.add_argument("--seed", type=_seed_type, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_levelset)
@@ -280,14 +280,19 @@ def _cmd_scoremap(args) -> int:
 
 
 def _cmd_levelset(args) -> int:
+    if args.radii is not None:
+        for name in ("amplitude", "x_max"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"{_flag(name)} does not apply to --radii")
     if args.n_probe < 2:
         raise UsageError(f"--n-probe must be at least 2, got {args.n_probe}")
     forest = load_forest(args.model)
     if args.radii is not None:
         stats = levelset_stats(forest, args.radii, args.n_probe, args.seed)
     else:
-        stats = line_levelset_stats(forest, args.offsets, args.n_probe,
-                                    args.amplitude, args.x_max, args.seed)
+        amplitude = SINUSOID_AMPLITUDE if args.amplitude is None else args.amplitude
+        x_max = SINUSOID_X_MAX if args.x_max is None else args.x_max
+        stats = line_levelset_stats(forest, args.offsets, args.n_probe, amplitude, x_max, args.seed)
     write_stats_csv(args.out, stats)
     return 0
 

@@ -8,6 +8,7 @@ per level so results replay exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,23 +67,34 @@ def grid_points(x_min, x_max, y_min, y_max, nx, ny) -> np.ndarray:
     return pts
 
 
+def _grid_bound(name: str, value) -> float:
+    """A grid bound as a float64; an int beyond the float range is an infinite bound."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def score_map(forest: Forest, x_min, x_max, y_min, y_max, nx: int = 100, ny: int = 100) -> ScoreGrid:
-    """Score the cell centers of an nx-by-ny grid with a 2-D forest."""
+    """Score the cell centers of an nx-by-ny grid with a 2-D forest.
+
+    The bounds become float64 first, so the points scored are the ones the
+    grid CSV writes, whatever type the caller passed."""
+    bounds = {"x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max}
+    x_min, x_max, y_min, y_max = (_grid_bound(name, value) for name, value in bounds.items())
     if forest.dimension != 2:
         raise ValueError(f"score maps need a 2-D scorer, got dimension {forest.dimension}")
     nx, ny = _check_count("nx", nx, 2), _check_count("ny", ny, 2)
     if not (x_min < x_max and y_min < y_max):
         raise ValueError("empty grid bounds")
     for axis, lo, hi in (("x", x_min, x_max), ("y", y_min, y_max)):
-        if not math.isfinite(float(hi) - float(lo)):  # an infinite bound, or a width beyond float64
+        if not math.isfinite(hi - lo):  # an infinite bound, or a width beyond float64
             raise ValueError(f"grid {axis} bounds must be finite, with a width that fits float64, "
-                             f"got [{float(lo)!r}, {float(hi)!r}]")
+                             f"got [{lo!r}, {hi!r}]")
     values = score_batch(grid_points(x_min, x_max, y_min, y_max, nx, ny), forest).reshape(ny, nx)
-    return ScoreGrid(
-        x_min=float(x_min), x_max=float(x_max),
-        y_min=float(y_min), y_max=float(y_max),
-        nx=nx, ny=ny, values=values,
-    )
+    return ScoreGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, nx=nx, ny=ny, values=values)
 
 
 def _population_variance(scores: np.ndarray) -> float:

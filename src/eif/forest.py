@@ -48,7 +48,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import RngStream, _check_count, _check_integer, derive_stream, make_rng, subsample
+from .rng import RngStream, _check_count, _check_integer, choose_indices, derive_stream, make_rng, subsample
 
 #: Euler-Mascheroni constant: ``c_factor`` estimates the harmonic number H(i) as ln(i) + EULER_GAMMA.
 EULER_GAMMA = 0.5772156649
@@ -430,7 +430,7 @@ def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarra
     for stream, row in zip(streams, normal):
         stream.standard_normal(out=row)
     if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
-        zeroed = [stream._fisher_yates(dim, n_zero) for stream in streams]
+        zeroed = [choose_indices(stream, dim, n_zero) for stream in streams]
         normal[np.repeat(np.arange(len(streams)), n_zero), list(chain.from_iterable(zeroed))] = 0.0
     for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the survivors all drew exactly 0.0: redraw them
         keep = np.ones(dim, dtype=bool)

@@ -28,8 +28,8 @@ Philox words: for a span ``s = n - i <= 2**32``, take the next 32-bit half
 ``i + (u * s >> 32)``; a span of 1 draws nothing. A long run of draws
 applies the rule in uint64 arrays, which is exact: ``u * s < 2**64``. A
 32-bit draw takes the low half of a fresh word and keeps the high half as
-the next one. The kept
-half lives in the stream's own slot: float64 draws read whole words and
+the next one. The kept half lives in the stream's own slot, which only
+:func:`choose_indices` reads or writes: float64 draws read whole words and
 never touch it, so it carries from one call to the next, as numpy's does.
 Spans above ``2**32`` go through ``Generator.integers``, whose 64-bit rule
 reads whole words and leaves the half alone. Values and stream state equal
@@ -44,7 +44,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-#: 32-bit draws from which ``RngStream._fisher_yates`` takes its swap
+#: 32-bit draws from which :func:`choose_indices` takes its swap
 #: targets in one uint64 pass instead of one by one. At n = 20,000 the pass
 #: took 1.1-1.3x the scalar loop's time for 24-32 draws, 0.86-0.95x for 48,
 #: 0.83-0.86x for 64 and 0.44-0.55x for 256 (a subsample of psi = 256).
@@ -102,7 +102,7 @@ class RngStream:
 
     Besides numpy's generator, a stream holds the high 32-bit half of the
     last word a bounded draw split, pending for the next bounded draw (see
-    the module docstring). Only :meth:`_fisher_yates` reads or sets it; a
+    the module docstring). Only :func:`choose_indices` reads or sets it; a
     float32 or other 32-bit numpy draw on ``_gen`` would bypass it.
     """
 
@@ -128,69 +128,6 @@ class RngStream:
     def uniform(self, lo, hi, size=None):
         return self._gen.uniform(lo, hi, size)
 
-    def _fisher_yates(self, n: int, k: int) -> list[int]:
-        """The first k slots of range(n) after k partial Fisher-Yates swaps.
-
-        Swap i exchanges slots i and j_i, j_i drawn uniform on [i, n) by the
-        bounded rule of the module docstring, so the targets are those of
-        ``Generator.integers(np.arange(k), n)``. The words the 32-bit draws
-        need come in one ``random_raw`` call; each rejection reads one more
-        word later, which is next in the stream, so none is lost. From
-        ``_VECTOR_DRAWS`` 32-bit draws up, the targets are taken in one
-        uint64 pass over those words, unless some draw could be rejected,
-        when the same halves go through the scalar loop. The swaps run over a
-        sparse table of the slots moved so far: O(k) work, no length-n index
-        array.
-        """
-        gen = self._gen
-        raw = gen.bit_generator.random_raw
-        # Spans above 2**32 come first, at i < n - 2**32, and are drawn before
-        # any word is fetched. Span 1, at i = n - 1, draws nothing.
-        targets = [int(gen.integers(i, n)) for i in range(min(k, n - 2**32))] if n > 2**32 else []
-        start, drawn = len(targets), k - (k == n)
-        halves = [] if self._half is None else [self._half]
-        short = drawn - start - len(halves)
-        words = raw((short + 1) // 2) if short > 0 else None
-        if drawn - start >= _VECTOR_DRAWS:  # then at least one word was fetched
-            table = np.empty(len(halves) + 2 * len(words), dtype=np.uint64)
-            table[:len(halves)] = halves
-            table[len(halves)::2], table[len(halves) + 1::2] = words & _MASK32, words >> 32
-            spans = np.arange(n - start, n - drawn, -1, dtype=np.uint64)
-            m = table[:drawn - start] * spans  # below 2**64: a half is below 2**32, a span at most 2**32
-            if not ((m & _MASK32) < spans).any():  # no draw can be rejected
-                targets += (np.arange(start, drawn, dtype=np.uint64) + (m >> 32)).tolist()
-            halves = table.tolist()
-        elif words is not None:
-            for word in words.tolist():
-                halves += (word & _MASK32, word >> 32)
-        ready = len(targets)
-        p = ready - start  # halves used: all 32-bit draws if the uint64 pass took them, else none
-        moved: dict[int, int] = {}
-        out = []
-        for i in range(drawn):
-            if i < ready:
-                j = targets[i]
-            else:
-                s = n - i
-                m = halves[p] * s
-                p += 1
-                if (m & _MASK32) < s:  # only then can it fall below the threshold
-                    threshold = (2**32 - s) % s
-                    while (m & _MASK32) < threshold:
-                        if len(halves) - p < drawn - i:  # the redraw took a half the fetch counted on
-                            word = raw()
-                            halves += (word & _MASK32, word >> 32)
-                        m = halves[p] * s
-                        p += 1
-                j = i + (m >> 32)
-            # Slot i is final once swapped: every later target is above it.
-            out.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        if drawn < k:
-            out.append(moved.get(drawn, drawn))
-        self._half = halves[p] if p < len(halves) else None
-        return out
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
@@ -215,19 +152,72 @@ def fold_seed(seed: int, index: int) -> int:
     return _mix64(_check_u64("seed", seed), _check_u64("index", index))
 
 
-def choose_indices(rng: RngStream, n: int, k: int) -> np.ndarray:
-    """k distinct indices uniform over range(n), by partial Fisher-Yates.
+def choose_indices(rng: RngStream, n: int, k: int) -> list[int]:
+    """k distinct indices uniform over range(n): the first k slots of
+    range(n) after k partial Fisher-Yates swaps.
 
-    Swap i exchanges slots i and j_i with j_i uniform on [i, n), drawn by
-    numpy's bounded-integer rule from the stream's Philox words (see the
-    module docstring): the same values, and the same stream state after,
-    as ``Generator.integers(np.arange(k), n)``. A draw may leave the high
-    half of a word pending on the stream for its next call; a float32 or
-    other 32-bit numpy draw on the stream's ``_gen`` would bypass it.
+    Swap i exchanges slots i and j_i, j_i drawn uniform on [i, n) by the
+    bounded rule of the module docstring: the same values, and the same
+    stream state after, as ``Generator.integers(np.arange(k), n)``. A draw
+    may leave the high half of a word pending on the stream for its next
+    call. The words the 32-bit draws need come in one ``random_raw`` call;
+    each rejection reads one more word later, which is next in the stream,
+    so none is lost. From ``_VECTOR_DRAWS`` 32-bit draws up, the targets are
+    taken in one uint64 pass over those words, unless some draw could be
+    rejected, when the same halves go through the scalar loop. The swaps run
+    over a sparse table of the slots moved so far: O(k) work, no length-n
+    index array.
     """
     if k < 0 or k > n:
         raise ValueError(f"cannot choose {k} indices from {n}")
-    return np.array(rng._fisher_yates(n, k), dtype=np.int64)
+    gen = rng._gen
+    raw = gen.bit_generator.random_raw
+    # Spans above 2**32 come first, at i < n - 2**32, and are drawn before
+    # any word is fetched. Span 1, at i = n - 1, draws nothing.
+    targets = [int(gen.integers(i, n)) for i in range(min(k, n - 2**32))] if n > 2**32 else []
+    start, drawn = len(targets), k - (0 < k == n)
+    halves = [] if rng._half is None else [rng._half]
+    short = drawn - start - len(halves)
+    words = raw((short + 1) // 2) if short > 0 else None
+    if drawn - start >= _VECTOR_DRAWS:  # then at least one word was fetched
+        table = np.empty(len(halves) + 2 * len(words), dtype=np.uint64)
+        table[:len(halves)] = halves
+        table[len(halves)::2], table[len(halves) + 1::2] = words & _MASK32, words >> 32
+        spans = np.arange(n - start, n - drawn, -1, dtype=np.uint64)
+        m = table[:drawn - start] * spans  # below 2**64: a half is below 2**32, a span at most 2**32
+        if not ((m & _MASK32) < spans).any():  # no draw can be rejected
+            targets += (np.arange(start, drawn, dtype=np.uint64) + (m >> 32)).tolist()
+        halves = table.tolist()
+    elif words is not None:
+        for word in words.tolist():
+            halves += (word & _MASK32, word >> 32)
+    ready = len(targets)
+    p = ready - start  # halves used: all 32-bit draws if the uint64 pass took them, else none
+    moved: dict[int, int] = {}
+    out = []
+    for i in range(drawn):
+        if i < ready:
+            j = targets[i]
+        else:
+            s = n - i
+            m = halves[p] * s
+            p += 1
+            if (m & _MASK32) < s:  # only then can it fall below the threshold
+                threshold = (2**32 - s) % s
+                while (m & _MASK32) < threshold:
+                    if len(halves) - p < drawn - i:  # the redraw took a half the fetch counted on
+                        word = raw()
+                        halves += (word & _MASK32, word >> 32)
+                    m = halves[p] * s
+                    p += 1
+            j = i + (m >> 32)
+        # Slot i is final once swapped: every later target is above it.
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    if drawn < k:
+        out.append(moved.get(drawn, drawn))
+    rng._half = halves[p] if p < len(halves) else None
+    return out
 
 
 def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:

@@ -314,6 +314,29 @@ class TestLevelset:
                             "--seed", "3", "--out", str(out))
         assert code == 0
 
+    @pytest.mark.parametrize("flag", [["--amplitude", "3"], ["--x-max", "1"]], ids=["amplitude", "x-max"])
+    def test_curve_flags_with_radii_are_usage_errors(self, tmp_path, model_json, capsys, flag):
+        # Both were accepted and silently ignored.
+        out = tmp_path / "ls.csv"
+        code, _, err = invoke(capsys, "levelset", "--model", str(model_json), "--radii", "1,2", *flag,
+                              "--seed", "3", "--out", str(out))
+        assert code == 1
+        assert err == f"usage error: {flag[0]} does not apply to --radii\n"
+        assert not out.exists()
+
+    def test_offsets_default_to_the_sinusoid_curve(self, tmp_path, model_json, capsys):
+        from eif.evaluation import line_levelset_stats
+        from eif.model_io import load_forest, write_stats_csv
+        from eif.synthetic import SINUSOID_AMPLITUDE, SINUSOID_X_MAX
+
+        out = tmp_path / "ls.csv"
+        code, _, _ = invoke(capsys, "levelset", "--model", str(model_json), "--offsets", "0,1",
+                            "--n-probe", "50", "--seed", "3", "--out", str(out))
+        assert code == 0
+        stats = line_levelset_stats(load_forest(model_json), [0.0, 1.0], 50, SINUSOID_AMPLITUDE, SINUSOID_X_MAX, 3)
+        write_stats_csv(tmp_path / "want.csv", stats)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_radii_and_offsets_conflict(self, tmp_path, model_json, capsys):
         code, _, err = invoke(capsys, "levelset", "--model", str(model_json),
                               "--radii", "1", "--offsets", "1", "--seed", "3",
@@ -380,6 +403,17 @@ class TestBench:
         expected = f"auroc={auroc(scores, labels):.9g} auprc={auprc(scores, labels):.9g}"
         assert out.strip() == expected
 
+    def test_label_column_by_index_matches_by_name(self, tmp_path, model_json, capsys):
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("x0,x1,label\n0,0,0\n5,5,1\n0.1,0,0\n")
+        outputs = []
+        for column in ("label", "2"):
+            code, out, err = invoke(capsys, "bench", "--model", str(model_json),
+                                    "--data", str(labeled), "--label-column", column)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0].startswith("auroc=") and outputs[1] == outputs[0]
+
     def test_single_class_is_data_error(self, tmp_path, model_json, capsys):
         labeled = tmp_path / "labeled.csv"
         labeled.write_text("x0,x1,label\n0,0,0\n1,1,0\n")
@@ -435,6 +469,30 @@ class TestTopLevel:
         code, _, err = invoke(capsys, "synth", "--kind", "blob", "--n", "5", "--dim", "2",
                               "--seed", "-3", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["synth", "--kind", "blob", "--n", "5", "--dim", "2", "--seed", "abc"],
+         "seed must be a decimal integer, got 'abc'"),
+        (["levelset", "--model", "m.json", "--radii", "1,x", "--seed", "1"],
+         "expected a comma-separated list of numbers, got '1,x'"),
+        (["converge", "--data", "d.csv", "--probe", "p.csv", "--t-values", "5,1.5", "--psi", "8",
+          "--extension", "0", "--seed", "1"], "expected a comma-separated list of integers, got '5,1.5'"),
+        (["synth", "--kind", "blob", "--n", "5", "--dim", "2", "--mean", "0,0,0"], "--mean length must equal --dim"),
+        (["train", "--data", "{blob_csv}", "--extension", "abc"], "--extension must be an integer or 'full', got 'abc'"),
+        (["train", "--data", "{blob_csv}", "--trees", "0"], "--trees must be at least 1, got 0"),
+        (["scoremap", "--model", "m.json", "--xmin", "0", "--xmax", "1", "--ymin", "0", "--ymax", "1", "--nx", "1"],
+         "--nx and --ny must be at least 2"),
+        (["levelset", "--model", "m.json", "--radii", "1", "--n-probe", "1", "--seed", "1"],
+         "--n-probe must be at least 2, got 1"),
+    ], ids=["seed-abc", "radii-list", "t-values-list", "mean-length", "extension-abc", "trees-0", "nx-1",
+            "n-probe-1"])
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_csv, capsys, args, message):
+        out = tmp_path / "out"
+        args = [arg.format(blob_csv=blob_csv) for arg in args]
+        code, _, err = invoke(capsys, *args, "--out", str(out))
+        assert code == 1
+        assert message in err and err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_full_pipeline_replay_is_byte_identical(self, tmp_path, capsys):
         outputs = []

@@ -14,6 +14,7 @@ from eif.evaluation import (
     score_map,
 )
 from eif.forest import build_forest, build_rotated_forest, score_batch
+from eif.model_io import write_grid_csv
 from eif.rng import make_rng
 from eif.synthetic import gen_double_blob, gen_gaussian_blob
 from oracles import (
@@ -44,6 +45,12 @@ class TestAuroc:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             auroc([0.1, 0.2], [0, 2])
+
+    def test_mismatched_or_empty_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^scores and labels must be equal-length vectors, got \(3,\) and \(2,\)$"):
+            auroc([0.1, 0.2, 0.3], [0, 1])
+        with pytest.raises(UndefinedMetricError, match="^empty input$"):
+            auroc([], [])
 
     def test_matches_pairwise_oracle_exactly(self):
         rng = make_rng(101)
@@ -148,11 +155,38 @@ class TestScoreMap:
         ((-1e308, 1e308, -1.0, 1.0), r"grid x bounds .* got \[-1e\+308, 1e\+308\]"),
         ((-1.0, 1.0, -np.inf, 1.0), r"grid y bounds .* got \[-inf, 1.0\]"),
         ((-1.0, np.inf, -1.0, 1.0), r"grid x bounds .* got \[-1.0, inf\]"),
-    ], ids=["width-overflows", "infinite-min", "infinite-max"])
+        ((-10**400, 10**400, -1, 1), r"^grid x bounds .* got \[-inf, inf\]$"),
+        ((-1, 1, 0, 10**400), r"^grid y bounds .* got \[0.0, inf\]$"),
+    ], ids=["width-overflows", "infinite-min", "infinite-max", "x-ints-beyond-float", "y-int-beyond-float"])
     def test_rejects_bounds_that_are_infinite_or_overflow_in_width(self, small_forest, bounds, message):
-        # They reached score_batch, whose message named a query row the caller never passed.
+        # They reached score_batch, whose message named a query row the caller
+        # never passed; an int beyond the float range raised a bare OverflowError.
         with pytest.raises(ValueError, match=message):
             score_map(small_forest, *bounds, 4, 4)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 2.0, -2.0)], ids=["x-equal", "y-inverted"])
+    def test_rejects_empty_bounds(self, small_forest, bounds):
+        with pytest.raises(ValueError, match="^empty grid bounds$"):
+            score_map(small_forest, *bounds, 4, 4)
+
+    def test_rejects_bounds_that_are_not_real_numbers(self, small_forest):
+        # It raised a bare TypeError from the bounds comparison.
+        with pytest.raises(ValueError, match="^y_max must be a real number, got str '1'$"):
+            score_map(small_forest, -1.0, 1.0, -1.0, "1", 4, 4)
+
+    def test_float32_bounds_score_the_points_the_grid_csv_writes(self, small_forest, monkeypatch, tmp_path):
+        # float32 bounds used to make the scored points in float32 arithmetic,
+        # 2e-9 to 2e-8 below the x values the writer recomputes in float64.
+        scored = []
+        def spy(points, forest):
+            scored.append(points.copy())
+            return score_batch(points, forest)
+        monkeypatch.setattr("eif.evaluation.score_batch", spy)
+        grid = score_map(small_forest, np.float32(0.1), np.float32(0.7), np.float32(-0.3), np.float32(0.5), 7, 3)
+        write_grid_csv(tmp_path / "grid.csv", grid)
+        rows = [line.split(",") for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+        written = np.array([[float(x), float(y)] for x, y, _ in rows])
+        assert written.tobytes() == scored[0].tobytes()
 
     def test_works_with_rotated_forest(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=3)
@@ -210,6 +244,11 @@ class TestLineLevelsetStats:
     def test_variance_nonnegative(self, sine_forest):
         stats = line_levelset_stats(sine_forest, [-4.0, 0.0, 4.0], 200, 5.0, 4 * np.pi, seed=2)
         assert all(s.variance >= 0.0 for s in stats)
+
+    def test_rejects_three_dimensional_scorer(self):
+        forest = build_forest(gen_gaussian_blob(50, 3, seed=1), 5, 16, 2, seed=1)
+        with pytest.raises(ValueError, match="^line level sets need a 2-D scorer, got dimension 3$"):
+            line_levelset_stats(forest, [0.0], 50, 5.0, 4 * np.pi, seed=1)
 
     def test_extension_zero_noisier_beyond_three_sigma(self):
         # amplitude 2 keeps the probe lines at near-constant distance from
@@ -269,6 +308,10 @@ class TestConvergence:
             convergence_curve(blob_2d, probe, [10, 10, 20], 64, 1, seed=1)
         with pytest.raises(ValueError):
             convergence_curve(blob_2d, probe, [0, 5], 64, 1, seed=1)
+
+    def test_rejects_empty_t_values(self, blob_2d):
+        with pytest.raises(ValueError, match="^t_values must be nonempty$"):
+            convergence_curve(blob_2d, gen_gaussian_blob(10, 2, seed=1), [], 64, 1, seed=1)
 
     def test_rejects_non_integral_t_values(self, blob_2d):
         probe = gen_gaussian_blob(10, 2, seed=1)

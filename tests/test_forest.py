@@ -349,6 +349,10 @@ _REJECTED = [
      ValueError, "rotated variant requires dimension 2, got 3"),
     ("seed-minus-1", lambda: forest_of(two_leaves(), seed=-1),
      ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ("psi-1", lambda: forest_of(two_leaves(), psi=1),
+     ValueError, r"^psi must be in \[2, 2\*\*63\), got 1$"),
+    ("psi-2**63", lambda: forest_of(two_leaves(), psi=2**63),
+     ValueError, r"^psi must be in \[2, 2\*\*63\), got 9223372036854775808$"),
     ("psi-float", lambda: forest_of(two_leaves(), psi=2.0),
      ValueError, "psi must be an integer, got float 2.0"),
     ("extension-level-bool", lambda: forest_of(two_leaves(), extension_level=True),

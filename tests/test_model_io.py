@@ -123,6 +123,11 @@ class TestLoadValidation:
         with pytest.raises(ModelFormatError, match="JSON"):
             load_forest(model_path)
 
+    def test_top_level_array_is_rejected(self, model_path):
+        model_path.write_text(json.dumps([json.loads(model_path.read_text())]))
+        with pytest.raises(ModelFormatError, match="^invalid model: top level is not an object$"):
+            load_forest(model_path)
+
     def test_unknown_version_names_both(self, model_path):
         self.corrupt(model_path, lambda d: d.update(version=99))
         with pytest.raises(UnsupportedVersionError, match=r"99.*1"):
@@ -804,7 +809,8 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     save_forest(build(data), tmp_path / "words.json")
     def scalar(rng, n, k):  # every bounded draw: subsample's and each split's zero choice
         return choose_indices_oracle(rng._gen, n, k).tolist()
-    monkeypatch.setattr("eif.rng.RngStream._fisher_yates", scalar)
+    monkeypatch.setattr("eif.forest.choose_indices", scalar)
+    monkeypatch.setattr("eif.rng.choose_indices", scalar)
     save_forest(build(data), tmp_path / "scalar.json")
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 

@@ -177,6 +177,18 @@ def test_choose_indices_exact_and_distinct():
     assert sorted(idx) == list(range(10))
     idx = choose_indices(make_rng(4), 10, 3)
     assert len(set(idx)) == 3
+    assert choose_indices(make_rng(4), 1, 1) == [0]
+    assert choose_indices(make_rng(4), 0, 0) == []  # was [-1]: the span-1 slot of an empty population
+
+
+def test_choose_indices_rejects_more_than_n():
+    rng = make_rng(4)
+    with pytest.raises(ValueError, match="^cannot choose 4 indices from 3$"):
+        choose_indices(rng, 3, 4)
+    with pytest.raises(ValueError, match="^cannot choose -1 indices from 3$"):
+        choose_indices(rng, 3, -1)
+    assert rng._half is None  # nothing was drawn
+    assert rng.random(2).tobytes() == make_rng(4).random(2).tobytes()
 
 
 @given(seed=st.integers(0, 2**64 - 1))
@@ -184,8 +196,8 @@ def test_choose_indices_exact_and_distinct():
 def test_replay_any_seed_bitwise(seed):
     a = make_rng(seed)
     b = make_rng(seed)
-    ops_a = [a.standard_normal(), a.uniform(-2.0, 5.0), choose_indices(a, 1000, 3).tolist()]
-    ops_b = [b.standard_normal(), b.uniform(-2.0, 5.0), choose_indices(b, 1000, 3).tolist()]
+    ops_a = [a.standard_normal(), a.uniform(-2.0, 5.0), choose_indices(a, 1000, 3)]
+    ops_b = [b.standard_normal(), b.uniform(-2.0, 5.0), choose_indices(b, 1000, 3)]
     assert ops_a == ops_b
 
 
@@ -205,7 +217,7 @@ def population_and_count(draw):
 def test_choose_indices_matches_scalar_fisher_yates(seed, nk):
     n, k = nk
     a, b = RngStream(seed, 5), numpy_twin(seed, 5)
-    assert choose_indices(a, n, k).tolist() == choose_indices_oracle(b, n, k).tolist()
+    assert choose_indices(a, n, k) == choose_indices_oracle(b, n, k).tolist()
     # the stream is left in the same state: later draws agree too
     assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist()
     assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
@@ -238,19 +250,19 @@ def test_choose_indices_sequence_matches_numpy_integers(seed, calls):
     a, b = RngStream(seed, 3), numpy_twin(seed, 3)
     for n, k, floats, size in calls:
         expected = fisher_yates_oracle(b.integers(np.arange(k), n).tolist())
-        assert choose_indices(a, n, k).tolist() == expected.tolist()
+        assert choose_indices(a, n, k) == expected.tolist()
         if floats:
             assert getattr(a, floats)(size).tobytes() == getattr(b, floats)(size).tobytes()
     assert a.random(2).tobytes() == b.random(2).tobytes()
-    assert choose_indices(a, 2**32, 3).tolist() == choose_indices_oracle(b, 2**32, 3).tolist()
+    assert choose_indices(a, 2**32, 3) == choose_indices_oracle(b, 2**32, 3).tolist()
 
 
 def scalar_fisher_yates(stream, n, k):
-    """``stream._fisher_yates(n, k)`` with every target taken by the scalar loop."""
+    """``choose_indices(stream, n, k)`` with every target taken by the scalar loop."""
     saved = rng_module._VECTOR_DRAWS
     rng_module._VECTOR_DRAWS = k + 1
     try:
-        return stream._fisher_yates(n, k)
+        return choose_indices(stream, n, k)
     finally:
         rng_module._VECTOR_DRAWS = saved
 
@@ -269,9 +281,9 @@ _SPANS = [2**31 + 1, 2**31 + 7, 20_000, 2**32 + 5]
 def test_uint64_targets_equal_the_scalar_loop(seed, n, k, pending):
     a, b = RngStream(seed, 2), RngStream(seed, 2)
     if pending:  # one 32-bit draw leaves the high half of its word pending
-        assert a._fisher_yates(10, 1) == b._fisher_yates(10, 1)
+        assert choose_indices(a, 10, 1) == choose_indices(b, 10, 1)
         assert a._half is not None
-    assert a._fisher_yates(n, k) == scalar_fisher_yates(b, n, k)
+    assert choose_indices(a, n, k) == scalar_fisher_yates(b, n, k)
     assert a._half == b._half
     assert a.random(2).tobytes() == b.random(2).tobytes()
-    assert a._fisher_yates(1000, 3) == b._fisher_yates(1000, 3)
+    assert choose_indices(a, 1000, 3) == choose_indices(b, 1000, 3)

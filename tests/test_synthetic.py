@@ -134,6 +134,21 @@ class TestUniformBox:
 
 
 @pytest.mark.parametrize("generate,match", [
+    (lambda: gen_gaussian_blob(5, 2, mean=[0.0, 0.0, 0.0]), r"^mean must have length 2, got shape \(3,\)$"),
+    (lambda: gen_sinusoid(5, x_max=0.0), "^x_max must be positive, got 0.0$"),
+    (lambda: gen_sphere_levelset(-1.0, 5, 2), "^radius must be nonnegative, got -1.0$"),
+    (lambda: gen_anomalies_uniform_box(5, [0.0, 0.0], [1.0]),
+     r"^box corners must be 1-D and equal length, got \(2,\) and \(1,\)$"),
+    (lambda: benchmark_task("double_blob", n_train=101), "^double_blob needs an even n_train$"),
+    (lambda: benchmark_task("ring"), "^unknown benchmark task 'ring'$"),
+], ids=["blob-mean-length", "sinusoid-x_max", "sphere-radius", "box-corner-lengths", "task-odd-double-blob",
+        "task-unknown-kind"])
+def test_out_of_range_parameters_rejected(generate, match):
+    with pytest.raises(ValueError, match=match):
+        generate()
+
+
+@pytest.mark.parametrize("generate,match", [
     (lambda: gen_gaussian_blob(5, 2, sigma=np.nan), "^sigma must be finite"),
     (lambda: gen_gaussian_blob(5, 2, mean=[np.nan, 0.0]), "^mean must be finite"),
     (lambda: gen_sinusoid(5, amplitude=np.inf), "^amplitude must be finite"),
