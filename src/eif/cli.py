@@ -246,6 +246,8 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--trees must be at least 1, got {args.trees}")
     data, _ = read_csv(args.data)
     n, dim = data.shape
+    if args.psi is None and n < 2:  # the default psi, min(256, rows), would be below 2
+        raise ValueError(f"training needs at least 2 data rows, {args.data} has {n}")
     psi = args.psi if args.psi is not None else min(256, n)
     if args.variant == "rotated":
         if args.extension is not None:

@@ -112,10 +112,11 @@ class Forest:
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
     Making one checks every model invariant, in ``_check_arrays``,
-    ``_check_settings``, here and in ``_check_trees``, so built, loaded and
-    hand-made forests pass the same checks. ``_check_trees`` states the tree
-    invariants once: it runs over ``_CHUNK_TREES`` trees per pass and names
-    the first fault, with no second path. The settings must be integers, not
+    ``_check_settings`` (the rotated variant's rules too) and
+    ``_check_trees``, so built, loaded and hand-made forests pass the same
+    checks. ``_check_trees`` states the tree invariants once: it runs over
+    ``_CHUNK_TREES`` trees per pass and names the first fault, with no
+    second path. The settings must be integers, not
     floats or bools, and are stored as Python ints. It is frozen, with its
     trees in a tuple, so it stays as checked.
     """
@@ -130,13 +131,10 @@ class Forest:
         for k, tree in enumerate(self.trees):  # tree 0's normal sets the dimension
             _check_arrays(tree, f"tree {k}", self.dimension if k else None)
         dim = self.dimension if self.trees else 0
-        _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim)
+        rotated = bool(self.trees) and self.trees[0].angle is not None
+        _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim, rotated)
         for name, value in (("psi", psi), ("extension_level", level), ("seed", seed)):
             object.__setattr__(self, name, value)  # a numpy integer would not save as JSON
-        if self.variant == VARIANT_ROTATED and dim != 2:
-            raise ValueError(f"rotated variant requires dimension 2, got {dim}")
-        if self.variant == VARIANT_ROTATED and level != 0:
-            raise ValueError(f"rotated variant requires extension_level 0, got {level}")
         limit = height_limit_for(self.psi)
         for start in range(0, self.t, _CHUNK_TREES):
             _check_trees(self.trees[start:start + _CHUNK_TREES], start, self.trees[0].angle, psi, level + 1, limit)
@@ -164,10 +162,12 @@ class Forest:
         return score_batch(data, self)
 
 
-def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int, int, int, int]:
+def _check_settings(t, psi, extension_level, seed, dimension: int, rotated: bool) -> tuple[int, int, int, int]:
     """Return the settings as Python ints, or raise ValueError naming the
     first one that is not an integer (floats and bools are not) or is out of
-    range for a forest of ``dimension`` columns."""
+    range for a forest of ``dimension`` columns. A ``rotated`` forest must
+    also be 2-D and of extension level 0: these are the only statements of
+    the rotated variant's rules, for built and made forests alike."""
     values = {"t": t, "psi": psi, "extension_level": extension_level, "seed": seed}
     t, psi, extension_level, seed = (_check_integer(name, value) for name, value in values.items())
     if t < 1:
@@ -177,6 +177,10 @@ def _check_settings(t, psi, extension_level, seed, dimension: int) -> tuple[int,
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     _check_extension_level(extension_level, dimension)
+    if rotated and dimension != 2:
+        raise ValueError(f"rotated variant requires dimension 2, got {dimension}")
+    if rotated and extension_level != 0:
+        raise ValueError(f"rotated variant requires extension_level 0, got {extension_level}")
     return t, psi, extension_level, seed
 
 
@@ -614,10 +618,7 @@ def build_rotated_forest(data: np.ndarray, t: int, psi: int, seed: int) -> Fores
     uniform on [0, 2*pi) from the same stream, rotate the subsample, and
     grow an extension-level-0 tree on the rotated points.
     """
-    x = as_dataset(data)
-    if x.shape[1] != 2:
-        raise ValueError(f"rotated variant supports dimension 2 only, got {x.shape[1]}")
-    return _build_forest(x, t, psi, 0, seed, rotated=True)
+    return _build_forest(as_dataset(data), t, psi, 0, seed, rotated=True)
 
 
 def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
@@ -626,9 +627,9 @@ def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
     tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
     the tree on the same stream, in lockstep with the rest of its chunk of
     ``_CHUNK_TREES`` trees. Tree i reads only stream i, so neither build
-    order nor chunking can change a tree. The settings are checked before
-    any tree grows."""
-    t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1])
+    order nor chunking can change a tree. The settings, and a rotated
+    forest's rules, are checked before any stream is derived."""
+    t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1], rotated)
     limit = height_limit_for(psi)
     root = make_rng(seed)
     trees = []

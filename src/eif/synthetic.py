@@ -2,7 +2,10 @@
 
 All generators are pure functions of (parameters, seed): replaying a call
 reproduces the dataset bit-for-bit. Training sets (blobs, sinusoid) and
-probe sets (spheres, offset curves, boxes) share the same conventions.
+probe sets (spheres, offset curves, boxes) share the same conventions. The
+two sine families, the noisy training sinusoid and its noiseless offset
+copies, draw through one function, ``_sine_curve``, which owns their domain:
+``x_max`` must be positive, and x is drawn first, uniform on [0, x_max].
 """
 
 from __future__ import annotations
@@ -78,15 +81,10 @@ def gen_sinusoid(
     _require_finite(amplitude=amplitude, x_max=x_max, noise_sigma=noise_sigma)
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if x_max <= 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
-    rng = make_rng(seed)
-    x = rng.uniform(0.0, x_max, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = amplitude * np.sin(x) + noise_sigma * rng.standard_normal(n)
-    return _require_finite_points(np.column_stack([x, y]), amplitude=amplitude, noise_sigma=noise_sigma)
+    return _sine_curve(n, amplitude, x_max, seed, lambda rng: noise_sigma * rng.standard_normal(n),
+                       noise_sigma=noise_sigma)
 
 
 def gen_sphere_levelset(radius: float, n: int, dim: int, seed: int = 1) -> np.ndarray:
@@ -117,14 +115,26 @@ def gen_line_levelset(
     x_max: float = SINUSOID_X_MAX,
     seed: int = 1,
 ) -> np.ndarray:
-    """Noiseless probe curve: y = amplitude * sin(x) + offset."""
+    """Noiseless probe curve: x uniform on [0, x_max]; y = amplitude * sin(x) + offset."""
     n = _check_count("n", n, 1)
     _require_finite(offset=offset, amplitude=amplitude, x_max=x_max)
+    return _sine_curve(n, amplitude, x_max, seed, lambda rng: offset, offset=offset)
+
+
+def _sine_curve(n: int, amplitude: float, x_max: float, seed: int, shift, **scale) -> np.ndarray:
+    """The sine families' one draw: n points (x, amplitude * sin(x) + shift(rng)),
+    x uniform on [0, x_max] from the seed's stream, drawn before the shift.
+
+    Raises ValueError unless ``x_max`` is positive, or, naming ``amplitude``
+    and the ``scale`` parameters, when a point overflows float64.
+    """
+    if x_max <= 0:
+        raise ValueError(f"x_max must be positive, got {x_max}")
     rng = make_rng(seed)
     x = rng.uniform(0.0, x_max, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = amplitude * np.sin(x) + offset
-    return _require_finite_points(np.column_stack([x, y]), amplitude=amplitude, offset=offset)
+        y = amplitude * np.sin(x) + shift(rng)
+    return _require_finite_points(np.column_stack([x, y]), amplitude=amplitude, **scale)
 
 
 def gen_anomalies_uniform_box(n: int, lo, hi, seed: int = 1) -> np.ndarray:

@@ -66,6 +66,15 @@ class TestSynth:
         assert "error: " in err and message in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("x_max", ["-1", "0"])
+    def test_line_x_max_not_positive_is_data_error(self, tmp_path, capsys, x_max):
+        out = tmp_path / "x.csv"
+        code, _, err = invoke(capsys, "synth", "--kind", "line", "--n", "10", "--offset", "0",
+                              f"--x-max={x_max}", "--out", str(out))
+        assert code == 2
+        assert err == f"error: x_max must be positive, got {float(x_max)}\n"
+        assert not out.exists()
+
     def test_all_kinds_produce_files(self, tmp_path, capsys):
         cases = {
             "blob": ["--n", "50", "--dim", "3"],
@@ -181,6 +190,16 @@ class TestTrain:
         code, _, _ = invoke(capsys, "score", "--model", str(model),
                             "--data", str(blob_csv), "--out", str(scores))
         assert code == 0
+
+    def test_one_row_without_psi_is_data_error_naming_the_rows(self, tmp_path, capsys):
+        # the psi at fault would be the default, min(256, rows), which the user never passed
+        data_path = tmp_path / "one.csv"
+        data_path.write_text("x0,x1\n1,2\n")
+        out = tmp_path / "m.json"
+        code, _, err = invoke(capsys, "train", "--data", str(data_path), "--out", str(out))
+        assert code == 2
+        assert err == f"error: training needs at least 2 data rows, {data_path} has 1\n"
+        assert not out.exists()
 
     def test_sample_span_overflow_is_data_error(self, tmp_path, capsys):
         data_path = tmp_path / "wide.csv"
@@ -322,6 +341,15 @@ class TestLevelset:
                               "--seed", "3", "--out", str(out))
         assert code == 1
         assert err == f"usage error: {flag[0]} does not apply to --radii\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x_max", ["-3", "0"])
+    def test_offsets_x_max_not_positive_is_data_error(self, tmp_path, model_json, capsys, x_max):
+        out = tmp_path / "ls.csv"
+        code, _, err = invoke(capsys, "levelset", "--model", str(model_json), "--offsets", "0",
+                              f"--x-max={x_max}", "--seed", "3", "--out", str(out))
+        assert code == 2
+        assert err == f"error: x_max must be positive, got {float(x_max)}\n"
         assert not out.exists()
 
     def test_offsets_default_to_the_sinusoid_curve(self, tmp_path, model_json, capsys):

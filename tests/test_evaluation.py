@@ -250,6 +250,12 @@ class TestLineLevelsetStats:
         with pytest.raises(ValueError, match="^line level sets need a 2-D scorer, got dimension 3$"):
             line_levelset_stats(forest, [0.0], 50, 5.0, 4 * np.pi, seed=1)
 
+    @pytest.mark.parametrize("x_max", [0.0, -3.0])
+    def test_rejects_x_max_not_positive(self, sine_forest, x_max):
+        # at x_max 0 every probe would be the point x = 0, of variance 0
+        with pytest.raises(ValueError, match=f"^x_max must be positive, got {x_max}$"):
+            line_levelset_stats(sine_forest, [0.0], 5, 5.0, x_max, seed=1)
+
     def test_extension_zero_noisier_beyond_three_sigma(self):
         # amplitude 2 keeps the probe lines at near-constant distance from
         # the curve, so the axis-parallel banding is the dominant variance

@@ -672,6 +672,12 @@ class TestScoreBatch:
         s = score_batch(blob_2d, small_forest)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
+    def test_forest_score_is_score_batch(self, small_forest, blob_2d):
+        rotated = build_rotated_forest(blob_2d, 20, 128, seed=7)
+        probes = gen_gaussian_blob(200, 2, sigma=3.0, seed=8)
+        for forest in (small_forest, rotated):
+            assert forest.score(probes).tobytes() == score_batch(probes, forest).tobytes()
+
 
 class TestPathLengths:
     @pytest.fixture(scope="class", params=["level-0", "full", "rotated"])

@@ -39,10 +39,15 @@ class TestRotatePoint:
 
 
 class TestBuildRotatedForest:
-    def test_rejects_non_2d_data(self):
-        data = gen_gaussian_blob(50, 3, seed=1)
-        with pytest.raises(ValueError, match="dimension 2"):
-            build_rotated_forest(data, 5, 32, seed=1)
+    def test_rejects_non_2d_data(self, monkeypatch):
+        def derive_stream(*args):
+            raise AssertionError("a stream was derived")
+
+        monkeypatch.setattr("eif.forest.derive_stream", derive_stream)  # the check comes first
+        for dim in (3, 1):
+            data = gen_gaussian_blob(50, dim, seed=1)
+            with pytest.raises(ValueError, match=f"^rotated variant requires dimension 2, got {dim}$"):
+                build_rotated_forest(data, 5, 32, seed=1)
 
     def test_angles_stored_per_tree(self, blob_2d):
         f = build_rotated_forest(blob_2d, 10, 128, seed=4)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eif.rng import make_rng
 from eif.synthetic import (
     SINUSOID_AMPLITUDE,
     SINUSOID_NOISE_SIGMA,
@@ -98,6 +99,34 @@ class TestSphereLevelset:
         with pytest.raises(ValueError):
             gen_sphere_levelset(1.0, 10, 1, seed=1)
 
+    def test_rows_at_the_origin_are_redrawn_from_the_next_draws(self, monkeypatch):
+        # Rows 1 and 3 of the first block, and the first row of the redraw,
+        # land at the origin: row 3 takes the redraw's second row, and row 1
+        # the third block's only row.
+        class ZeroRows:
+            def __init__(self, seed):
+                self.stream, self.shapes = make_rng(seed), []
+
+            def standard_normal(self, shape):
+                block = self.stream.standard_normal(shape)
+                block[{0: [1, 3], 1: [0]}.get(len(self.shapes), [])] = 0.0
+                self.shapes.append(shape)
+                return block
+
+        plain = gen_sphere_levelset(2.5, 6, 3, seed=4)
+        stub = ZeroRows(4)
+        monkeypatch.setattr("eif.synthetic.make_rng", lambda seed: stub)
+        out = gen_sphere_levelset(2.5, 6, 3, seed=4)
+        assert stub.shapes == [(6, 3), (2, 3), (1, 3)]
+        others = [0, 2, 4, 5]
+        assert out[others].tobytes() == plain[others].tobytes()
+        replay = make_rng(4)
+        replay.standard_normal((6, 3))
+        second, third = replay.standard_normal((2, 3)), replay.standard_normal((1, 3))
+        for row, g in ((3, second[1]), (1, third[0])):
+            assert out[row] == pytest.approx(2.5 * g / np.linalg.norm(g), rel=1e-15, abs=0)
+        assert np.all(np.abs(np.linalg.norm(out, axis=1) - 2.5) < 1e-12)
+
 
 class TestLineLevelset:
     def test_offset_zero_is_center_curve(self):
@@ -110,6 +139,15 @@ class TestLineLevelset:
 
     def test_replay(self):
         assert np.array_equal(gen_line_levelset(1.0, 50, seed=5), gen_line_levelset(1.0, 50, seed=5))
+
+    def test_both_sine_families_draw_x_first_from_the_seed_stream(self):
+        rng = make_rng(5)
+        x = rng.uniform(0.0, 3.0, 50)
+        noise = rng.standard_normal(50)
+        sine = gen_sinusoid(50, 2.0, 3.0, 0.5, seed=5)
+        line = gen_line_levelset(1.0, 50, 2.0, 3.0, seed=5)
+        assert sine.tobytes() == np.column_stack([x, 2.0 * np.sin(x) + 0.5 * noise]).tobytes()
+        assert line.tobytes() == np.column_stack([x, 2.0 * np.sin(x) + 1.0]).tobytes()
 
 
 class TestUniformBox:
@@ -136,13 +174,15 @@ class TestUniformBox:
 @pytest.mark.parametrize("generate,match", [
     (lambda: gen_gaussian_blob(5, 2, mean=[0.0, 0.0, 0.0]), r"^mean must have length 2, got shape \(3,\)$"),
     (lambda: gen_sinusoid(5, x_max=0.0), "^x_max must be positive, got 0.0$"),
+    (lambda: gen_line_levelset(0.0, 5, x_max=0.0), "^x_max must be positive, got 0.0$"),
+    (lambda: gen_line_levelset(0.0, 5, x_max=-1.0), "^x_max must be positive, got -1.0$"),
     (lambda: gen_sphere_levelset(-1.0, 5, 2), "^radius must be nonnegative, got -1.0$"),
     (lambda: gen_anomalies_uniform_box(5, [0.0, 0.0], [1.0]),
      r"^box corners must be 1-D and equal length, got \(2,\) and \(1,\)$"),
     (lambda: benchmark_task("double_blob", n_train=101), "^double_blob needs an even n_train$"),
     (lambda: benchmark_task("ring"), "^unknown benchmark task 'ring'$"),
-], ids=["blob-mean-length", "sinusoid-x_max", "sphere-radius", "box-corner-lengths", "task-odd-double-blob",
-        "task-unknown-kind"])
+], ids=["blob-mean-length", "sinusoid-x_max", "line-x_max-zero", "line-x_max-negative", "sphere-radius",
+        "box-corner-lengths", "task-odd-double-blob", "task-unknown-kind"])
 def test_out_of_range_parameters_rejected(generate, match):
     with pytest.raises(ValueError, match=match):
         generate()
