@@ -5,11 +5,13 @@ fits and saves a model, ``score`` / ``scoremap`` / ``levelset`` /
 ``converge`` produce CSV artifacts from a model or dataset, and ``bench``
 prints ranking metrics for labeled data.
 
-Exit codes: 0 success, 1 usage error, 2 data or model error. Diagnostics go
-to stderr; results go to the requested files or stdout. A file is written
-atomically, so a failed run never leaves a partial output, with the mode
-``open()`` would give it (the umask's for a new file, the old mode for a
-replaced one); a write error names the requested path.
+Exit codes: 0 success, 1 usage error, 2 data or model error, or an
+allocation that cannot be made. Diagnostics go to stderr, a library warning
+as one ``warning: <message>`` line; results go to the requested files or
+stdout. A file is written atomically, so a failed run never leaves a
+partial output, with the mode ``open()`` would give it (the umask's for a
+new file, the old mode for a replaced one); a write error names the
+requested path.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import warnings
 
 from . import __version__
 from .errors import EifError
@@ -336,13 +339,23 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (EifError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy's names the allocation; Python's own has no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main() -> None:

@@ -255,8 +255,9 @@ def load_forest(path) -> Forest:
     Checks here cover what only the document can get wrong (types, format,
     lengths, the derived fields); the Forest checks the model, and its
     ValueError is raised as ModelFormatError. Warns when the model's
-    ``rng_family`` is not this build's: it scores the same, but retraining
-    from its seed may draw differently.
+    ``rng_family`` is not the draw contract the running numpy meets
+    (:data:`eif.rng.RNG_FAMILY`): it scores the same, but retraining from its
+    seed may draw differently.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -17,9 +17,18 @@ Every count, seed and index the package takes from a caller passes
 not, even when its value is whole. :func:`_check_count` adds a lower bound.
 
 The Gaussian and uniform transforms are the ones numpy's ``Generator``
-applies on top of the Philox bit stream; :data:`RNG_FAMILY` records the
-generator family and numpy version so serialized models state exactly which
-bit-level convention they were built under.
+applies on top of the Philox bit stream. :data:`RNG_FAMILY` names the draw
+contract serialized models are built under, ``eif-philox/1``: the key scheme
+and :func:`derive_stream`; numpy's normal, ``random`` and ``uniform``
+transforms over Philox; :func:`choose_indices`' bounded rule, its
+``Generator.integers`` path for spans above ``2**32`` included; and the draw
+order of ``forest._draw_splits``. A change to what any stream consumes bumps
+the contract id. NEP 19 lets numpy change a transform in a feature release,
+so the module checks, once on import, that the running numpy still makes
+the draws: a SHA-256 over draws from fixed keys must equal
+``_CONTRACT_SHA256``. If it does not, :data:`RNG_FAMILY` is
+``numpy-philox4x64/{numpy version}``, so no model claims a contract that its
+numpy does not meet.
 
 Bounded integers (:func:`choose_indices`' swap targets) follow numpy's own
 rule for ``Generator.integers(i, n)``, applied in Python ints to the 64-bit
@@ -39,6 +48,8 @@ read numpy's own kept half, not this one, so none is made.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -49,9 +60,6 @@ _MASK32 = (1 << 32) - 1
 #: took 1.1-1.3x the scalar loop's time for 24-32 draws, 0.86-0.95x for 48,
 #: 0.83-0.86x for 64 and 0.44-0.55x for 256 (a subsample of psi = 256).
 _VECTOR_DRAWS = 48
-
-#: Generator family identifier embedded in serialized models.
-RNG_FAMILY = f"numpy-philox4x64/{np.__version__}"
 
 
 def _mix64(a: int, b: int) -> int:
@@ -228,3 +236,22 @@ def subsample(rng: RngStream, data: np.ndarray, psi: int) -> np.ndarray:
     if psi > n:
         raise ValueError(f"insufficient data: psi={psi} exceeds dataset size {n}")
     return data[choose_indices(rng, n, psi)]
+
+
+#: SHA-256 of the draws :func:`_meets_contract` takes, recorded under numpy 2.4.6.
+_CONTRACT_SHA256 = "9ff528d5a3be3fc03abc42602eca38443bf0339ed6183ba6266d3400465174dd"
+
+
+def _meets_contract() -> bool:
+    """Whether the running numpy makes the draws of the ``eif-philox/1``
+    contract: 16,384 normals (enough to reach the ziggurat's rare paths),
+    ``random`` and ``uniform`` doubles, and bounded draws at n = 20,000 and
+    above ``2**32``, all from one derived stream of a fixed key."""
+    stream = derive_stream(make_rng(1), 2)
+    draws = np.concatenate([stream.standard_normal(16_384), stream.random(64), stream.uniform(-3.0, 5.0, 64),
+                            choose_indices(stream, 20_000, 256), choose_indices(stream, 2**32 + 2, 3)])
+    return hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == _CONTRACT_SHA256
+
+
+#: The draw contract named in serialized models (see the module docstring).
+RNG_FAMILY = "eif-philox/1" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"

@@ -5,6 +5,7 @@ import pytest
 
 from eif.cli import run
 from eif.model_io import read_csv, write_dataset_csv
+from eif.rng import RNG_FAMILY
 from eif.synthetic import (
     benchmark_task,
     gen_anomalies_uniform_box,
@@ -283,6 +284,19 @@ class TestScore:
         assert err.startswith(f"error: cannot write {out}: ")
         assert ".tmp" not in err
 
+    def test_other_rng_family_warns_in_one_line(self, tmp_path, blob_csv, model_json, capsys):
+        # A model file written before the draw-contract id names numpy's version.
+        model_json.write_text(model_json.read_text().replace(
+            json.dumps(RNG_FAMILY), json.dumps("numpy-philox4x64/2.4.5")))
+        out = tmp_path / "scores.csv"
+        code, _, err = invoke(capsys, "score", "--model", str(model_json),
+                              "--data", str(blob_csv), "--out", str(out))
+        assert code == 0
+        assert err == (f"warning: model {model_json} was built under rng family 'numpy-philox4x64/2.4.5', "
+                       f"this build runs {RNG_FAMILY!r}: it scores as before, but retraining from its seed "
+                       "may not reproduce it\n")
+        assert len(out.read_text().splitlines()) == 601
+
 
 class TestScoremap:
     def test_grid_shape(self, tmp_path, model_json, capsys):
@@ -305,6 +319,22 @@ class TestScoremap:
         code, _, err = invoke(capsys, "scoremap", "--model", str(model_json), *bounds, "--out", str(out))
         assert code == 2
         assert err.startswith(f"error: grid {axis} bounds must be finite, with a width that fits float64")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError("Unable to allocate 596. GiB for an array with shape (40000000000, 2) and data type float64"),
+         "Unable to allocate 596. GiB for an array with shape (40000000000, 2) and data type float64"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure_is_data_error(self, tmp_path, model_json, capsys, monkeypatch, error, message):
+        def grid_points(*args):
+            raise error
+        monkeypatch.setattr("eif.evaluation.grid_points", grid_points)
+        out = tmp_path / "g.csv"
+        code, _, err = invoke(capsys, "scoremap", "--model", str(model_json),
+                              "--xmin", "-3", "--xmax", "3", "--ymin", "-3", "--ymax", "3",
+                              "--nx", "200000", "--ny", "200000", "--out", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
 
     def test_inverted_bounds_usage_error(self, tmp_path, model_json, capsys):

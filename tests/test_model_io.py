@@ -50,7 +50,7 @@ class TestModelRoundTrip:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "eif-model"
         assert doc["version"] == 1
-        assert doc["rng_family"].startswith("numpy-philox")
+        assert doc["rng_family"] == "eif-philox/1"
 
     def test_metadata_survives(self, model_path, small_forest):
         loaded = load_forest(model_path)
@@ -815,18 +815,20 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 
 
-# SHA-256 of the model file and of the score bytes of three small builds,
-# recorded before trees became node arrays; the array form must reproduce both.
+# SHA-256 of the model file and of the score bytes of three small builds.
+# The score hashes were recorded before trees became node arrays; the model
+# file hashes when its rng_family became the draw contract eif-philox/1 (the
+# files differ from the ones before in that line alone).
 PINNED = {
-    "level-0": ("1ada649715ed7977cb99d9e63c4bf488a8fade1094d3632793614fe8574d8989",
+    "level-0": ("67f526afa788ea1c1d44b43a35b48e3f8753b458a01fa61246ebafbf9b9164a8",
                 "4811be50136c83ebfac7474442196afc5f2e65f927b2e2c2a63f1793b9809658"),
-    "full": ("6f889d6343d503ada098eddae3102d418c115d4ae97afab3525e01680364deaf",
+    "full": ("c93196350344565cb598594f31e103bebc0bba0cd732ef6f0f3c3569eb47400d",
              "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
-    "rotated": ("21fa42a9e168da67aff7026e0cf3311503d82776887d05c8d46600a6cd25261b",
+    "rotated": ("c643105a6f9476ed8b90cf5a52cde6e0e6481ffa9f03ecf5916080aea28e8f5b",
                 "7b89a2d4b9f105eefcbbe26a8ce6f88792edfd24e16556d34af1002b5e36a6c1"),
 }
-# SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``), which
-# name no numpy version, recorded under numpy-philox4x64/2.4.6.
+# SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``),
+# recorded under numpy 2.4.6.
 PINNED_TREE_ARRAYS = {
     "level-0": "003fe6a82912018a28bf8271c82c6c74849229d315d4fa3541a18a84b350bf5c",
     "full": "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
@@ -847,8 +849,8 @@ def _tree_arrays_sha(forest) -> str:
 
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_pinned_model_and_score_bytes(tmp_path, kind):
-    # The scores and the tree arrays name no numpy version, so every numpy
-    # must reproduce them; the model file spells out its rng_family.
+    # The draw contract names no numpy version, so every numpy that meets it
+    # must reproduce all three.
     data = gen_gaussian_blob(500, 4, seed=20)
     probes = gen_gaussian_blob(50, 4, seed=24)
     if kind == "rotated":
@@ -859,17 +861,21 @@ def test_pinned_model_and_score_bytes(tmp_path, kind):
                               seed=21 if kind == "level-0" else 22)
     score_sha = hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest()
     assert (score_sha, _tree_arrays_sha(forest)) == (PINNED[kind][1], PINNED_TREE_ARRAYS[kind])
-    if RNG_FAMILY != "numpy-philox4x64/2.4.6":
-        pytest.skip(f"model file hash pinned under numpy-philox4x64/2.4.6, running {RNG_FAMILY}")
     save_forest(forest, tmp_path / "m.json")
     assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == PINNED[kind][0]
 
 
-# The three PINNED builds as version-1 files, written under numpy-philox4x64/2.4.6,
-# with the SHA-256 of each model's scores on an RNG-free probe set recorded then
+# The three PINNED builds as version-1 files, written under numpy 2.4.6 before
+# the draw-contract id, so their rng_family is FIXTURE_FAMILY; with the SHA-256
+# of each file and of each model's scores on an RNG-free probe set recorded then
 # (each probe coordinate is one correctly rounded division, the same on any numpy).
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_FAMILY = "numpy-philox4x64/2.4.6"
+FIXTURE_SHA = {
+    "level-0": "1ada649715ed7977cb99d9e63c4bf488a8fade1094d3632793614fe8574d8989",
+    "full": "6f889d6343d503ada098eddae3102d418c115d4ae97afab3525e01680364deaf",
+    "rotated": "21fa42a9e168da67aff7026e0cf3311503d82776887d05c8d46600a6cd25261b",
+}
 FIXTURE_SCORES = {
     "level-0": "3bdccc560d66400154fcd2f14e0470fdf02b5e54ff988b2c0306902eda79815c",
     "full": "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973",
@@ -880,19 +886,17 @@ FIXTURE_SCORES = {
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
     fixture = FIXTURES / f"model_v1_{kind}.json"
-    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == PINNED[kind][0]
-    if RNG_FAMILY == FIXTURE_FAMILY:
+    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == FIXTURE_SHA[kind]
+    with pytest.warns(UserWarning, match=f"rng family '{FIXTURE_FAMILY}'") as caught:
         forest = load_forest(fixture)
-    else:
-        with pytest.warns(UserWarning, match=f"rng family '{FIXTURE_FAMILY}'"):
-            forest = load_forest(fixture)
-    assert not recwarn.list
+    assert len(caught) == 1 and not recwarn.list
     probes = (np.arange(200.0).reshape(50, 4) / 25.0 - 4.0)[:, :forest.dimension]
     assert hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest() == FIXTURE_SCORES[kind]
     save_forest(forest, tmp_path / "m.json")
-    # rng_family names the running build: the one field a save may write differently
+    # rng_family names the running draw contract: the one field a save writes differently
     expected = fixture.read_text().replace(json.dumps(FIXTURE_FAMILY), json.dumps(RNG_FAMILY))
     assert (tmp_path / "m.json").read_text() == expected
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == PINNED[kind][0]
 
 
 @st.composite

@@ -1,3 +1,10 @@
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +13,7 @@ from hypothesis import strategies as st
 import eif.rng as rng_module
 from eif.rng import (
     _VECTOR_DRAWS,
+    RNG_FAMILY,
     RngStream,
     choose_indices,
     derive_stream,
@@ -287,3 +295,65 @@ def test_uint64_targets_equal_the_scalar_loop(seed, n, k, pending):
     assert a._half == b._half
     assert a.random(2).tobytes() == b.random(2).tobytes()
     assert choose_indices(a, 1000, 3) == choose_indices(b, 1000, 3)
+
+
+def test_running_numpy_meets_the_draw_contract():
+    assert (rng_module._meets_contract(), RNG_FAMILY) == (True, "eif-philox/1")
+
+
+def _one_draw_off(method):
+    """A numpy Generator whose ``method`` moves the first value of each draw
+    by one ulp (an integer by one)."""
+    base = np.random.Generator
+    def draw(self, *args, **kwargs):
+        values = getattr(base, method)(self, *args, **kwargs)
+        if not isinstance(values, np.ndarray):
+            return values + 1
+        values.flat[0] = np.nextafter(values.flat[0], np.inf)
+        return values
+    return type("OneDrawOff", (base,), {method: draw})
+
+
+@pytest.mark.parametrize("method", ["standard_normal", "random", "uniform", "integers"])
+def test_draw_contract_check_sees_one_altered_draw(monkeypatch, method):
+    monkeypatch.setattr(np.random, "Generator", type("Same", (np.random.Generator,), {}))
+    assert rng_module._meets_contract()
+    monkeypatch.setattr(np.random, "Generator", _one_draw_off(method))
+    assert not rng_module._meets_contract()
+
+
+# Run in a fresh interpreter, since the package checks the contract once, on
+# import: numpy with one normal draw off, then a model trained and saved, then
+# the same file stamped eif-philox/1 and loaded.
+_FALLBACK_RUN = """
+import json, sys, warnings
+from pathlib import Path
+import numpy as np
+{one_draw_off}
+np.random.Generator = _one_draw_off("standard_normal")
+from eif.forest import build_forest
+from eif.model_io import load_forest, save_forest
+from eif.rng import RNG_FAMILY
+
+path = Path(sys.argv[1])
+save_forest(build_forest(np.arange(40.0).reshape(20, 2), 3, 8, 1, seed=5), path)
+trained = json.loads(path.read_text())["rng_family"]
+path.write_text(path.read_text().replace(json.dumps(trained), json.dumps("eif-philox/1")))
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    load_forest(path)
+print(json.dumps([np.__version__, RNG_FAMILY, trained, [str(w.message) for w in caught]]))
+"""
+
+
+def test_numpy_off_the_contract_falls_back_to_its_version(tmp_path):
+    script = _FALLBACK_RUN.format(one_draw_off=inspect.getsource(_one_draw_off))
+    env = dict(os.environ, PYTHONPATH=str(Path(rng_module.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    version, family, trained, warned = json.loads(done.stdout)
+    assert family == trained == f"numpy-philox4x64/{version}"
+    assert warned == [f"model {tmp_path / 'm.json'} was built under rng family 'eif-philox/1', "
+                      f"this build runs {family!r}: it scores as before, but retraining from its "
+                      "seed may not reproduce it"]
