@@ -5,6 +5,9 @@ goes left when ``(x - p) . n <= 0``. The extension level controls how many
 normal coordinates stay nonzero: level 0 leaves exactly one, which makes
 every split an axis-parallel threshold (the classic isolation forest), while
 level N-1 draws all N coordinates from N(0, 1) so splits can slope freely.
+Every level draws N normals per node; level 0 keeps the largest in magnitude,
+a uniform choice of axis, and an intermediate level keeps a Fisher-Yates
+choice of them.
 The rotated baseline (``build_rotated_forest``, 2-D only) is the same forest
 at level 0 whose trees each carry a random angle: a tree's sample is turned by
 it before growth, and so is every query point before it enters that tree. Each
@@ -58,8 +61,9 @@ TWO_PI = 2.0 * math.pi
 #: Trees that ``_build_forest`` grows in lockstep at a time, and that
 #: ``Forest`` checks in one pass. The block of their points, and its per-step
 #: copies, grow with it; fewer trees share each step's numpy calls among
-#: fewer nodes. In paired benchmark runs of 500 level-0 trees at 8-D, 50 and
-#: 200 were slower than 100, and 200 held 3 MB more at its peak.
+#: fewer nodes. In two sets of alternated rounds of 500 level-0 trees at 8-D
+#: (CPU seconds), 50 took a median 1.07x and 1.13x as long as 100, and 200
+#: took 0.98x and 1.01x but held 1.7 MB more at its tracemalloc peak.
 _CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
@@ -415,10 +419,19 @@ def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarra
     ``lo`` and ``span``. Each kind of draw runs over every stream in turn, so
     no stream may appear twice: it would interleave two nodes' draws.
 
-    Per node, normal coordinates come from N(0, 1); then ``n_zero`` of them,
-    chosen uniformly without replacement, are zeroed. If the surviving
-    coordinates all happen to be exactly zero the survivors are redrawn. The
-    intercept is ``lo + span * u`` with span = hi - lo and u =
+    Per node, normal coordinates come from N(0, 1). At an intermediate level
+    ``n_zero`` of them, chosen uniformly without replacement by
+    ``choose_indices``, are then zeroed. If the coordinates that may survive
+    all happen to be exactly zero they are redrawn, from the node's own
+    stream, until one is not. At level 0 (``n_zero == dim - 1``, which the
+    rotated baseline uses too) the whole row may survive, so a row of exact
+    zeros is redrawn whole; then each row keeps its first largest ``|z|``
+    entry, with its drawn value, and the rest are zeroed, by one argmax over
+    every row. The normals are i.i.d., so the kept coordinate is a uniform
+    choice of axis, as the classic isolation forest picks its attribute, and
+    no bounded draw is made.
+
+    The intercept is ``lo + span * u`` with span = hi - lo and u =
     ``stream.random(dim)``, which is the formula and the draws of numpy's
     ``Generator.uniform(lo, hi)``, so it equals that call bit for bit, leaves
     the stream where that call does, and gives lo exactly where lo == hi.
@@ -426,22 +439,28 @@ def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarra
     inert, so stream consumption is fixed. The caller checks that the span is
     finite: the formula would not fail on an overflowing one.
 
-    Draw order (normal, zero choice, redraws, intercept) is part of the
-    reproducibility contract. The zeroing, the all-zero test and the
-    intercept formula each run once over every row.
+    Draw order (normal, zero choice at an intermediate level, redraws,
+    intercept) is part of the reproducibility contract. The zeroing, the
+    all-zero test and the intercept formula each run once over every row.
     """
     normal, u = np.empty((len(streams), dim)), np.empty((len(streams), dim))
     for stream, row in zip(streams, normal):
         stream.standard_normal(out=row)
-    if n_zero:  # at full extension, skip the call: even an empty choice costs a numpy draw
+    chosen = 0 < n_zero < dim - 1  # intermediate levels pick their zeroes by Fisher-Yates
+    if chosen:
         zeroed = [choose_indices(stream, dim, n_zero) for stream in streams]
         normal[np.repeat(np.arange(len(streams)), n_zero), list(chain.from_iterable(zeroed))] = 0.0
     for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the survivors all drew exactly 0.0: redraw them
         keep = np.ones(dim, dtype=bool)
-        if n_zero:
+        if chosen:
             keep[zeroed[r]] = False
         while not normal[r].any():
-            normal[r, keep] = streams[r].standard_normal(dim - n_zero)
+            normal[r, keep] = streams[r].standard_normal(np.count_nonzero(keep))
+    if 0 < n_zero == dim - 1:  # level 0: keep each row's first largest |z|
+        rows, axis = np.arange(len(streams)), np.abs(normal).argmax(axis=1)
+        kept = normal[rows, axis]
+        normal.fill(0.0)
+        normal[rows, axis] = kept
     for stream, row in zip(streams, u):
         stream.random(out=row)
     return normal, lo.T + span.T * u

@@ -18,17 +18,19 @@ not, even when its value is whole. :func:`_check_count` adds a lower bound.
 
 The Gaussian and uniform transforms are the ones numpy's ``Generator``
 applies on top of the Philox bit stream. :data:`RNG_FAMILY` names the draw
-contract serialized models are built under, ``eif-philox/1``: the key scheme
+contract serialized models are built under, ``eif-philox/2``: the key scheme
 and :func:`derive_stream`; numpy's normal, ``random`` and ``uniform``
 transforms over Philox; :func:`choose_indices`' bounded rule, its
 ``Generator.integers`` path for spans above ``2**32`` included; and the draw
-order of ``forest._draw_splits``. A change to what any stream consumes bumps
-the contract id. NEP 19 lets numpy change a transform in a feature release,
-so the module checks, once on import, that the running numpy still makes
-the draws: a SHA-256 over draws from fixed keys must equal
-``_CONTRACT_SHA256``. If it does not, :data:`RNG_FAMILY` is
-``numpy-philox4x64/{numpy version}``, so no model claims a contract that its
-numpy does not meet.
+order and zero rules of ``forest._draw_splits``: Fisher-Yates zeroes at an
+intermediate level, and at level 0 each node's first largest ``|z|`` kept
+(``eif-philox/1`` zeroed level 0 by Fisher-Yates too). A change to what any
+stream consumes, or to what a build makes of the draws, bumps the contract
+id. NEP 19 lets numpy change a transform in a feature release, so the module
+checks, once on import, that the running numpy still makes the draws: a
+SHA-256 over draws from fixed keys must equal ``_CONTRACT_SHA256``. If it
+does not, :data:`RNG_FAMILY` is ``numpy-philox4x64/{numpy version}``, so no
+model claims a contract that its numpy does not meet.
 
 Bounded integers (:func:`choose_indices`' swap targets) follow numpy's own
 rule for ``Generator.integers(i, n)``, applied in Python ints to the 64-bit
@@ -243,7 +245,7 @@ _CONTRACT_SHA256 = "9ff528d5a3be3fc03abc42602eca38443bf0339ed6183ba6266d34004651
 
 
 def _meets_contract() -> bool:
-    """Whether the running numpy makes the draws of the ``eif-philox/1``
+    """Whether the running numpy makes the draws of the ``eif-philox``
     contract: 16,384 normals (enough to reach the ziggurat's rare paths),
     ``random`` and ``uniform`` doubles, and bounded draws at n = 20,000 and
     above ``2**32``, all from one derived stream of a fixed key."""
@@ -254,4 +256,4 @@ def _meets_contract() -> bool:
 
 
 #: The draw contract named in serialized models (see the module docstring).
-RNG_FAMILY = "eif-philox/1" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"
+RNG_FAMILY = "eif-philox/2" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"

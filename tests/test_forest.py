@@ -214,7 +214,7 @@ class _ZeroFirstNormals:
         return getattr(self.stream, name)
 
 
-@pytest.mark.parametrize("n_zero,zeros", [(0, 1), (2, 1), (2, 3)])
+@pytest.mark.parametrize("n_zero,zeros", [(0, 1), (2, 1), (2, 3), (3, 1), (3, 3)])
 def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
     lo, hi = np.array([-1.0, 0.0, 2.0, 2.0]), np.array([1.0, 5.0, 3.0, 2.0])
     a, b = _ZeroFirstNormals(9, zeros), _ZeroFirstNormals(9, zeros)
@@ -226,7 +226,7 @@ def test_all_zero_survivors_are_redrawn_in_place(n_zero, zeros):
     assert a.random(3).tobytes() == b.random(3).tobytes()
 
 
-@pytest.mark.parametrize("n_zero", [0, 2])
+@pytest.mark.parametrize("n_zero", [0, 2, 3])
 def test_redraw_inside_a_multi_node_step(n_zero):
     """The middle node of a step draws all-zero survivors twice and redraws
     them from its own stream; every row still equals its split drawn alone
@@ -245,6 +245,30 @@ def test_redraw_inside_a_multi_node_step(n_zero):
         assert stream._half == twin._half
         assert stream.random(3).tobytes() == twin.random(3).tobytes()
         assert stream.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
+
+
+def test_level_0_keeps_the_first_of_equal_largest_entries():
+    class Tied(_ZeroFirstNormals):
+        def standard_normal(self, size=None, out=None):
+            drawn = self.stream.standard_normal(size, out=out)
+            drawn[...] = [0.5, -2.0, 2.0, -2.0]
+            return drawn
+
+    lo, hi = np.zeros(4), np.ones(4)
+    normal, _ = draw_one_split(Tied(9, 0), 4, 3, lo, hi)
+    expected, _ = draw_split_oracle(Tied(9, 0), 4, 3, lo, hi)
+    assert normal.tolist() == expected.tolist() == [0.0, -2.0, 0.0, 0.0]
+
+
+def test_level_0_root_axes_are_uniform():
+    """Level 0 keeps each node's largest |z| of i.i.d. normals, so every axis
+    is equally likely: over the roots of 4,000 seeded 8-D trees the counts
+    pass a chi-square test on 7 degrees of freedom at its 0.999 quantile."""
+    forest = build_forest(gen_gaussian_blob(200, 8, seed=30), 4000, 4, 0, seed=31)
+    axes = [int(np.flatnonzero(tree.normal[0])[0]) for tree in forest.trees]
+    counts = np.bincount(axes, minlength=8)
+    chi_square = float(((counts - 500.0) ** 2 / 500.0).sum())
+    assert chi_square < 24.32, (chi_square, counts.tolist())
 
 
 class TestBranchLeft:

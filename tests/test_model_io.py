@@ -50,7 +50,7 @@ class TestModelRoundTrip:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "eif-model"
         assert doc["version"] == 1
-        assert doc["rng_family"] == "eif-philox/1"
+        assert doc["rng_family"] == "eif-philox/2"
 
     def test_metadata_survives(self, model_path, small_forest):
         loaded = load_forest(model_path)
@@ -807,7 +807,7 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     # scalar draw per Fisher-Yates swap on the tree's own generator.
     data = gen_gaussian_blob(500, 4, seed=20)
     save_forest(build(data), tmp_path / "words.json")
-    def scalar(rng, n, k):  # every bounded draw: subsample's and each split's zero choice
+    def scalar(rng, n, k):  # every bounded draw: subsample's and each intermediate-level zero choice
         return choose_indices_oracle(rng._gen, n, k).tolist()
     monkeypatch.setattr("eif.forest.choose_indices", scalar)
     monkeypatch.setattr("eif.rng.choose_indices", scalar)
@@ -815,24 +815,29 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 
 
-# SHA-256 of the model file and of the score bytes of three small builds.
-# The score hashes were recorded before trees became node arrays; the model
-# file hashes when its rng_family became the draw contract eif-philox/1 (the
-# files differ from the ones before in that line alone).
+# SHA-256 of the model file and of the score bytes of four small builds. The
+# full score hash dates from before trees became node arrays, and level-1's
+# from eif-philox/1; neither build draws a level-0 split. The level-0 and
+# rotated hashes, and every model file hash, were recorded under eif-philox/2;
+# the full and level-1 files differ from their eif-philox/1 ones in the
+# rng_family line alone.
 PINNED = {
-    "level-0": ("67f526afa788ea1c1d44b43a35b48e3f8753b458a01fa61246ebafbf9b9164a8",
-                "4811be50136c83ebfac7474442196afc5f2e65f927b2e2c2a63f1793b9809658"),
-    "full": ("c93196350344565cb598594f31e103bebc0bba0cd732ef6f0f3c3569eb47400d",
+    "level-0": ("a4a6a9dcef89ece7dc0b925247ef300d256fb4099831cc041cab995ce03d1482",
+                "916f6eb837d3c2d21e622a02110afbb1d06d24ac21060afaa46805cbaa2128a3"),
+    "level-1": ("197e743160d8892b079c452e5668a6ea29d1e0fcb5881e75c4fb2e0bc8ac48ed",
+                "707109af2c6d9287b116549fc5b3a42663e11878cc03e89e993be8500bb3f73c"),
+    "full": ("e33eaa28adb90a1a2646a416effa7d1efb6861bbcd1e1890745daf7fb5faba60",
              "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
-    "rotated": ("c643105a6f9476ed8b90cf5a52cde6e0e6481ffa9f03ecf5916080aea28e8f5b",
-                "7b89a2d4b9f105eefcbbe26a8ce6f88792edfd24e16556d34af1002b5e36a6c1"),
+    "rotated": ("761afc753f7ee781bac675168eafffb1b139d0619c361c50d69a4c924e9b757b",
+                "5ac53b7904ca0bddaa6ebd94f05bc9463dfa8303dac6f8fee7707de6546d3512"),
 }
 # SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``),
 # recorded under numpy 2.4.6.
 PINNED_TREE_ARRAYS = {
-    "level-0": "003fe6a82912018a28bf8271c82c6c74849229d315d4fa3541a18a84b350bf5c",
+    "level-0": "6e58115e4c0bdba862b73d24a6bd91b797a69ebe8d43b143503b801f43a94016",
+    "level-1": "5b071cd6c915897cdc911a7ff7f91da0814a948bb4d470f1fa3104c35cc5e129",
     "full": "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
-    "rotated": "fd59c76f54d74334b299a5df54eab20c0df6a8d8741ecd71dfbbbf93fb304470",
+    "rotated": "18df6a1ce5604842a68226e46ed09bc99ed2058f0a8b913b4a2c4c1a7a36075e",
 }
 
 
@@ -850,23 +855,24 @@ def _tree_arrays_sha(forest) -> str:
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_pinned_model_and_score_bytes(tmp_path, kind):
     # The draw contract names no numpy version, so every numpy that meets it
-    # must reproduce all three.
+    # must reproduce all four.
     data = gen_gaussian_blob(500, 4, seed=20)
     probes = gen_gaussian_blob(50, 4, seed=24)
     if kind == "rotated":
         forest = build_rotated_forest(data[:, :2], 12, 64, seed=23)
         probes = probes[:, :2]
     else:
-        forest = build_forest(data, 12, 64, 0 if kind == "level-0" else 3,
-                              seed=21 if kind == "level-0" else 22)
+        level, seed = {"level-0": (0, 21), "level-1": (1, 25), "full": (3, 22)}[kind]
+        forest = build_forest(data, 12, 64, level, seed=seed)
     score_sha = hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest()
     assert (score_sha, _tree_arrays_sha(forest)) == (PINNED[kind][1], PINNED_TREE_ARRAYS[kind])
     save_forest(forest, tmp_path / "m.json")
     assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == PINNED[kind][0]
 
 
-# The three PINNED builds as version-1 files, written under numpy 2.4.6 before
-# the draw-contract id, so their rng_family is FIXTURE_FAMILY; with the SHA-256
+# The level-0, full and rotated PINNED builds as version-1 files, written under
+# numpy 2.4.6 before the draw-contract id (so level 0 still zeroed by
+# Fisher-Yates), and their rng_family is FIXTURE_FAMILY; with the SHA-256
 # of each file and of each model's scores on an RNG-free probe set recorded then
 # (each probe coordinate is one correctly rounded division, the same on any numpy).
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -881,9 +887,17 @@ FIXTURE_SCORES = {
     "full": "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973",
     "rotated": "aede7a0103bc7c706170d9c824f6774939bba5cc3239c021aac6396061761722",
 }
+# SHA-256 of each fixture saved again under eif-philox/2. The full fixture's
+# trees are still those of a fresh build, so it saves as PINNED["full"]; the
+# level-0 and rotated ones were drawn by the eif-philox/1 level-0 rule.
+FIXTURE_RESAVED = {
+    "level-0": "7904a32cb7f01ebfe71cb462e95df248426cf9824467676ca89b7009e09cd5a9",
+    "full": PINNED["full"][0],
+    "rotated": "747807277fe8633a36a249a0b2ecb282b0ee64e3340cfa4db4c1ee23b3e83738",
+}
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED))
+@pytest.mark.parametrize("kind", sorted(FIXTURE_SHA))
 def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
     fixture = FIXTURES / f"model_v1_{kind}.json"
     assert hashlib.sha256(fixture.read_bytes()).hexdigest() == FIXTURE_SHA[kind]
@@ -896,7 +910,7 @@ def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
     # rng_family names the running draw contract: the one field a save writes differently
     expected = fixture.read_text().replace(json.dumps(FIXTURE_FAMILY), json.dumps(RNG_FAMILY))
     assert (tmp_path / "m.json").read_text() == expected
-    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == PINNED[kind][0]
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == FIXTURE_RESAVED[kind]
 
 
 @st.composite

@@ -298,7 +298,7 @@ def test_uint64_targets_equal_the_scalar_loop(seed, n, k, pending):
 
 
 def test_running_numpy_meets_the_draw_contract():
-    assert (rng_module._meets_contract(), RNG_FAMILY) == (True, "eif-philox/1")
+    assert (rng_module._meets_contract(), RNG_FAMILY) == (True, "eif-philox/2")
 
 
 def _one_draw_off(method):
@@ -324,7 +324,7 @@ def test_draw_contract_check_sees_one_altered_draw(monkeypatch, method):
 
 # Run in a fresh interpreter, since the package checks the contract once, on
 # import: numpy with one normal draw off, then a model trained and saved, then
-# the same file stamped eif-philox/1 and loaded.
+# the same file stamped eif-philox/2 and loaded.
 _FALLBACK_RUN = """
 import json, sys, warnings
 from pathlib import Path
@@ -338,7 +338,7 @@ from eif.rng import RNG_FAMILY
 path = Path(sys.argv[1])
 save_forest(build_forest(np.arange(40.0).reshape(20, 2), 3, 8, 1, seed=5), path)
 trained = json.loads(path.read_text())["rng_family"]
-path.write_text(path.read_text().replace(json.dumps(trained), json.dumps("eif-philox/1")))
+path.write_text(path.read_text().replace(json.dumps(trained), json.dumps("eif-philox/2")))
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     load_forest(path)
@@ -354,6 +354,6 @@ def test_numpy_off_the_contract_falls_back_to_its_version(tmp_path):
     assert done.returncode == 0, done.stderr
     version, family, trained, warned = json.loads(done.stdout)
     assert family == trained == f"numpy-philox4x64/{version}"
-    assert warned == [f"model {tmp_path / 'm.json'} was built under rng family 'eif-philox/1', "
+    assert warned == [f"model {tmp_path / 'm.json'} was built under rng family 'eif-philox/2', "
                       f"this build runs {family!r}: it scores as before, but retraining from its "
                       "seed may not reproduce it"]

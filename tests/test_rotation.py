@@ -142,20 +142,20 @@ def test_rotation_averages_out_axis_parallel_banding():
     # along a circle, per-tree random rotation removes most of the angular
     # bias of axis-parallel cuts, so score variance drops well below the
     # unrotated level-0 forest's (the fully extended forest lands in the
-    # same low-variance regime; neither dominates the other consistently)
+    # same low-variance regime; neither dominates the other consistently).
+    # Compared as mean variances over ten seeds at 400 trees, where every
+    # ten-seed block measured 0.40-0.57; at 100 trees a per-seed count of
+    # wins was a coin with a 70% face, below 7 of 10 in a third of the blocks.
     from eif.rng import fold_seed
     from eif.synthetic import gen_sphere_levelset
 
-    wins = 0
+    v_axis, v_rot = [], []
     for seed in range(1, 11):
         train = gen_gaussian_blob(2000, 2, seed=fold_seed(seed, 5))
         probes = gen_sphere_levelset(3.0, 500, 2, seed=fold_seed(seed, 6))
-        axis = build_forest(train, 100, 256, 0, seed=seed)
-        rotated = build_rotated_forest(train, 100, 256, seed=seed)
-        v_axis = np.var(score_batch(probes, axis))
-        v_rot = np.var(score_batch(probes, rotated))
-        wins += v_rot < v_axis
-    assert wins >= 7
+        v_axis.append(np.var(score_batch(probes, build_forest(train, 400, 256, 0, seed=seed))))
+        v_rot.append(np.var(score_batch(probes, build_rotated_forest(train, 400, 256, seed=seed))))
+    assert np.mean(v_rot) < 0.75 * np.mean(v_axis), (np.mean(v_rot) / np.mean(v_axis))
 
 
 def test_global_rotation_with_compensated_angles_gives_same_geometry():
