@@ -6,8 +6,8 @@ normal coordinates stay nonzero: level 0 leaves exactly one, which makes
 every split an axis-parallel threshold (the classic isolation forest), while
 level N-1 draws all N coordinates from N(0, 1) so splits can slope freely.
 Every level draws N normals per node; level 0 keeps the largest in magnitude,
-a uniform choice of axis, and an intermediate level keeps a Fisher-Yates
-choice of them.
+a uniform choice of axis, and an intermediate level zeroes those under the
+node's smallest uniform keys, a uniform choice of coordinates.
 The rotated baseline (``build_rotated_forest``, 2-D only) is the same forest
 at level 0 whose trees each carry a random angle: a tree's sample is turned by
 it before growth, and so is every query point before it enters that tree. Each
@@ -51,7 +51,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import RngStream, _check_count, _check_integer, choose_indices, derive_stream, make_rng, subsample
+from .rng import RngStream, _check_count, _check_integer, derive_stream, make_rng, subsample
 
 #: Euler-Mascheroni constant: ``c_factor`` estimates the harmonic number H(i) as ln(i) + EULER_GAMMA.
 EULER_GAMMA = 0.5772156649
@@ -408,7 +408,7 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
-    normal, intercept = _draw_splits([rng], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
+    normal, intercept, _ = _draw_splits([rng], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
     return normal[0], intercept[0]
 
 
@@ -417,19 +417,23 @@ def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarra
     intercept)``, each ``(len(streams), dim)``, is the split of node r, whose
     points span [lo, lo + span] in column r of the ``(dim, nodes)`` arrays
     ``lo`` and ``span``. Each kind of draw runs over every stream in turn, so
-    no stream may appear twice: it would interleave two nodes' draws.
+    no stream may appear twice: it would interleave two nodes' draws. The
+    third array returned, ``(len(streams), dim - n_zero)``, holds each row's
+    kept coordinates in ascending order, for ``_split_margins``.
 
     Per node, normal coordinates come from N(0, 1). At an intermediate level
-    ``n_zero`` of them, chosen uniformly without replacement by
-    ``choose_indices``, are then zeroed. If the coordinates that may survive
-    all happen to be exactly zero they are redrawn, from the node's own
-    stream, until one is not. At level 0 (``n_zero == dim - 1``, which the
-    rotated baseline uses too) the whole row may survive, so a row of exact
-    zeros is redrawn whole; then each row keeps its first largest ``|z|``
-    entry, with its drawn value, and the rest are zeroed, by one argmax over
-    every row. The normals are i.i.d., so the kept coordinate is a uniform
-    choice of axis, as the classic isolation forest picks its attribute, and
-    no bounded draw is made.
+    the node then draws ``dim`` uniform keys, ``stream.random(dim)``, and the
+    coordinates of its ``n_zero`` smallest keys (the first of equal keys
+    counts as smaller) are zeroed. The keys are i.i.d. and independent of
+    the normals, so the zeroed set is uniform and the kept values stay
+    N(0, 1). If the kept coordinates all happen to be exactly zero they are
+    redrawn, from the node's own stream, until one is not. At level 0
+    (``n_zero == dim - 1``, which the rotated baseline uses too) the whole
+    row may survive, so a row of exact zeros is redrawn whole; then each row
+    keeps its first largest ``|z|`` entry, with its drawn value, and the
+    rest are zeroed, by one argmax over every row. The normals are i.i.d.,
+    so the kept coordinate is a uniform choice of axis, as the classic
+    isolation forest picks its attribute. No level makes a bounded draw.
 
     The intercept is ``lo + span * u`` with span = hi - lo and u =
     ``stream.random(dim)``, which is the formula and the draws of numpy's
@@ -439,31 +443,33 @@ def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarra
     inert, so stream consumption is fixed. The caller checks that the span is
     finite: the formula would not fail on an overflowing one.
 
-    Draw order (normal, zero choice at an intermediate level, redraws,
-    intercept) is part of the reproducibility contract. The zeroing, the
+    Draw order (normals, keys at an intermediate level, redraws, intercept)
+    is part of the reproducibility contract. The key sort, the zeroing, the
     all-zero test and the intercept formula each run once over every row.
     """
+    rows = np.arange(len(streams))
     normal, u = np.empty((len(streams), dim)), np.empty((len(streams), dim))
     for stream, row in zip(streams, normal):
         stream.standard_normal(out=row)
-    chosen = 0 < n_zero < dim - 1  # intermediate levels pick their zeroes by Fisher-Yates
-    if chosen:
-        zeroed = [choose_indices(stream, dim, n_zero) for stream in streams]
-        normal[np.repeat(np.arange(len(streams)), n_zero), list(chain.from_iterable(zeroed))] = 0.0
-    for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the survivors all drew exactly 0.0: redraw them
-        keep = np.ones(dim, dtype=bool)
-        if chosen:
-            keep[zeroed[r]] = False
+    kept = np.broadcast_to(np.arange(dim), normal.shape)  # full extension and level 0 keep every row whole so far
+    if 0 < n_zero < dim - 1:  # intermediate levels zero the coordinates of the smallest keys
+        for stream, row in zip(streams, u):
+            stream.random(out=row)
+        order = u.argsort(axis=1, kind="stable")
+        normal[rows[:, None], order[:, :n_zero]] = 0.0
+        kept = np.sort(order[:, n_zero:], axis=1)
+    for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the kept entries all drew exactly 0.0: redraw them
         while not normal[r].any():
-            normal[r, keep] = streams[r].standard_normal(np.count_nonzero(keep))
+            normal[r, kept[r]] = streams[r].standard_normal(len(kept[r]))
     if 0 < n_zero == dim - 1:  # level 0: keep each row's first largest |z|
-        rows, axis = np.arange(len(streams)), np.abs(normal).argmax(axis=1)
-        kept = normal[rows, axis]
+        axis = np.abs(normal).argmax(axis=1)
+        value = normal[rows, axis]
         normal.fill(0.0)
-        normal[rows, axis] = kept
+        normal[rows, axis] = value
+        kept = axis[:, None]
     for stream, row in zip(streams, u):
         stream.random(out=row)
-    return normal, lo.T + span.T * u
+    return normal, lo.T + span.T * u, kept
 
 
 def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
@@ -538,11 +544,11 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
             lo, span = lo[:, splitting], span[:, splitting]
             if not popped:
                 continue
-        normals, intercepts = _draw_splits([streams[entry[0]] for entry in popped], dim, dim - nonzeros, lo, span)
+        normals, intercepts, kept = _draw_splits([streams[entry[0]] for entry in popped], dim, dim - nonzeros, lo, span)
         at = np.repeat(np.arange(len(popped)), counts)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                went_right = _split_margins(points, at, normals, intercepts, nonzeros) > 0.0
+                went_right = _split_margins(points, at, normals, intercepts, kept) > 0.0
         except FloatingPointError as err:
             raise ValueError("a split margin overflowed float64 while training: the sample's columns span "
                              "too wide a range for a split's terms to sum within the float limit") from err
@@ -567,25 +573,23 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
             for j, (a, b) in enumerate(zip(first[:-1].tolist(), first[1:].tolist()))]
 
 
-def _split_margins(points, at, normal, intercept, nonzeros: int) -> np.ndarray:
+def _split_margins(points, at, normal, intercept, kept) -> np.ndarray:
     """(x - p) . n for each column x of the C-contiguous (dimension, points)
     block ``points``, under split ``at[c]`` for column c: the rows
-    ``normal[at[c]]`` and ``intercept[at[c]]``, each normal with ``nonzeros``
-    nonzero entries.
+    ``normal[at[c]]`` and ``intercept[at[c]]``, whose coordinates
+    ``kept[at[c]]`` (ascending, as ``_draw_splits`` returns them) add terms.
 
-    As in ``_margins``, the terms are those of the nonzero entries, added in
-    index order. At full extension, where every entry is one, the terms are
-    formed in place in ``points`` and summed by an axis-0 reduce, which adds
-    the rows in order. Below it, each term gathers one coordinate per column,
-    the next nonzero one of its split's normal, and is added in place.
+    As in ``_margins``, the terms are those of the kept entries, added in
+    index order. At full extension, where every coordinate is kept, the
+    terms are formed in place in ``points`` and summed by an axis-0 reduce,
+    which adds the rows in order. Below it, each term gathers one coordinate
+    per column, the next kept one of its split's normal, and is added in
+    place.
     """
-    if nonzeros == points.shape[0]:
+    if kept.shape[1] == points.shape[0]:
         points -= intercept.T.take(at, axis=1)
         points *= normal.T.take(at, axis=1)
         return np.add.reduce(points, axis=0)
-    # each split's nonzero coordinates, in index order; a normal that drew too
-    # few nonzeros (Forest rejects its tree) adds a zero term last, a signed 0
-    coords = np.argsort(normal == 0.0, axis=1, kind="stable")[:, :nonzeros].T
     flat, width = points.ravel(), points.shape[1]
     split, column = np.arange(len(normal)), np.arange(width)
 
@@ -595,8 +599,8 @@ def _split_margins(points, at, normal, intercept, nonzeros: int) -> np.ndarray:
         x *= normal[split, d].take(at)
         return x
 
-    total = term(coords[0])
-    for d in coords[1:]:
+    total = term(kept[:, 0])
+    for d in kept.T[1:]:
         total += term(d)
     return total
 

@@ -16,36 +16,26 @@ Every count, seed and index the package takes from a caller passes
 :func:`_check_integer`: a Python or numpy integer is one, a float or a bool is
 not, even when its value is whole. :func:`_check_count` adds a lower bound.
 
-The Gaussian and uniform transforms are the ones numpy's ``Generator``
-applies on top of the Philox bit stream. :data:`RNG_FAMILY` names the draw
-contract serialized models are built under, ``eif-philox/2``: the key scheme
-and :func:`derive_stream`; numpy's normal, ``random`` and ``uniform``
-transforms over Philox; :func:`choose_indices`' bounded rule, its
-``Generator.integers`` path for spans above ``2**32`` included; and the draw
-order and zero rules of ``forest._draw_splits``: Fisher-Yates zeroes at an
-intermediate level, and at level 0 each node's first largest ``|z|`` kept
-(``eif-philox/1`` zeroed level 0 by Fisher-Yates too). A change to what any
-stream consumes, or to what a build makes of the draws, bumps the contract
-id. NEP 19 lets numpy change a transform in a feature release, so the module
-checks, once on import, that the running numpy still makes the draws: a
-SHA-256 over draws from fixed keys must equal ``_CONTRACT_SHA256``. If it
-does not, :data:`RNG_FAMILY` is ``numpy-philox4x64/{numpy version}``, so no
-model claims a contract that its numpy does not meet.
+The Gaussian, uniform and bounded-integer transforms are the ones numpy's
+``Generator`` applies on top of the Philox bit stream. :data:`RNG_FAMILY`
+names the draw contract serialized models are built under, ``eif-philox/3``:
+the key scheme and :func:`derive_stream`; numpy's normal, ``random``,
+``uniform`` and ``integers`` transforms over Philox, the last through
+:func:`choose_indices`; and the draw order and zero rules of
+``forest._draw_splits``: at an intermediate level each node zeroes the
+coordinates of its smallest uniform keys, and at level 0 it keeps its first
+largest ``|z|``. ``eif-philox/2`` zeroed intermediate levels by a
+Fisher-Yates draw, and ``eif-philox/1`` level 0 as well. A change to what
+any stream consumes, or to what a build makes of the draws, bumps the
+contract id. NEP 19 lets numpy change a transform in a feature release, so
+the module checks, once on import, that the running numpy still makes the
+draws: a SHA-256 over draws from fixed keys must equal ``_CONTRACT_SHA256``.
+If it does not, :data:`RNG_FAMILY` is ``numpy-philox4x64/{numpy version}``,
+so no model claims a contract that its numpy does not meet.
 
-Bounded integers (:func:`choose_indices`' swap targets) follow numpy's own
-rule for ``Generator.integers(i, n)``, applied in Python ints to the 64-bit
-Philox words: for a span ``s = n - i <= 2**32``, take the next 32-bit half
-``u``, reject while ``(u * s) & 0xFFFFFFFF < (2**32 - s) % s``, and return
-``i + (u * s >> 32)``; a span of 1 draws nothing. A long run of draws
-applies the rule in uint64 arrays, which is exact: ``u * s < 2**64``. A
-32-bit draw takes the low half of a fresh word and keeps the high half as
-the next one. The kept half lives in the stream's own slot, which only
-:func:`choose_indices` reads or writes: float64 draws read whole words and
-never touch it, so it carries from one call to the next, as numpy's does.
-Spans above ``2**32`` go through ``Generator.integers``, whose 64-bit rule
-reads whole words and leaves the half alone. Values and stream state equal
-numpy's bit for bit. A float32 or other 32-bit numpy draw on ``_gen`` would
-read numpy's own kept half, not this one, so none is made.
+For a span of at most ``2**32`` numpy's bounded rule reads half a Philox
+word and keeps the other half pending in the bit generator for the next such
+draw; float64 draws read whole words and leave it alone.
 """
 
 from __future__ import annotations
@@ -55,13 +45,6 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
-#: 32-bit draws from which :func:`choose_indices` takes its swap
-#: targets in one uint64 pass instead of one by one. At n = 20,000 the pass
-#: took 1.1-1.3x the scalar loop's time for 24-32 draws, 0.86-0.95x for 48,
-#: 0.83-0.86x for 64 and 0.44-0.55x for 256 (a subsample of psi = 256).
-_VECTOR_DRAWS = 48
 
 
 def _mix64(a: int, b: int) -> int:
@@ -108,22 +91,17 @@ class RngStream:
 
     A stream is single-owner state: do not share one across concurrent
     tasks. Fan out by deriving one child per task first; derivation never
-    touches the parent's draw state.
-
-    Besides numpy's generator, a stream holds the high 32-bit half of the
-    last word a bounded draw split, pending for the next bounded draw (see
-    the module docstring). Only :func:`choose_indices` reads or sets it; a
-    float32 or other 32-bit numpy draw on ``_gen`` would bypass it.
+    touches the parent's draw state. All draw state is that of the numpy
+    ``Generator`` in ``_gen``.
     """
 
-    __slots__ = ("seed", "stream_index", "_gen", "_half")
+    __slots__ = ("seed", "stream_index", "_gen")
 
     def __init__(self, seed: int, stream_index: int = 0):
         self.seed = _check_u64("seed", seed)
         self.stream_index = _check_u64("stream_index", stream_index)
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._half = None
 
     # Raw draw primitives: they advance state and nothing else, so callers
     # validate their arguments.
@@ -166,67 +144,19 @@ def choose_indices(rng: RngStream, n: int, k: int) -> list[int]:
     """k distinct indices uniform over range(n): the first k slots of
     range(n) after k partial Fisher-Yates swaps.
 
-    Swap i exchanges slots i and j_i, j_i drawn uniform on [i, n) by the
-    bounded rule of the module docstring: the same values, and the same
-    stream state after, as ``Generator.integers(np.arange(k), n)``. A draw
-    may leave the high half of a word pending on the stream for its next
-    call. The words the 32-bit draws need come in one ``random_raw`` call;
-    each rejection reads one more word later, which is next in the stream,
-    so none is lost. From ``_VECTOR_DRAWS`` 32-bit draws up, the targets are
-    taken in one uint64 pass over those words, unless some draw could be
-    rejected, when the same halves go through the scalar loop. The swaps run
-    over a sparse table of the slots moved so far: O(k) work, no length-n
-    index array.
+    Swap i exchanges slots i and j_i, j_i uniform on [i, n); the targets are
+    one ``Generator.integers(np.arange(k), n)`` call. The swaps run over a
+    sparse table of the slots moved so far: O(k) work, no length-n index
+    array.
     """
     if k < 0 or k > n:
         raise ValueError(f"cannot choose {k} indices from {n}")
-    gen = rng._gen
-    raw = gen.bit_generator.random_raw
-    # Spans above 2**32 come first, at i < n - 2**32, and are drawn before
-    # any word is fetched. Span 1, at i = n - 1, draws nothing.
-    targets = [int(gen.integers(i, n)) for i in range(min(k, n - 2**32))] if n > 2**32 else []
-    start, drawn = len(targets), k - (0 < k == n)
-    halves = [] if rng._half is None else [rng._half]
-    short = drawn - start - len(halves)
-    words = raw((short + 1) // 2) if short > 0 else None
-    if drawn - start >= _VECTOR_DRAWS:  # then at least one word was fetched
-        table = np.empty(len(halves) + 2 * len(words), dtype=np.uint64)
-        table[:len(halves)] = halves
-        table[len(halves)::2], table[len(halves) + 1::2] = words & _MASK32, words >> 32
-        spans = np.arange(n - start, n - drawn, -1, dtype=np.uint64)
-        m = table[:drawn - start] * spans  # below 2**64: a half is below 2**32, a span at most 2**32
-        if not ((m & _MASK32) < spans).any():  # no draw can be rejected
-            targets += (np.arange(start, drawn, dtype=np.uint64) + (m >> 32)).tolist()
-        halves = table.tolist()
-    elif words is not None:
-        for word in words.tolist():
-            halves += (word & _MASK32, word >> 32)
-    ready = len(targets)
-    p = ready - start  # halves used: all 32-bit draws if the uint64 pass took them, else none
     moved: dict[int, int] = {}
     out = []
-    for i in range(drawn):
-        if i < ready:
-            j = targets[i]
-        else:
-            s = n - i
-            m = halves[p] * s
-            p += 1
-            if (m & _MASK32) < s:  # only then can it fall below the threshold
-                threshold = (2**32 - s) % s
-                while (m & _MASK32) < threshold:
-                    if len(halves) - p < drawn - i:  # the redraw took a half the fetch counted on
-                        word = raw()
-                        halves += (word & _MASK32, word >> 32)
-                    m = halves[p] * s
-                    p += 1
-            j = i + (m >> 32)
+    for i, j in enumerate(rng._gen.integers(np.arange(k), n).tolist()):
         # Slot i is final once swapped: every later target is above it.
         out.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    if drawn < k:
-        out.append(moved.get(drawn, drawn))
-    rng._half = halves[p] if p < len(halves) else None
     return out
 
 
@@ -256,4 +186,4 @@ def _meets_contract() -> bool:
 
 
 #: The draw contract named in serialized models (see the module docstring).
-RNG_FAMILY = "eif-philox/2" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"
+RNG_FAMILY = "eif-philox/3" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"

@@ -201,12 +201,15 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
 def draw_split_oracle(rng, dim, n_zero, lo, hi):
     """``_draw_splits`` for one node, with numpy's own uniform transform: the
     same normal draws, then the intercept from ``Generator.uniform(lo, hi)``.
-    At level 0 a row of zeros is redrawn whole, then a loop keeps the first
-    entry of largest magnitude: a later one must be strictly larger."""
+    At an intermediate level the node draws ``dim`` uniform keys and one
+    Python sort, stable, orders the coordinates by key: the first ``n_zero``
+    are zeroed. At level 0 a row of zeros is redrawn whole, then a loop keeps
+    the first entry of largest magnitude: a later one must be strictly larger."""
     normal = rng.standard_normal(dim)
     keep = np.ones(dim, dtype=bool)
     if 0 < n_zero < dim - 1:
-        keep[choose_indices(rng, dim, n_zero)] = False
+        keys = rng.random(dim).tolist()
+        keep[sorted(range(dim), key=keys.__getitem__)[:n_zero]] = False
         normal[~keep] = 0.0
     while not np.any(normal != 0.0):
         normal[keep] = rng.standard_normal(int(keep.sum()))

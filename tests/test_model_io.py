@@ -50,7 +50,7 @@ class TestModelRoundTrip:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "eif-model"
         assert doc["version"] == 1
-        assert doc["rng_family"] == "eif-philox/2"
+        assert doc["rng_family"] == "eif-philox/3"
 
     def test_metadata_survives(self, model_path, small_forest):
         loaded = load_forest(model_path)
@@ -798,44 +798,42 @@ class TestWritePath:
     lambda data: build_forest(data, 12, 64, 0, seed=21),
     lambda data: build_forest(data, 12, 64, 3, seed=22),
     lambda data: build_rotated_forest(data[:, :2], 12, 64, seed=23),
-    # 8-D at level 2: each node draws 5 targets, so a half word carries from node to node
     lambda data: build_forest(gen_gaussian_blob(500, 8, seed=20), 12, 64, 2, seed=24),
 ], ids=["level-0", "full", "rotated", "8d-level-2"])
 def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
-    # Pins stream consumption: the bounded draws read from the Philox words
-    # must build the same model file as numpy's Generator.integers, one
-    # scalar draw per Fisher-Yates swap on the tree's own generator.
+    # Pins stream consumption: the subsample's one Generator.integers call
+    # must build the same model file as one scalar numpy draw per
+    # Fisher-Yates swap on the tree's own generator.
     data = gen_gaussian_blob(500, 4, seed=20)
     save_forest(build(data), tmp_path / "words.json")
-    def scalar(rng, n, k):  # every bounded draw: subsample's and each intermediate-level zero choice
+    def scalar(rng, n, k):  # the only bounded draw of a build: its subsample
         return choose_indices_oracle(rng._gen, n, k).tolist()
-    monkeypatch.setattr("eif.forest.choose_indices", scalar)
     monkeypatch.setattr("eif.rng.choose_indices", scalar)
     save_forest(build(data), tmp_path / "scalar.json")
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 
 
 # SHA-256 of the model file and of the score bytes of four small builds. The
-# full score hash dates from before trees became node arrays, and level-1's
-# from eif-philox/1; neither build draws a level-0 split. The level-0 and
-# rotated hashes, and every model file hash, were recorded under eif-philox/2;
-# the full and level-1 files differ from their eif-philox/1 ones in the
-# rng_family line alone.
+# full score hash dates from before trees became node arrays, the level-0 and
+# rotated ones from eif-philox/2, and level-1's from eif-philox/3, which
+# changed the intermediate zero choice. Every model file hash was recorded
+# under eif-philox/3; the level-0, full and rotated files differ from their
+# eif-philox/2 ones in the rng_family line alone.
 PINNED = {
-    "level-0": ("a4a6a9dcef89ece7dc0b925247ef300d256fb4099831cc041cab995ce03d1482",
+    "level-0": ("ee8667c8b9652eb145e9733dddb746e5aeada13893606864d41270d4cc0a824a",
                 "916f6eb837d3c2d21e622a02110afbb1d06d24ac21060afaa46805cbaa2128a3"),
-    "level-1": ("197e743160d8892b079c452e5668a6ea29d1e0fcb5881e75c4fb2e0bc8ac48ed",
-                "707109af2c6d9287b116549fc5b3a42663e11878cc03e89e993be8500bb3f73c"),
-    "full": ("e33eaa28adb90a1a2646a416effa7d1efb6861bbcd1e1890745daf7fb5faba60",
+    "level-1": ("9ee61828293945d2d325a7623cdac8d4e41eccb3124c633b31a13c49f1734fea",
+                "63d043ad701a7863b166115c098c0bfa6d6c6fa3f4be9125ada7a0beb18a33f9"),
+    "full": ("48f447171bc6f6ac3dc1077e7c02550b2701a7ce55905a073927dcb9f93d7382",
              "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
-    "rotated": ("761afc753f7ee781bac675168eafffb1b139d0619c361c50d69a4c924e9b757b",
+    "rotated": ("cf769f88324e200ad5f3d5c37b3731817aae31ab0a0c146c6579a2d08230e4c9",
                 "5ac53b7904ca0bddaa6ebd94f05bc9463dfa8303dac6f8fee7707de6546d3512"),
 }
 # SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``),
 # recorded under numpy 2.4.6.
 PINNED_TREE_ARRAYS = {
     "level-0": "6e58115e4c0bdba862b73d24a6bd91b797a69ebe8d43b143503b801f43a94016",
-    "level-1": "5b071cd6c915897cdc911a7ff7f91da0814a948bb4d470f1fa3104c35cc5e129",
+    "level-1": "934885e395a4c9100f0c03d45cafb8c1ae19c703b68c44144be158c583398aa4",
     "full": "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
     "rotated": "18df6a1ce5604842a68226e46ed09bc99ed2058f0a8b913b4a2c4c1a7a36075e",
 }
@@ -887,13 +885,13 @@ FIXTURE_SCORES = {
     "full": "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973",
     "rotated": "aede7a0103bc7c706170d9c824f6774939bba5cc3239c021aac6396061761722",
 }
-# SHA-256 of each fixture saved again under eif-philox/2. The full fixture's
+# SHA-256 of each fixture saved again under eif-philox/3. The full fixture's
 # trees are still those of a fresh build, so it saves as PINNED["full"]; the
 # level-0 and rotated ones were drawn by the eif-philox/1 level-0 rule.
 FIXTURE_RESAVED = {
-    "level-0": "7904a32cb7f01ebfe71cb462e95df248426cf9824467676ca89b7009e09cd5a9",
+    "level-0": "595e723759ea82c5806e01648013276f63a5f8995fffc4ebc6215f36f2fab1ab",
     "full": PINNED["full"][0],
-    "rotated": "747807277fe8633a36a249a0b2ecb282b0ee64e3340cfa4db4c1ee23b3e83738",
+    "rotated": "78cb5d12afb2bc6733d0bc71eaae36c9de7b9473b83f2401a9fc19ec849c439c",
 }
 
 
