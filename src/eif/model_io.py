@@ -3,28 +3,37 @@
 Model file: a single UTF-8 JSON document,
 
     {
-      "format": "eif-model", "version": 1,
+      "format": "eif-model", "version": 2,
       "variant": "extended" | "standard-equivalent" | "rotated",
       "dimension": N, "t": ..., "psi": ..., "extension_level": ...,
       "seed": ..., "rng_family": "...",
-      "trees": [{"height_limit": ..., "nodes": [...], "angle": ...}, ...]
+      "trees": [{"height_limit": ..., "angle": ..., "nodes": [...],
+                 "normal": "<base64>", "intercept": "<base64>"}, ...]
     }
 
 Each tree is its node array, root at index 0; a node is either ``{"kind":
-"internal", "normal": [...], "intercept": [...], "left_index": i,
-"right_index": j}`` or ``{"kind": "external", "size": n}``. These are the
-arrays an in-memory tree holds, so saving writes them out and loading reads
-them back in file order. Rotated trees also carry their angle. The document
+"internal", "left_index": i, "right_index": j}`` or ``{"kind": "external",
+"size": n}``. A tree's split rows, those of its internal nodes in node
+order, are its two blocks: each the standard base64, with no line break, of
+the ``<f8`` bytes of a ``(splits, N)`` array, row-major (``""`` for a lone
+leaf). These are the arrays an in-memory tree holds, so saving writes them
+out and loading reads them back in file order; leaf rows, which nothing
+reads, load as zeros. Rotated trees also carry their angle. The document
 spells out what a Forest derives (``variant``, ``dimension``, ``t``, each
-tree's ``height_limit``). Floats are written in Python's shortest round-trip
-form, so load(save(f)) scores bit-for-bit like f. ``save_forest`` writes the
-text itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
+tree's ``height_limit``). The blocks hold the floats' bytes, so
+load(save(f)) scores bit-for-bit like f. ``save_forest`` writes the text
+itself, byte for byte as ``json.dumps(document, indent=1)`` lays it out
 (keys in the order above, one value per line, one space of indent per
 level); only the loader goes through ``json``. It streams the text: the
 header, then one tree's text at a time, so a save holds one tree's text,
 never the whole document. The loader reads each tree's node list in one
 walk, in file order, checking each field as it reaches it and naming the
-first fault; no node array is made before the walk ends.
+first fault; no node array is made before the walk ends, and a block's byte
+count is checked before its array is made.
+
+Version 1, which ``load_forest`` still reads, is the same document without
+the blocks: each internal node holds its own ``"normal"`` and
+``"intercept"`` lists of JSON numbers.
 
 CSV dialect throughout: comma separator, "." decimal, UTF-8, one optional
 header line. The writers write LF line endings; ``read_csv`` also reads CRLF
@@ -32,7 +41,8 @@ ones and quoted cells. It streams the file through csv.reader and converts
 a chunk of records at a time, so one str per cell is never held for the
 whole file; errors name the first faulty line. Scores are written with 9
 significant digits; dataset values and grid coordinates in shortest
-round-trip form, each of a grid's nx + ny coordinates formatted once.
+round-trip form, each of a grid's nx + ny coordinates formatted once. The
+writers, too, make and write the text a chunk of lines at a time.
 
 Every output file is written atomically by ``_write_text``, with the mode
 ``open()`` would give it; a write error, or an error raised while the text
@@ -42,6 +52,7 @@ requested path.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import itertools
@@ -60,7 +71,7 @@ from .forest import VARIANT_ROTATED, Forest, IsolationTree, as_dataset, height_l
 from .rng import RNG_FAMILY, _check_integer
 
 FORMAT_MAGIC = "eif-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _write_text(path, pieces) -> None:
@@ -91,39 +102,39 @@ def _write_text(path, pieces) -> None:
 
 
 # One node of a tree's "nodes" list, at the depth and in the key order
-# json.dumps(document, indent=1) puts it; vector entries are joined by _ENTRY.
-_ENTRY = ",\n      "
-_INTERNAL = ('    {\n     "kind": "internal",\n     "normal": [\n      %s\n     ],\n'
-             '     "intercept": [\n      %s\n     ],\n     "left_index": %d,\n     "right_index": %d\n    }')
+# json.dumps(document, indent=1) puts it.
+_INTERNAL = '    {\n     "kind": "internal",\n     "left_index": %d,\n     "right_index": %d\n    }'
 _EXTERNAL = '    {\n     "kind": "external",\n     "size": %d\n    }'
+
+
+def _block_text(rows: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes of ``rows``, row-major."""
+    return base64.b64encode(rows.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
 def _tree_text(tree: IsolationTree, height_limit: int) -> str:
     """One entry of the "trees" list: height_limit, the angle of a rotated
-    tree, then the nodes in array order. Floats are written with ``repr``
-    and integers in decimal, as ``json`` writes them."""
+    tree, the nodes in array order, then the split blocks. Integers are
+    written in decimal, as ``json`` writes them."""
     left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
-    normal = intercept = None
-    if len(left) > 1:  # a lone leaf's zero row is never written, so never listed
-        normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
-    nodes = ",\n".join(
-        _INTERNAL % (_ENTRY.join(map(repr, normal[k])), _ENTRY.join(map(repr, intercept[k])), left[k], right[k])
-        if left[k] >= 0 else _EXTERNAL % size[k]
-        for k in range(len(left))
-    )
+    nodes = ",\n".join(_INTERNAL % (left[k], right[k]) if left[k] >= 0 else _EXTERNAL % size[k]
+                       for k in range(len(left)))
+    split = tree.left >= 0  # leaf rows are never written: a lone leaf's blocks are empty
     angle = "" if tree.angle is None else f'   "angle": {json.dumps(tree.angle)},\n'
-    return f'  {{\n   "height_limit": {height_limit},\n{angle}   "nodes": [\n{nodes}\n   ]\n  }}'
+    return (f'  {{\n   "height_limit": {height_limit},\n{angle}   "nodes": [\n{nodes}\n   ],\n'
+            f'   "normal": "{_block_text(tree.normal[split])}",\n'
+            f'   "intercept": "{_block_text(tree.intercept[split])}"\n  }}')
 
 
 def save_forest(forest: Forest, path) -> None:
     """Write the model document to ``path`` (fsynced, never partial).
 
-    The header fields go through ``json.dumps``; the trees are filled into
-    fixed node templates, which is several times faster than ``json``'s
-    indenting encoder, a pure-Python one. The text is what
-    ``json.dumps(document, indent=1)`` gives for the document the module
-    docstring lays out; it is written a tree at a time, so the whole text is
-    never held.
+    The header fields go through ``json.dumps``; each tree's nodes are
+    filled into fixed node templates, several times faster than ``json``'s
+    indenting encoder, a pure-Python one, and its split rows are written as
+    two base64 blocks. The text is what ``json.dumps(document, indent=1)``
+    gives for the document the module docstring lays out; it is written a
+    tree at a time, so the whole text is never held.
     """
     header = json.dumps({
         "format": FORMAT_MAGIC,
@@ -176,12 +187,34 @@ def _floats(values: list, what: str) -> list[float]:
     raise _fail(f"{what} has non-numeric or non-finite entries")
 
 
-def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
-    """Tree from its document. One walk over the nodes in file order checks
-    each field as it reaches it, by exact type (a JSON true is a bool), and
-    collects the node arrays' columns; the first fault is raised. Then a node
-    count beyond what the splits reach, checked before any (nodes, dimension)
-    array is made, then a child index or size beyond 64 bits."""
+def _block(td: dict, key: str, where: str, rows: int, dimension: int) -> np.ndarray:
+    """The ``(rows, dimension)`` float64 array of block ``key`` of a version-2
+    tree: a str of standard base64, with no line break, of ``<f8`` bytes.
+    Its byte count is checked against ``rows`` and ``dimension`` in Python
+    ints before any array is made."""
+    text = td.get(key)
+    if type(text) is not str:
+        raise _field_fault(td, key, where)
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        raise _fail(f"field {key!r} in {where} is not base64") from None
+    if len(data) % 8:
+        raise _fail(f"field {key!r} in {where} holds {len(data)} bytes, not a whole number of float64 values")
+    if len(data) != rows * dimension * 8:
+        raise _fail(f"field {key!r} in {where} holds {len(data) // 8} floats, expected {rows} split rows "
+                    f"of dimension {dimension}")
+    return np.frombuffer(data, dtype="<f8").reshape(rows, dimension)
+
+
+def _read_tree(td, where: str, dimension: int, rotated: bool, version: int) -> IsolationTree:
+    """Tree from its document in format ``version``. One walk over the nodes
+    in file order checks each field as it reaches it, by exact type (a JSON
+    true is a bool), and collects the node arrays' columns, with each split's
+    vectors in version 1; the first fault is raised. Then a node count beyond
+    what the splits reach, checked before any (nodes, dimension) array is
+    made, then, in version 2, the ``normal`` and ``intercept`` blocks, then a
+    child index or size beyond 64 bits."""
     if not isinstance(td, dict):
         raise _fail(f"{where} is not an object")
     _require(td, "height_limit", int, where)
@@ -190,6 +223,10 @@ def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
         angle = _floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
     elif "angle" in td:
         raise _fail(f"{where} has an angle, which only the rotated variant carries")
+    packed = version == 2
+    if not packed and ("normal" in td or "intercept" in td):
+        raise _fail(f"{where} has field {'normal' if 'normal' in td else 'intercept'!r}, "
+                    "which only a version 2 tree carries")
     nodes = _require(td, "nodes", list, where)
     if not nodes:
         raise _fail(f"{where} has no nodes")
@@ -207,13 +244,18 @@ def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
                 raise _field_fault(rec, "size", node(i))
             size[i] = n
         elif kind == "internal":
-            normal, intercept = rec.get("normal"), rec.get("intercept")
-            if type(normal) is not list:
-                raise _field_fault(rec, "normal", node(i))
-            if type(intercept) is not list:
-                raise _field_fault(rec, "intercept", node(i))
-            if len(normal) != dimension or len(intercept) != dimension:
-                raise _fail(f"{node(i)} has vectors of length != dimension {dimension}")
+            if packed:
+                if "normal" in rec or "intercept" in rec:
+                    raise _fail(f"{node(i)} has field {'normal' if 'normal' in rec else 'intercept'!r}, "
+                                f"which a version 2 file keeps in the blocks of {where}")
+            else:
+                normal, intercept = rec.get("normal"), rec.get("intercept")
+                if type(normal) is not list:
+                    raise _field_fault(rec, "normal", node(i))
+                if type(intercept) is not list:
+                    raise _field_fault(rec, "intercept", node(i))
+                if len(normal) != dimension or len(intercept) != dimension:
+                    raise _fail(f"{node(i)} has vectors of length != dimension {dimension}")
             left_index, right_index = rec.get("left_index"), rec.get("right_index")
             if type(left_index) is not int:
                 raise _field_fault(rec, "left_index", node(i))
@@ -221,26 +263,30 @@ def _read_tree(td, where: str, dimension: int, rotated: bool) -> IsolationTree:
                 raise _field_fault(rec, "right_index", node(i))
             if left_index < 0 or right_index < 0:  # in the node arrays a negative child marks a leaf
                 raise _fail(f"{node(i)} has child index {min(left_index, right_index)} out of range")
-            if not all(map(is_float, normal)):
-                normal = _floats(normal, f"split normal of {node(i)}")
-            if not all(map(is_float, intercept)):
-                intercept = _floats(intercept, f"split intercept of {node(i)}")
+            if not packed:
+                if not all(map(is_float, normal)):
+                    normal = _floats(normal, f"split normal of {node(i)}")
+                if not all(map(is_float, intercept)):
+                    intercept = _floats(intercept, f"split intercept of {node(i)}")
+                normals.append(normal)
+                intercepts.append(intercept)
             left[i], right[i] = left_index, right_index
-            normals.append(normal)
-            intercepts.append(intercept)
         elif type(kind) is str:
             raise _fail(f"{node(i)} has unknown kind {kind!r}")
         else:
             raise _field_fault(rec, "kind", node(i))
     # Rows cost dimension floats each, so their count is bounded by the splits read.
-    if len(nodes) > 1 + 2 * len(normals):
+    splits = len(nodes) - left.count(-1)
+    if len(nodes) > 1 + 2 * splits:
         raise _fail(f"{where} has {len(nodes)} nodes, but its splits reach at most "
-                    f"{1 + 2 * len(normals)}: some are unreachable")
+                    f"{1 + 2 * splits}: some are unreachable")
+    if packed:
+        normals, intercepts = (_block(td, key, where, splits, dimension) for key in ("normal", "intercept"))
     try:
         left, right, size = np.array([left, right, size], dtype=np.int64)
     except OverflowError:
         raise _fail(f"{where} has a child index or size beyond 64 bits") from None
-    if normals:
+    if splits:
         normal, intercept = np.zeros((2, len(nodes), dimension))
         split = left >= 0
         normal[split], intercept[split] = normals, intercepts
@@ -267,15 +313,16 @@ def load_forest(path) -> Forest:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise _fail(f"not valid JSON (truncated or corrupt file?): {e}") from e
+    del text  # freed before the trees are read, to lower the load's peak
     if not isinstance(doc, dict):
         raise _fail("top level is not an object")
     magic = _require(doc, "format", str, "document")
     if magic != FORMAT_MAGIC:
         raise _fail(f"format magic is {magic!r}, expected {FORMAT_MAGIC!r}")
     version = _require(doc, "version", int, "document")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise UnsupportedVersionError(
-            f"model file has version {version}; this build supports version {FORMAT_VERSION}"
+            f"model file has version {version}; this build supports versions 1 and {FORMAT_VERSION}"
         )
     variant = _require(doc, "variant", str, "document")
     dimension = _require(doc, "dimension", int, "document")
@@ -290,7 +337,7 @@ def load_forest(path) -> Forest:
     if t != len(tree_docs):
         raise _fail(f"t={t} does not match {len(tree_docs)} serialized trees")
 
-    trees = [_read_tree(td, f"tree {k}", dimension, variant == VARIANT_ROTATED)
+    trees = [_read_tree(td, f"tree {k}", dimension, variant == VARIANT_ROTATED, version)
              for k, td in enumerate(tree_docs)]
     try:
         forest = Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
@@ -334,7 +381,8 @@ def _first_fault(raw, width: int, label_idx: int | None) -> CsvFormatError:
     raise AssertionError("the bulk conversion failed on a table with no faulty cell")
 
 
-# Records converted per numpy call: one str per cell is held for this many, never for the whole file.
+# CSV records read per numpy call, and lines made per piece of text written:
+# one str per cell or line is held for this many, never for the whole file.
 _CHUNK_ROWS = 1024
 
 
@@ -440,15 +488,22 @@ def format_score(value: float) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """The header, then each row: cells joined by commas, one line each."""
-    _write_text(path, ["\n".join(map(",".join, itertools.chain([header], rows))) + "\n"])
+    """The header, then each row: cells joined by commas, one line each. The
+    text is made and written ``_CHUNK_ROWS`` lines at a time, so it is never
+    held whole."""
+    lines = map(",".join, itertools.chain([header], rows))
+    chunks = iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), [])
+    _write_text(path, ("\n".join(chunk) + "\n" for chunk in chunks))
 
 
 def write_dataset_csv(path, data: np.ndarray) -> None:
-    """Dataset rows under an x0..x{N-1} header, shortest round-trip floats.
-    The data must be 2-D and finite, as ``read_csv`` requires."""
+    """Dataset rows under an x0..x{N-1} header, shortest round-trip floats,
+    listed ``_CHUNK_ROWS`` rows at a time. The data must be 2-D and finite,
+    as ``read_csv`` requires."""
     data = as_dataset(data)
-    _write_csv(path, [f"x{d}" for d in range(data.shape[1])], (map(repr, row) for row in data.tolist()))
+    rows = (map(repr, row) for start in range(0, len(data), _CHUNK_ROWS)
+            for row in data[start:start + _CHUNK_ROWS].tolist())
+    _write_csv(path, [f"x{d}" for d in range(data.shape[1])], rows)
 
 
 def write_scores_csv(path, ids, scores) -> None:

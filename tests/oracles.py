@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to pin metric behavior."""
 
+import base64
 import csv
 import math
+import struct
 
 import numpy as np
 
@@ -89,10 +91,12 @@ def choose_indices_oracle(gen, n, k):
     return fisher_yates_oracle([int(gen.integers(i, n)) for i in range(k)])
 
 
-def document_oracle(forest):
-    """The v1 model document of ``forest`` as plain dicts and lists, the
-    reference for what ``save_forest`` writes: its file is
-    ``json.dumps(document_oracle(forest), indent=1)``."""
+def document_oracle(forest, version=FORMAT_VERSION):
+    """The model document of ``forest`` in format ``version`` as plain dicts
+    and lists, the reference for what ``save_forest`` writes: its file is
+    ``json.dumps(document_oracle(forest), indent=1)``. Version 2 packs each
+    float of a tree's internal rows on its own with ``struct``; version 1
+    lists them in the nodes."""
     height_limit = height_limit_for(forest.psi)
     trees = []
     for tree in forest.trees:
@@ -101,16 +105,21 @@ def document_oracle(forest):
             doc["angle"] = tree.angle
         normal, intercept = tree.normal.tolist(), tree.intercept.tolist()
         left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
+        inner = [k for k in range(len(left)) if left[k] >= 0]
+        vectors = {k: {"normal": normal[k], "intercept": intercept[k]} if version == 1 else {} for k in inner}
         doc["nodes"] = [
-            {"kind": "internal", "normal": normal[k], "intercept": intercept[k],
-             "left_index": left[k], "right_index": right[k]}
+            {"kind": "internal", **vectors[k], "left_index": left[k], "right_index": right[k]}
             if left[k] >= 0 else {"kind": "external", "size": size[k]}
             for k in range(len(left))
         ]
+        if version == 2:
+            for key, rows in (("normal", normal), ("intercept", intercept)):
+                values = [value for k in inner for value in rows[k]]
+                doc[key] = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
         trees.append(doc)
     return {
         "format": FORMAT_MAGIC,
-        "version": FORMAT_VERSION,
+        "version": version,
         "variant": forest.variant,
         "dimension": forest.dimension,
         "t": forest.t,
@@ -122,10 +131,12 @@ def document_oracle(forest):
     }
 
 
-def read_tree_oracle(td, where, dimension, rotated):
-    """One tree of a v1 model document read node by node in file order, each
-    field checked as it is met and each vector converted on its own; the
-    reference for ``model_io._read_tree``, with its signature."""
+def read_tree_oracle(td, where, dimension, rotated, version):
+    """One tree of a model document in format ``version`` read node by node
+    in file order, each field checked as it is met and each vector converted
+    on its own (in version 2, each row unpacked from its block with
+    ``struct``); the reference for ``model_io._read_tree``, with its
+    signature."""
     if not isinstance(td, dict):
         raise _fail(f"{where} is not an object")
     _require(td, "height_limit", int, where)
@@ -134,6 +145,9 @@ def read_tree_oracle(td, where, dimension, rotated):
         angle = _floats([_require(td, "angle", (int, float), where)], f"angle of {where}")[0]
     elif "angle" in td:
         raise _fail(f"{where} has an angle, which only the rotated variant carries")
+    for key in ("normal", "intercept"):
+        if version == 1 and key in td:
+            raise _fail(f"{where} has field {key!r}, which only a version 2 tree carries")
     nodes = _require(td, "nodes", list, where)
     if not nodes:
         raise _fail(f"{where} has no nodes")
@@ -146,20 +160,41 @@ def read_tree_oracle(td, where, dimension, rotated):
         if kind == "external":
             rows.append([None, None, -1, -1, _require(rec, "size", int, node)])
         elif kind == "internal":
-            n_vec = _require(rec, "normal", list, node)
-            p_vec = _require(rec, "intercept", list, node)
-            if len(n_vec) != dimension or len(p_vec) != dimension:
-                raise _fail(f"{node} has vectors of length != dimension {dimension}")
+            if version == 2:
+                for key in ("normal", "intercept"):
+                    if key in rec:
+                        raise _fail(f"{node} has field {key!r}, which a version 2 file keeps in the blocks of {where}")
+            else:
+                n_vec = _require(rec, "normal", list, node)
+                p_vec = _require(rec, "intercept", list, node)
+                if len(n_vec) != dimension or len(p_vec) != dimension:
+                    raise _fail(f"{node} has vectors of length != dimension {dimension}")
             children = [_require(rec, key, int, node) for key in ("left_index", "right_index")]
             if min(children) < 0:
                 raise _fail(f"{node} has child index {min(children)} out of range")
-            rows.append([_floats(n_vec, f"split normal of {node}"),
-                         _floats(p_vec, f"split intercept of {node}"), *children, 0])
+            vectors = [None, None] if version == 2 else [_floats(n_vec, f"split normal of {node}"),
+                                                         _floats(p_vec, f"split intercept of {node}")]
+            rows.append([*vectors, *children, 0])
         else:
             raise _fail(f"{node} has unknown kind {kind!r}")
-    reachable = 1 + 2 * sum(row[2] >= 0 for row in rows)
+    inner = [row for row in rows if row[2] >= 0]
+    reachable = 1 + 2 * len(inner)
     if len(rows) > reachable:
         raise _fail(f"{where} has {len(rows)} nodes, but its splits reach at most {reachable}: some are unreachable")
+    if version == 2:
+        for column, key in enumerate(("normal", "intercept")):
+            text = _require(td, key, str, where)
+            try:
+                data = base64.b64decode(text, validate=True)
+            except ValueError:
+                raise _fail(f"field {key!r} in {where} is not base64") from None
+            if len(data) % 8:
+                raise _fail(f"field {key!r} in {where} holds {len(data)} bytes, not a whole number of float64 values")
+            if len(data) != len(inner) * dimension * 8:
+                raise _fail(f"field {key!r} in {where} holds {len(data) // 8} floats, expected {len(inner)} "
+                            f"split rows of dimension {dimension}")
+            for j, row in enumerate(inner):
+                row[column] = list(struct.unpack_from(f"<{dimension}d", data, 8 * dimension * j))
     try:
         return tree_from_rows(rows, dimension, angle)
     except OverflowError:

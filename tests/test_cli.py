@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +297,17 @@ class TestScore:
                        f"this build runs {RNG_FAMILY!r}: it scores as before, but retraining from its seed "
                        "may not reproduce it\n")
         assert len(out.read_text().splitlines()) == 601
+
+    @pytest.mark.parametrize("kind,dimension", [("level-0", 4), ("full", 4), ("rotated", 2)])
+    def test_version_1_fixture_scores_with_one_warning(self, tmp_path, capsys, kind, dimension):
+        # The committed version-1 files name numpy's version as their rng family.
+        model = Path(__file__).parent / "fixtures" / f"model_v1_{kind}.json"
+        data, out = tmp_path / "probe.csv", tmp_path / "scores.csv"
+        write_dataset_csv(data, gen_gaussian_blob(50, dimension, seed=3))
+        code, _, err = invoke(capsys, "score", "--model", str(model), "--data", str(data), "--out", str(out))
+        assert code == 0, err
+        assert len(err.splitlines()) == 1 and err.startswith(f"warning: model {model} was built under rng family ")
+        assert len(out.read_text().splitlines()) == 51
 
 
 class TestScoremap:

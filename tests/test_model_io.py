@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -49,7 +50,7 @@ class TestModelRoundTrip:
     def test_file_starts_with_magic_and_version(self, model_path):
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "eif-model"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["rng_family"] == "eif-philox/3"
 
     def test_metadata_survives(self, model_path, small_forest):
@@ -110,6 +111,19 @@ class TestRngFamily:
         assert np.array_equal(score_batch(probes, loaded), score_batch(probes, small_forest))
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _split_rows(td, key, dimension):
+    """Block ``key`` of a version-2 tree document as a writable (splits, dimension) array."""
+    return np.frombuffer(base64.b64decode(td[key]), dtype="<f8").reshape(-1, dimension).copy()
+
+
+def _set_split_rows(td, key, rows):
+    td[key] = _b64(np.asarray(rows, dtype="<f8").tobytes())
+
+
 class TestLoadValidation:
     def corrupt(self, model_path, mutate):
         doc = json.loads(model_path.read_text())
@@ -131,6 +145,12 @@ class TestLoadValidation:
     def test_unknown_version_names_both(self, model_path):
         self.corrupt(model_path, lambda d: d.update(version=99))
         with pytest.raises(UnsupportedVersionError, match=r"99.*1"):
+            load_forest(model_path)
+
+    def test_version_3_names_the_versions_read(self, model_path):
+        self.corrupt(model_path, lambda d: d.update(version=3))
+        with pytest.raises(UnsupportedVersionError,
+                           match="^model file has version 3; this build supports versions 1 and 2$"):
             load_forest(model_path)
 
     def test_wrong_magic(self, model_path):
@@ -172,10 +192,9 @@ class TestLoadValidation:
 
     def test_all_zero_normal_rejected(self, model_path):
         def mutate(d):
-            for n in d["trees"][0]["nodes"]:
-                if n["kind"] == "internal":
-                    n["normal"] = [0.0, 0.0]
-                    break
+            rows = _split_rows(d["trees"][0], "normal", 2)
+            rows[0] = 0.0
+            _set_split_rows(d["trees"][0], "normal", rows)
 
         self.corrupt(model_path, mutate)
         with pytest.raises(ModelFormatError, match="all-zero normal"):
@@ -207,12 +226,16 @@ class TestLoadValidation:
         assert depth == height_limit_for(small_forest.psi)
 
         def mutate(d):
-            # split the deepest leaf into two leaves one level further down
-            nodes = d["trees"][0]["nodes"]
-            donor = nodes[0]
+            # split the deepest leaf into two leaves one level further down, by the root's split
+            td = d["trees"][0]
+            nodes = td["nodes"]
             size = nodes[leaf]["size"]
-            nodes[leaf] = dict(donor, left_index=len(nodes), right_index=len(nodes) + 1)
+            nodes[leaf] = dict(nodes[0], left_index=len(nodes), right_index=len(nodes) + 1)
             nodes += [{"kind": "external", "size": size}, {"kind": "external", "size": 0}]
+            row = sum(n["kind"] == "internal" for n in nodes[:leaf])  # the new split's row in the blocks
+            for key in ("normal", "intercept"):
+                rows = _split_rows(td, key, 2)
+                _set_split_rows(td, key, np.insert(rows, row, rows[0], axis=0))
 
         self.corrupt(model_path, mutate)
         with pytest.raises(ModelFormatError,
@@ -232,14 +255,18 @@ class TestLoadValidation:
 
     def test_normal_nonzeros_must_match_extension_level(self, model_path):
         def mutate(d):
-            d["trees"][0]["nodes"][0]["normal"][1] = 0.0
+            rows = _split_rows(d["trees"][0], "normal", 2)
+            rows[0, 1] = 0.0
+            _set_split_rows(d["trees"][0], "normal", rows)
 
         self.corrupt(model_path, mutate)
         with pytest.raises(ModelFormatError,
                            match="node 0 of tree 0 has 1 nonzero normal entries, expected"):
             load_forest(model_path)
 
-    def test_integer_beyond_float_range_rejected(self, model_path):
+    def test_integer_beyond_float_range_rejected(self, model_path, small_forest):
+        # Only a version-1 file lists split entries as JSON numbers.
+        model_path.write_text(json.dumps(document_oracle(small_forest, version=1)))
         self.corrupt(model_path, lambda d: d["trees"][0]["nodes"][0]["intercept"].__setitem__(0, 10**400))
         with pytest.raises(ModelFormatError, match="intercept of node 0 of tree 0"):
             load_forest(model_path)
@@ -256,60 +283,74 @@ class TestLoadValidation:
         with pytest.raises(ModelFormatError, match=r"dimension must be in \[1, 2\*\*60\)"):
             load_forest(model_path)
 
-    def test_large_dimension_must_match_split_vectors(self, model_path):
+    def test_large_dimension_must_match_split_vectors(self, model_path, small_forest):
+        self.corrupt(model_path, lambda d: d.update(dimension=2**40))
+        with pytest.raises(ModelFormatError, match=r"^invalid model: field 'normal' in tree 0 holds \d+ floats, "
+                                                   r"expected \d+ split rows of dimension 1099511627776$"):
+            load_forest(model_path)
+        model_path.write_text(json.dumps(document_oracle(small_forest, version=1)))
         self.corrupt(model_path, lambda d: d.update(dimension=2**40))
         with pytest.raises(ModelFormatError, match="length != dimension"):
             load_forest(model_path)
 
     def test_single_leaf_trees_allocate_nothing_per_coordinate(self, tmp_path):
         # Constant data makes every tree a single leaf, so no split vector
-        # confirms the document's dimension.
+        # or block confirms the document's dimension.
         path = tmp_path / "constant.json"
         forest = build_forest(np.ones((8, 3)), t=5, psi=4, extension_level=0, seed=1)
-        save_forest(forest, path)
-        assert all(tree.left.tolist() == [-1] for tree in load_forest(path).trees)
         probes = gen_gaussian_blob(5, 3, seed=2)
-        assert score_batch(probes, load_forest(path)).tobytes() == score_batch(probes, forest).tobytes()
+        for version in (2, 1):
+            path.write_text(json.dumps(document_oracle(forest, version=version)))
+            assert all(tree.left.tolist() == [-1] for tree in load_forest(path).trees)
+            assert score_batch(probes, load_forest(path)).tobytes() == score_batch(probes, forest).tobytes()
 
-        self.corrupt(path, lambda d: d.update(dimension=2**40))
-        tracemalloc.start()
-        try:
-            loaded = load_forest(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-        assert loaded.dimension == 2**40
-        with pytest.raises(ValueError, match="dimension"):
-            score_batch(probes, loaded)
+            self.corrupt(path, lambda d: d.update(dimension=2**40))
+            tracemalloc.start()
+            try:
+                loaded = load_forest(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, version
+            assert loaded.dimension == 2**40
+            with pytest.raises(ValueError, match="dimension"):
+                score_batch(probes, loaded)
 
     @pytest.mark.parametrize("dimension,splits", [(2**40, 0), (512, 1)], ids=["leaves-only", "one-split"])
     def test_unreachable_padding_allocates_nothing_per_coordinate(self, tmp_path, dimension, splits):
         # A node array holds nodes x dimension floats; padding a tree with
         # leaves no split reaches must not buy that with a few bytes each.
         path = tmp_path / "padded.json"
-        save_forest(build_forest(np.ones((8, 3)), t=2, psi=4, extension_level=0, seed=1), path)
-        splits = [{"kind": "internal", "normal": [1.0] + [0.0] * (dimension - 1),
-                   "intercept": [0.0] * dimension, "left_index": 1, "right_index": 2} for _ in range(splits)]
-        nodes = splits + [{"kind": "external", "size": 4}] + [{"kind": "external", "size": 0}] * 2000
+        forest = build_forest(np.ones((8, 3)), t=2, psi=4, extension_level=0, seed=1)
+        normals = [[1.0] + [0.0] * (dimension - 1) for _ in range(splits)]
+        intercepts = [[0.0] * dimension for _ in range(splits)]
+        leaves = [{"kind": "external", "size": 4}] + [{"kind": "external", "size": 0}] * 2000
+        for version in (2, 1):
+            path.write_text(json.dumps(document_oracle(forest, version=version)))
+            vectors = [{"normal": n, "intercept": p} if version == 1 else {} for n, p in zip(normals, intercepts)]
+            tree = {"nodes": [{"kind": "internal", **v, "left_index": 1, "right_index": 2} for v in vectors] + leaves}
+            if version == 2:
+                _set_split_rows(tree, "normal", np.reshape(normals, (splits, dimension)))
+                _set_split_rows(tree, "intercept", np.reshape(intercepts, (splits, dimension)))
 
-        self.corrupt(path, lambda d: (d.update(dimension=dimension), d["trees"][0].update(nodes=nodes)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ModelFormatError, match="unreachable"):
-                load_forest(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+            self.corrupt(path, lambda d: (d.update(dimension=dimension), d["trees"][0].update(tree)))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ModelFormatError, match="unreachable"):
+                    load_forest(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, version
 
 
 def _tiny_rotated_document():
-    # One psi=2 tree: a root split over two leaves of size 1. true reads as a
-    # valid version, t, height_limit, left_index, size, split entry and angle
-    # here, and false as a valid extension_level.
+    # One psi=2 tree: a root split over two leaves of size 1, in version 1,
+    # whose split entries are JSON numbers. true reads as a valid version, t,
+    # height_limit, left_index, size, split entry and angle here, and false
+    # as a valid extension_level.
     forest = build_rotated_forest(gen_gaussian_blob(10, 2, seed=1), 1, 2, seed=1)
-    return document_oracle(forest)
+    return document_oracle(forest, version=1)
 
 
 def _load_document(tmp_path, doc):
@@ -773,11 +814,27 @@ class TestWritePath:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_save_holds_one_tree_text_at_a_time(self, tmp_path):
-        # The 100-tree 16-D full model is 7.7 MB of text, which peaked at
-        # 22.6 MB when the save built it whole.
+        # The 100-tree 16-D full model is 3.5 MB of text (7.7 MB in version
+        # 1, which peaked at 22.6 MB when the save built it whole).
         forest = build_forest(gen_gaussian_blob(2000, 16, seed=9), 100, 256, 15, seed=9)
-        assert _traced_peak(lambda: save_forest(forest, tmp_path / "m.json")) < 5_000_000
-        assert (tmp_path / "m.json").stat().st_size > 7_000_000
+        assert _traced_peak(lambda: save_forest(forest, tmp_path / "m.json")) < 1_000_000
+        assert (tmp_path / "m.json").stat().st_size > 3_000_000
+
+    def test_load_drops_the_text_and_holds_no_float_lists(self, tmp_path):
+        # This 3.5 MB model peaks at 11.7 MB; 15.1 MB when the text is held
+        # while the trees are read, and 24.9 MB from its version-1 file,
+        # whose nodes json parses into float lists.
+        forest = build_forest(gen_gaussian_blob(2000, 16, seed=9), 100, 256, 15, seed=9)
+        save_forest(forest, tmp_path / "m.json")
+        assert _traced_peak(lambda: load_forest(tmp_path / "m.json")) < 14_000_000
+
+    def test_dataset_writer_holds_a_chunk_of_lines_at_a_time(self, tmp_path):
+        # The 20k x 16 file is 6.3 MB of text, which peaked at 18.9 MB when
+        # the writer listed every value and built the text whole.
+        data = gen_gaussian_blob(20000, 16, seed=9)
+        assert _traced_peak(lambda: write_dataset_csv(tmp_path / "d.csv", data)) < 3_000_000
+        assert (tmp_path / "d.csv").stat().st_size > 6_000_000
+        assert np.array_equal(read_csv(tmp_path / "d.csv")[0], data)
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_failed_rename_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch, writer):
@@ -817,16 +874,15 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
 # full score hash dates from before trees became node arrays, the level-0 and
 # rotated ones from eif-philox/2, and level-1's from eif-philox/3, which
 # changed the intermediate zero choice. Every model file hash was recorded
-# under eif-philox/3; the level-0, full and rotated files differ from their
-# eif-philox/2 ones in the rng_family line alone.
+# in format version 2 under eif-philox/3.
 PINNED = {
-    "level-0": ("ee8667c8b9652eb145e9733dddb746e5aeada13893606864d41270d4cc0a824a",
+    "level-0": ("85dc5aae054b279f60f42565a2d046843a9b10b499ef965734e53146c46f5f7c",
                 "916f6eb837d3c2d21e622a02110afbb1d06d24ac21060afaa46805cbaa2128a3"),
-    "level-1": ("9ee61828293945d2d325a7623cdac8d4e41eccb3124c633b31a13c49f1734fea",
+    "level-1": ("568366301223201c43b701a9132cd28204acecbdeb3f24835cfd6eb82cc9f823",
                 "63d043ad701a7863b166115c098c0bfa6d6c6fa3f4be9125ada7a0beb18a33f9"),
-    "full": ("48f447171bc6f6ac3dc1077e7c02550b2701a7ce55905a073927dcb9f93d7382",
+    "full": ("3aed245617945d276acfc60b5469415aa12e4e4ce58c5f4a78fc8e2b10e39c78",
              "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
-    "rotated": ("cf769f88324e200ad5f3d5c37b3731817aae31ab0a0c146c6579a2d08230e4c9",
+    "rotated": ("3aa4185a505cd89f2fed8380ae2166aa1624df9792c9ac358343d841d27e2660",
                 "5ac53b7904ca0bddaa6ebd94f05bc9463dfa8303dac6f8fee7707de6546d3512"),
 }
 # SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``),
@@ -885,18 +941,19 @@ FIXTURE_SCORES = {
     "full": "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973",
     "rotated": "aede7a0103bc7c706170d9c824f6774939bba5cc3239c021aac6396061761722",
 }
-# SHA-256 of each fixture saved again under eif-philox/3. The full fixture's
-# trees are still those of a fresh build, so it saves as PINNED["full"]; the
-# level-0 and rotated ones were drawn by the eif-philox/1 level-0 rule.
+# SHA-256 of each fixture saved again, in format version 2 under
+# eif-philox/3. The full fixture's trees are still those of a fresh build, so
+# it saves as PINNED["full"]; the level-0 and rotated ones were drawn by the
+# eif-philox/1 level-0 rule.
 FIXTURE_RESAVED = {
-    "level-0": "595e723759ea82c5806e01648013276f63a5f8995fffc4ebc6215f36f2fab1ab",
+    "level-0": "8193a57943bb30c97febfecbc7e78f292bdba54ecc8b2716ad819944fd27d554",
     "full": PINNED["full"][0],
-    "rotated": "78cb5d12afb2bc6733d0bc71eaae36c9de7b9473b83f2401a9fc19ec849c439c",
+    "rotated": "11b1c039d8eaa92a0159b58a37ec2876aad3bdfbaa02a3b8cbd2666fca1b405a",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FIXTURE_SHA))
-def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
+def test_v1_fixture_scores_as_written_and_resaves_as_v2(tmp_path, recwarn, kind):
     fixture = FIXTURES / f"model_v1_{kind}.json"
     assert hashlib.sha256(fixture.read_bytes()).hexdigest() == FIXTURE_SHA[kind]
     with pytest.warns(UserWarning, match=f"rng family '{FIXTURE_FAMILY}'") as caught:
@@ -905,9 +962,9 @@ def test_v1_fixture_scores_and_saves_as_written(tmp_path, recwarn, kind):
     probes = (np.arange(200.0).reshape(50, 4) / 25.0 - 4.0)[:, :forest.dimension]
     assert hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest() == FIXTURE_SCORES[kind]
     save_forest(forest, tmp_path / "m.json")
-    # rng_family names the running draw contract: the one field a save writes differently
-    expected = fixture.read_text().replace(json.dumps(FIXTURE_FAMILY), json.dumps(RNG_FAMILY))
-    assert (tmp_path / "m.json").read_text() == expected
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert (doc["version"], doc["rng_family"]) == (2, RNG_FAMILY)
+    assert _tree_arrays_sha(load_forest(tmp_path / "m.json")) == _tree_arrays_sha(forest)
     assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == FIXTURE_RESAVED[kind]
 
 
@@ -967,28 +1024,29 @@ def test_lone_leaf_model_of_huge_dimension_saves_and_loads(tmp_path):
     assert load_forest(tmp_path / "m.json").dimension == 2**40
 
 
-def _hand_made_document():
-    """A valid 2-D model whose split vectors hold -0.0, subnormals and JSON
-    integers up to 2**70 in magnitude."""
+def _hand_made_document(version):
+    """A valid 2-D model whose split vectors hold -0.0 and subnormals and, in
+    version 1, JSON integers up to 2**70 in magnitude."""
     root = ([5e-324, -0.0], [-0.0, 2.2250738585072014e-308], 2, ([-0.0, -2.5e-310], [1e300, -5e-324], 1, 1))
-    doc = document_oracle(Forest(trees=[tree_from_nested(root)], psi=4, extension_level=0, seed=0))
-    nodes = doc["trees"][0]["nodes"]
-    nodes[0]["normal"], nodes[0]["intercept"] = [2**70, -0.0], [-2**70 - 1, 3]
-    nodes[1]["normal"] = [0, -1]
+    doc = document_oracle(Forest(trees=[tree_from_nested(root)], psi=4, extension_level=0, seed=0), version)
+    if version == 1:
+        nodes = doc["trees"][0]["nodes"]
+        nodes[0]["normal"], nodes[0]["intercept"] = [2**70, -0.0], [-2**70 - 1, 3]
+        nodes[1]["normal"] = [0, -1]
     return doc
 
 
-def _fuzz_base(kind):
+def _fuzz_base(kind, version):
     data = gen_gaussian_blob(200, 2, seed=31)
     if kind == "rotated":
         forest = build_rotated_forest(data, 3, 16, seed=32)
     elif kind == "lone-leaf":
         forest = build_forest(np.ones((20, 2)), 2, 8, 1, seed=35)
     elif kind == "hand-made":
-        return _hand_made_document()
+        return _hand_made_document(version)
     else:
         forest = build_forest(data, 3, 16, 1 if kind == "extended" else 0, seed=33)
-    return document_oracle(forest)
+    return document_oracle(forest, version)
 
 
 def _paths(value, prefix=()):
@@ -1000,9 +1058,11 @@ def _paths(value, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-# The scoring fuzz mutates the first two; the reader comparison all five.
-FUZZ_BASES = {kind: _fuzz_base(kind)
-              for kind in ("extended", "rotated", "standard-equivalent", "lone-leaf", "hand-made")}
+# Each kind in version 2, and as "v1:kind" in version 1. The scoring fuzz
+# mutates the first two; the reader comparison all ten.
+_FUZZ_KINDS = ("extended", "rotated", "standard-equivalent", "lone-leaf", "hand-made")
+FUZZ_BASES = {**{kind: _fuzz_base(kind, 2) for kind in _FUZZ_KINDS},
+              **{f"v1:{kind}": _fuzz_base(kind, 1) for kind in _FUZZ_KINDS}}
 FUZZ_PATHS = {kind: list(_paths(doc)) for kind, doc in FUZZ_BASES.items()}
 
 _json_values = st.one_of(
@@ -1042,6 +1102,9 @@ def _mutated_documents(draw, kinds=("extended", "rotated"), min_mutations=1, val
             del container[key]
         elif op == "nudge" and isinstance(old, (int, float)) and not isinstance(old, bool):
             container[key] = old + draw(st.sampled_from([-1, 1] if isinstance(old, int) else [0.5, -1e-9]))
+        elif op == "nudge" and isinstance(old, str) and old:  # a block, say: change one character
+            at = draw(st.integers(0, len(old) - 1))
+            container[key] = old[:at] + draw(st.sampled_from("AB/+9z=\n\xe9")) + old[at + 1:]
         else:
             container[key] = draw(values)
     return doc
@@ -1099,6 +1162,7 @@ def _assert_readers_agree(path, doc):
     _mutated_documents(kinds=tuple(FUZZ_BASES), min_mutations=0, values=st.one_of(_json_values, _edge_numbers),
                        in_nodes=True),
     _forests().map(document_oracle),
+    _forests().map(lambda forest: document_oracle(forest, version=1)),
 ))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @pytest.mark.filterwarnings("ignore:model .* was built under rng family:UserWarning")
@@ -1107,7 +1171,8 @@ def test_bulk_tree_reader_matches_the_per_node_oracle(tmp_path, doc):
 
 
 _INNER, _LEAF = ("trees", 1, "nodes", 0), ("trees", 1, "nodes", 1)  # in the extended base, of 15 nodes
-# One or two node-level edits each, for faults a random mutation rarely makes.
+# One or two node-level edits each of a version-1 base, for faults a random
+# mutation rarely makes.
 _NODE_EDITS = {
     "both-children-negative": [(_INNER + ("left_index",), -1), (_INNER + ("right_index",), -1)],
     "child-negative": [(_INNER + ("right_index",), -3)],
@@ -1145,7 +1210,7 @@ _NODE_EDITS = {
 @pytest.mark.filterwarnings("ignore:model .* was built under rng family:UserWarning")
 def test_bulk_tree_reader_matches_the_per_node_oracle_on_node_faults(tmp_path, edit):
     base, _, _ = edit.rpartition(":")
-    doc = json.loads(json.dumps(FUZZ_BASES[base or "extended"]))
+    doc = json.loads(json.dumps(FUZZ_BASES[f"v1:{base or 'extended'}"]))
     for keys, value in _NODE_EDITS[edit]:
         target = doc
         for key in keys[:-1]:
@@ -1155,3 +1220,49 @@ def test_bulk_tree_reader_matches_the_per_node_oracle_on_node_faults(tmp_path, e
         else:
             target[keys[-1]] = value
     _assert_readers_agree(tmp_path / "m.json", doc)
+
+
+# Faults of the blocks of tree 1 (7 splits, 2 floats a row, in the extended
+# base), or of vectors where its version keeps none, each with the message
+# that names the tree and the field.
+_BLOCK_FAULTS = {
+    "missing": (lambda td: td.pop("intercept"), "missing field 'intercept' in tree 1"),
+    "list": (lambda td: td.update(normal=[1.0, 0.0]), "field 'normal' in tree 1 has wrong type list"),
+    "bool": (lambda td: td.update(intercept=True), "field 'intercept' in tree 1 has wrong type bool"),
+    "not-base64": (lambda td: td.update(normal="!" + td["normal"][1:]), "field 'normal' in tree 1 is not base64"),
+    "line-break": (lambda td: td.update(normal=td["normal"][:8] + "\n" + td["normal"][8:]),
+                   "field 'normal' in tree 1 is not base64"),
+    "not-ascii": (lambda td: td.update(intercept="\xe9" + td["intercept"][1:]),
+                  "field 'intercept' in tree 1 is not base64"),
+    "padding-cut": (lambda td: td.update(normal=td["normal"][:-1]), "field 'normal' in tree 1 is not base64"),
+    "bytes-not-whole-floats": (lambda td: td.update(normal=_b64(base64.b64decode(td["normal"]) + bytes(4))),
+                               "field 'normal' in tree 1 holds 116 bytes, not a whole number of float64 values"),
+    "one-row-short": (lambda td: td.update(intercept=_b64(base64.b64decode(td["intercept"])[:-16])),
+                      "field 'intercept' in tree 1 holds 12 floats, expected 7 split rows of dimension 2"),
+    "one-float-long": (lambda td: td.update(normal=_b64(base64.b64decode(td["normal"]) + bytes(8))),
+                       "field 'normal' in tree 1 holds 15 floats, expected 7 split rows of dimension 2"),
+    "lone-leaf:block-not-empty": (lambda td: td.update(normal=_b64(bytes(16))),
+                                  "field 'normal' in tree 1 holds 2 floats, expected 0 split rows of dimension 2"),
+    "normal-in-node": (lambda td: td["nodes"][0].update(normal=[1.0, 0.0]),
+                       "node 0 of tree 1 has field 'normal', which a version 2 file keeps in the blocks of tree 1"),
+    "intercept-in-node": (lambda td: td["nodes"][2].update(intercept=[]),
+                          "node 2 of tree 1 has field 'intercept', which a version 2 file keeps in the blocks "
+                          "of tree 1"),
+    "v1:extended:normal-block": (lambda td: td.update(normal=""),
+                                 "tree 1 has field 'normal', which only a version 2 tree carries"),
+    "v1:extended:intercept-block": (lambda td: td.update(intercept=_b64(bytes(16))),
+                                    "tree 1 has field 'intercept', which only a version 2 tree carries"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BLOCK_FAULTS))
+def test_block_faults_name_the_tree_and_the_field(tmp_path, edit):
+    base, _, _ = edit.rpartition(":")
+    doc = json.loads(json.dumps(FUZZ_BASES[base or "extended"]))
+    mutate, message = _BLOCK_FAULTS[edit]
+    mutate(doc["trees"][1])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"^invalid model: {re.escape(message)}$"):
+        load_forest(path)
+    _assert_readers_agree(path, doc)
