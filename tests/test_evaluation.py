@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eif import forest as forest_module
 from eif.errors import UndefinedMetricError
 from eif.evaluation import (
     auprc,
@@ -324,7 +328,8 @@ class TestConvergence:
         with pytest.raises(ValueError, match=r"^t_values\[0\] must be an integer, got float 1\.5$"):
             convergence_curve(blob_2d, probe, [1.5, 2.7], 64, 1, seed=1)
 
-    @pytest.mark.parametrize("t_values", [[1], [1, 2, 3], [3, 7, 50]])
+    # [99, 100, 101, 230] crosses the 100-tree chunks that the curve grows and scores one at a time
+    @pytest.mark.parametrize("t_values", [[1], [1, 2, 3], [3, 7, 50], [99, 100, 101, 230]])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("level", [0, 2])
     def test_equals_per_t_retrain_bitwise(self, level, seed, t_values):
@@ -345,12 +350,57 @@ class TestConvergence:
         (np.zeros((4, 3)), "dimension mismatch"),
     ])
     def test_rejects_bad_probes_before_building(self, blob_2d, monkeypatch, probe, message):
-        def no_build(*args, **kwargs):
-            raise AssertionError("a forest was built before the probes were checked")
+        def no_growth(*args, **kwargs):
+            raise AssertionError("a tree grew before the probes were checked")
 
-        monkeypatch.setattr("eif.evaluation.build_forest", no_build)
+        monkeypatch.setattr("eif.forest._grow_trees", no_growth)
         with pytest.raises(ValueError, match=message):
             convergence_curve(blob_2d, probe, [5, 10], 64, 1, seed=1)
+        with pytest.raises(AssertionError, match="a tree grew"):  # good probes do reach the patched grower
+            convergence_curve(blob_2d, blob_2d[:5], [5, 10], 64, 1, seed=1)
+
+    def test_memory_does_not_grow_with_the_largest_t(self):
+        data = gen_gaussian_blob(2000, 4, seed=1)
+        probe = gen_gaussian_blob(100, 4, seed=2)
+        peaks = []
+        for t in (200, 1000):
+            tracemalloc.start()
+            try:
+                convergence_curve(data, probe, [t], 64, 1, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_fault_names_the_tree_build_forest_names(self, monkeypatch):
+        # tree 130 of a 230-tree forest gets a NaN root intercept: the second chunk's 31st tree
+        data = gen_gaussian_blob(400, 2, seed=4)
+        grow, path_lengths_of_tree = forest_module._grow_trees, forest_module._path_lengths
+        grown, scored = [], []  # the length of each chunk grown; each tree scored
+
+        def corrupting_grower(*args, **kwargs):
+            trees = grow(*args, **kwargs)
+            first = sum(grown)
+            grown.append(len(trees))
+            if first <= 130 < first + len(trees):
+                intercept = trees[130 - first].intercept.copy()
+                intercept[0, 0] = np.nan
+                trees[130 - first] = dataclasses.replace(trees[130 - first], intercept=intercept)
+            return trees
+
+        def counting_path_lengths(xt, tree):
+            scored.append(tree)
+            return path_lengths_of_tree(xt, tree)
+
+        monkeypatch.setattr(forest_module, "_grow_trees", corrupting_grower)
+        monkeypatch.setattr(forest_module, "_path_lengths", counting_path_lengths)
+        message = "^node 0 of tree 130 has a non-finite split vector$"
+        with pytest.raises(ValueError, match=message):
+            build_forest(data, 230, 64, 1, seed=4)
+        grown.clear()
+        with pytest.raises(ValueError, match=message):
+            convergence_curve(data, data[:10], [50, 230], 64, 1, seed=4)
+        assert len(scored) == 100  # the first chunk, and no tree of the faulty one
 
 
 @given(shift=st.floats(-10, 10), scale=st.floats(0.1, 10))

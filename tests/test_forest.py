@@ -752,7 +752,7 @@ class TestPathLengths:
     def test_prefix_scores_are_the_scores_of_each_prefix_forest(self, blob_2d):
         forest = build_forest(blob_2d, 12, 64, 1, seed=8)
         probes = np.vstack([blob_2d[:40], 3.0 * blob_2d[40:50]])
-        yielded = list(_prefix_scores(probes, forest, [1, 5, 12]))
+        yielded = list(_prefix_scores(_columns(probes), iter(forest.trees), forest.normalizer, [1, 5, 12]))
         assert len(yielded) == 3
         for t, scores in zip([1, 5, 12], yielded):
             prefix = Forest(trees=forest.trees[:t], psi=64, extension_level=1, seed=8)
