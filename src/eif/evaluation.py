@@ -181,6 +181,9 @@ def convergence_curve(
     The settings and the probes are checked before any tree grows.
     """
     t_values = [_check_count(f"t_values[{k}]", t, 1) for k, t in enumerate(t_values)]
+    for k, t in enumerate(t_values):
+        if t >= 2**63:
+            raise ValueError(f"t_values[{k}] must be in [1, 2**63), got {t}")
     if not t_values:
         raise ValueError("t_values must be nonempty")
     if any(b <= a for a, b in zip(t_values, t_values[1:])):

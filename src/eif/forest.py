@@ -19,12 +19,14 @@ which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
 population, and c(n) is the expected unsuccessful-search depth in a binary
 search tree of n points.
 
-Training grows the trees of a forest in lockstep, a chunk of them at a time
-(``_grow_trees``): each step makes one numpy pass over the next node of every
-tree, and draws the step's splits together (``_draw_splits``), each node's
-from its own tree's stream, in the tree's preorder. So a tree is the same
-grown alone or with others, and the forest is the same for any chunk size.
-``Forest`` checks them a chunk per pass too, all in one ``_check_trees``.
+Training grows the trees of a forest a chunk at a time, level by level
+(``_grow_trees``): each step makes one numpy pass over every node, of every
+tree, at one depth, so a chunk takes at most one step per depth, and draws
+the step's splits in one call (``_draw_splits``). There each tree draws its
+own nodes' splits from its own stream, left to right, one kind of draw at a
+time. So a tree is the same grown alone or with others, and the forest is
+the same for any chunk size. ``Forest`` checks the trees a chunk per pass
+too, all in one ``_check_trees``.
 
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -62,12 +64,13 @@ EULER_GAMMA = 0.5772156649
 
 TWO_PI = 2.0 * math.pi
 
-#: Trees that ``_grow_chunks`` grows in lockstep at a time, and that
-#: ``Forest`` checks in one pass. The block of their points, and its per-step
-#: copies, grow with it; fewer trees share each step's numpy calls among
-#: fewer nodes. In two sets of alternated rounds of 500 level-0 trees at 8-D
-#: (CPU seconds), 50 took a median 1.07x and 1.13x as long as 100, and 200
-#: took 0.98x and 1.01x but held 1.7 MB more at its tracemalloc peak.
+#: Trees that ``_grow_chunks`` grows together, level by level, and that
+#: ``Forest`` checks in one pass. The block of their points, and each step's
+#: copy of it, grow with it; fewer trees share each step's numpy calls among
+#: fewer nodes. In two sets of 8 alternated rounds of 500 level-0 trees on
+#: 20k 8-D rows (CPU seconds), 50 took a median 1.08x and 1.01x as long as
+#: 100, and 200 took 1.02x and 0.97x but held 1.8 MB more at its tracemalloc
+#: peak (15.6 against 13.7 MB).
 _CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
@@ -180,6 +183,8 @@ def _check_settings(t, psi, extension_level, seed, dimension: int, rotated: bool
     t, psi, extension_level, seed = (_check_integer(name, value) for name, value in values.items())
     if t < 1:
         raise ValueError(f"forest has no trees: t must be at least 1, got {t}")
+    if t >= 2**63:
+        raise ValueError(f"t must be in [1, 2**63), got {t}")
     if not 2 <= psi < 2**63:
         raise ValueError(f"psi must be in [2, 2**63), got {psi}")
     if not 0 <= seed < 2**64:
@@ -399,10 +404,11 @@ def _rotate(xt: np.ndarray, angle: float) -> np.ndarray:
 
 def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Draw one split ``(normal, intercept)`` for the points at a node, as
-    training draws each node's split (see ``_draw_splits``). The points must
-    be finite, each column's range must have a finite width, and
-    ``extension_level`` must be an integer in [0, dimension - 1]; nothing is
-    drawn otherwise."""
+    training draws the split of a node alone on its level (see
+    ``_draw_splits``, where the nodes that share a level take each kind of
+    draw in turn). The points must be finite, each column's range must have
+    a finite width, and ``extension_level`` must be an integer in
+    [0, dimension - 1]; nothing is drawn otherwise."""
     x = np.asarray(node_data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
@@ -412,67 +418,80 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
-    normal, intercept, _ = _draw_splits([rng], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
+    normal, intercept, _ = _draw_splits([rng], [1], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
     return normal[0], intercept[0]
 
 
-def _draw_splits(streams, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarray):
-    """Draw one split per stream: row r of the returned ``(normal,
-    intercept)``, each ``(len(streams), dim)``, is the split of node r, whose
-    points span [lo, lo + span] in column r of the ``(dim, nodes)`` arrays
-    ``lo`` and ``span``. Each kind of draw runs over every stream in turn, so
-    no stream may appear twice: it would interleave two nodes' draws. The
-    third array returned, ``(len(streams), dim - n_zero)``, holds each row's
-    kept coordinates in ascending order, for ``_split_margins``.
+def _draw_splits(streams, counts, dim: int, n_zero: int, lo: np.ndarray, span: np.ndarray):
+    """Draw one split per node: row r of the returned ``(normal, intercept)``,
+    each ``(nodes, dim)``, is the split of node r, whose points span [lo, lo +
+    span] in column r of the ``(dim, nodes)`` arrays ``lo`` and ``span``.
+    The nodes are in groups, one per stream: ``streams[g]`` draws the next
+    ``counts[g]`` rows. So no stream may appear twice: its groups' draws
+    would interleave. The third array returned, ``(nodes, dim - n_zero)``,
+    holds each row's kept coordinates in ascending order, for
+    ``_split_margins``.
 
     Per node, normal coordinates come from N(0, 1). At an intermediate level
-    the node then draws ``dim`` uniform keys, ``stream.random(dim)``, and the
-    coordinates of its ``n_zero`` smallest keys (the first of equal keys
-    counts as smaller) are zeroed. The keys are i.i.d. and independent of
-    the normals, so the zeroed set is uniform and the kept values stay
-    N(0, 1). If the kept coordinates all happen to be exactly zero they are
-    redrawn, from the node's own stream, until one is not. At level 0
-    (``n_zero == dim - 1``, which the rotated baseline uses too) the whole
-    row may survive, so a row of exact zeros is redrawn whole; then each row
-    keeps its first largest ``|z|`` entry, with its drawn value, and the
-    rest are zeroed, by one argmax over every row. The normals are i.i.d.,
-    so the kept coordinate is a uniform choice of axis, as the classic
-    isolation forest picks its attribute. No level makes a bounded draw.
+    the node then draws ``dim`` uniform keys, and the coordinates of its
+    ``n_zero`` smallest keys (the first of equal keys counts as smaller) are
+    zeroed. The keys are i.i.d. and independent of the normals, so the
+    zeroed set is uniform and the kept values stay N(0, 1). If the kept
+    coordinates all happen to be exactly zero they are redrawn, from the
+    node's own stream, until one is not. At level 0 (``n_zero == dim - 1``,
+    which the rotated baseline uses too) the whole row may survive, so a row
+    of exact zeros is redrawn whole; then each row keeps its first largest
+    ``|z|`` entry, with its drawn value, and the rest are zeroed, by one
+    argmax over every row. The normals are i.i.d., so the kept coordinate is
+    a uniform choice of axis, as the classic isolation forest picks its
+    attribute. No level makes a bounded draw.
 
-    The intercept is ``lo + span * u`` with span = hi - lo and u =
-    ``stream.random(dim)``, which is the formula and the draws of numpy's
-    ``Generator.uniform(lo, hi)``, so it equals that call bit for bit, leaves
-    the stream where that call does, and gives lo exactly where lo == hi.
-    Every coordinate is drawn, also under a zeroed normal entry, where it is
-    inert, so stream consumption is fixed. The caller checks that the span is
-    finite: the formula would not fail on an overflowing one.
+    The intercept is ``lo + span * u`` with span = hi - lo and u uniform on
+    [0, 1), which is the formula and the draws of numpy's
+    ``Generator.uniform(lo, hi)``, so for a lone node it equals that call bit
+    for bit, leaves the stream where that call does, and gives lo exactly
+    where lo == hi. Every coordinate is drawn, also under a zeroed normal
+    entry, where it is inert, so stream consumption is fixed. The caller
+    checks that the span is finite: the formula would not fail on an
+    overflowing one.
 
-    Draw order (normals, keys at an intermediate level, redraws, intercept)
-    is part of the reproducibility contract. The key sort, the zeroing, the
-    all-zero test and the intercept formula each run once over every row.
+    Draw order is part of the reproducibility contract. Each group draws, in
+    this order: all its normals, one ``standard_normal`` call that fills its
+    ``(counts[g], dim)`` rows; at an intermediate level all its keys, one
+    ``random`` call; each all-zero row's redraws, row by row; and all its
+    intercept uniforms, one ``random`` call. A row's values are row-major in
+    each call, so a lone node draws exactly what ``sample_hyperplane``'s
+    separate calls draw. The key sort, the zeroing, the all-zero test and
+    the intercept formula each run once over every row.
     """
-    rows = np.arange(len(streams))
-    normal, u = np.empty((len(streams), dim)), np.empty((len(streams), dim))
-    for stream, row in zip(streams, normal):
-        stream.standard_normal(out=row)
+    nodes = lo.shape[1]
+    rows = np.arange(nodes)
+    ends = np.cumsum(counts).tolist()
+    groups = [slice(end - count, end) for end, count in zip(ends, counts)]
+    normal, u = np.empty((nodes, dim)), np.empty((nodes, dim))
+    for stream, group in zip(streams, groups):
+        stream.standard_normal(out=normal[group])
     kept = np.broadcast_to(np.arange(dim), normal.shape)  # full extension and level 0 keep every row whole so far
     if 0 < n_zero < dim - 1:  # intermediate levels zero the coordinates of the smallest keys
-        for stream, row in zip(streams, u):
-            stream.random(out=row)
+        for stream, group in zip(streams, groups):
+            stream.random(out=u[group])
         order = u.argsort(axis=1, kind="stable")
         normal[rows[:, None], order[:, :n_zero]] = 0.0
         kept = np.sort(order[:, n_zero:], axis=1)
-    for r in np.flatnonzero(~normal.any(axis=1)).tolist():  # the kept entries all drew exactly 0.0: redraw them
-        while not normal[r].any():
-            normal[r, kept[r]] = streams[r].standard_normal(len(kept[r]))
+    zero = np.flatnonzero(~normal.any(axis=1)).tolist()
+    if zero:  # the kept entries all drew exactly 0.0: redraw them, from the row's own stream
+        owner = np.repeat(np.arange(len(streams)), counts)
+        for r in zero:
+            while not normal[r].any():
+                normal[r, kept[r]] = streams[owner[r]].standard_normal(len(kept[r]))
     if 0 < n_zero == dim - 1:  # level 0: keep each row's first largest |z|
         axis = np.abs(normal).argmax(axis=1)
         value = normal[rows, axis]
         normal.fill(0.0)
         normal[rows, axis] = value
         kept = axis[:, None]
-    for stream, row in zip(streams, u):
-        stream.random(out=row)
+    for stream, group in zip(streams, groups):
+        stream.random(out=u[group])
     return normal, lo.T + span.T * u, kept
 
 
@@ -486,70 +505,60 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
     fewer remains, or every remaining point is identical (no hyperplane can
     separate duplicates, so spending depth on them is wasted).
 
-    The trees grow in lockstep. Each keeps a preorder stack of the column
-    ranges ``[a, b)`` of ``block`` it has yet to visit. Each step pops, per
-    tree, the next node that may split, and takes every popped node's span
-    hi - lo in one numpy pass. The span is both the leaf test (a zero span
-    in every coordinate means identical points; for finite doubles
-    hi - lo == 0 only when hi == lo) and the width of the intercept draw,
-    and at the root it must be finite, which bounds every span below. The
-    step draws the splits of all its splitting nodes in one call
-    (``_draw_splits``), each from its own tree's stream; a step holds one
-    node per tree, and a tree visits its nodes in preorder, so each stream
-    is read as by the tree grown alone. The step then takes the splitting
-    nodes' margins in one pass (``_split_margins``) and sorts each node's
-    range in place, stably: left points first, each side in order.
+    The trees grow level by level, one step per depth. A step holds every
+    node of every tree at its depth, tree by tree and, in a tree, from left
+    to right, each as a column range of ``block``. It takes the span hi - lo
+    of each node that may split in one numpy pass. The span is both the leaf
+    test (a zero span in every coordinate means identical points; for finite
+    doubles hi - lo == 0 only when hi == lo) and the width of the intercept
+    draw, and at the root it must be finite, which bounds every span below.
+    The step draws the splits of all its splitting nodes in one call
+    (``_draw_splits``): each tree draws its own nodes' splits from its own
+    stream, left to right, so a tree reads its stream as it would grown
+    alone. The step then takes the splitting nodes' margins in one pass
+    (``_split_margins``) and sorts each node's range in place, stably: left
+    points first, each side in order. Their children, left then right, are
+    the next step's nodes.
+
+    After the last step, subtree sizes summed from the deepest level up give
+    every node its place in its tree's preorder, level by level from the
+    roots down, and each level's split rows are written once into the
+    chunk-wide node arrays, of which every tree's are row ranges.
     """
     dim, n = block.shape[0], block.shape[1] // len(streams)
-    nonzeros = extension_level + 1
-    # per tree, the ranges to visit: (a, b, height, node whose right child it is or -1)
-    stacks = [[(j * n, (j + 1) * n, 0, -1)] for j in range(len(streams))]
-    # per tree and node in preorder, the right child and the point count; a
-    # split's left child is the next node, and its count is set to 0 at the end
-    rights, sizes = [[] for _ in streams], [[] for _ in streams]
-    splits = []  # per step: tree, node, normal and intercept of each split
-    live = range(len(streams))
-    while True:
-        popped = []  # (tree, a, b, height, node) of each node that may split
-        for j in live:
-            stack, right, size = stacks[j], rights[j], sizes[j]
-            while stack:
-                a, b, height, parent = stack.pop()
-                node = len(size)
-                if parent >= 0:
-                    right[parent] = node
-                right.append(-1)
-                size.append(b - a)
-                if height < limit and b - a > 1:
-                    popped.append((j, a, b, height, node))
-                    break
-        if not popped:
+    n_zero = dim - 1 - extension_level
+    # the nodes of the step's depth, in order: each one's tree and column range [start, start + count)
+    owner = np.arange(len(streams))
+    start, count = owner * n, np.full(len(streams), n)
+    levels = []  # per depth: owner, count, the splitting nodes' positions, and their normals and intercepts
+    for height in range(limit + 1):
+        split = np.flatnonzero(count > 1) if height < limit else owner[:0]
+        if split.size:
+            starts, counts = start[split], count[split]
+            offsets = np.cumsum(counts) - counts
+            idx = np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
+            points = block.take(idx, axis=1)
+            lo = np.minimum.reduceat(points, offsets, axis=1)
+            hi = np.maximum.reduceat(points, offsets, axis=1)
+            if height == 0:
+                with np.errstate(over="ignore"):
+                    wide = np.flatnonzero(~np.isfinite(hi - lo).all(axis=0))
+                if wide.size:
+                    _require_finite_span(lo[:, wide[0]], hi[:, wide[0]], "training sample")
+            span = hi - lo
+            splitting = span.any(axis=0)
+            if not splitting.all():  # identical points: these nodes stay leaves
+                keep = np.repeat(splitting, counts)
+                points, idx = points.compress(keep, axis=1), idx[keep]
+                split, starts, counts = split[splitting], starts[splitting], counts[splitting]
+                lo, span = lo[:, splitting], span[:, splitting]
+        if not split.size:  # every node here is a leaf, so there is no deeper level
+            levels.append((owner, count, split, None, None))
             break
-        starts = np.array([entry[1] for entry in popped])
-        counts = np.array([entry[2] for entry in popped]) - starts
-        offsets = np.cumsum(counts) - counts
-        idx = np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
-        points = block.take(idx, axis=1)
-        lo = np.minimum.reduceat(points, offsets, axis=1)
-        hi = np.maximum.reduceat(points, offsets, axis=1)
-        if popped[0][3] == 0:  # only the first step pops roots
-            with np.errstate(over="ignore"):
-                wide = np.flatnonzero(~np.isfinite(hi - lo).all(axis=0))
-            if wide.size:
-                _require_finite_span(lo[:, wide[0]], hi[:, wide[0]], "training sample")
-        span = hi - lo
-        splitting = span.any(axis=0)
-        live = [entry[0] for entry in popped]
-        if not splitting.all():  # identical points: these nodes stay leaves
-            keep = np.repeat(splitting, counts)
-            points, idx = points.compress(keep, axis=1), idx[keep]
-            starts, counts = starts[splitting], counts[splitting]
-            popped = [entry for entry, split in zip(popped, splitting.tolist()) if split]
-            lo, span = lo[:, splitting], span[:, splitting]
-            if not popped:
-                continue
-        normals, intercepts, kept = _draw_splits([streams[entry[0]] for entry in popped], dim, dim - nonzeros, lo, span)
-        at = np.repeat(np.arange(len(popped)), counts)
+        trees, per_tree = np.unique(owner[split], return_counts=True)
+        normals, intercepts, kept = _draw_splits([streams[j] for j in trees.tolist()], per_tree.tolist(),
+                                                 dim, n_zero, lo, span)
+        at = np.repeat(np.arange(split.size), counts)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 went_right = _split_margins(points, at, normals, intercepts, kept) > 0.0
@@ -558,23 +567,32 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
                              "too wide a range for a split's terms to sum within the float limit") from err
         del points  # before the partition's copy, so that two copies of the block are never held
         block[:, idx] = block.take(idx[np.argsort(2 * at + went_right, kind="stable")], axis=1)
-        n_left = counts - np.bincount(at[went_right], minlength=len(popped))
-        for (j, a, b, height, node), mid in zip(popped, (starts + n_left).tolist()):
-            stacks[j] += [(mid, b, height + 1, node), (a, mid, height + 1, -1)]
-        splits.append(([entry[0] for entry in popped], [entry[4] for entry in popped], normals, intercepts))
-    # every tree's node arrays are row ranges of chunk-wide ones
-    first = np.cumsum([0] + [len(size) for size in sizes])
-    normal, intercept = np.zeros((first[-1], dim)), np.zeros((first[-1], dim))
-    left = np.full(first[-1], -1, dtype=np.int64)
-    right = np.fromiter(chain.from_iterable(rights), np.int64, first[-1])
-    size = np.fromiter(chain.from_iterable(sizes), np.int64, first[-1])
-    if splits:
-        trees, nodes, normals, intercepts = (np.concatenate(column) for column in zip(*splits))
-        rows = first[trees] + nodes
-        normal[rows], intercept[rows], left[rows], size[rows] = normals, intercepts, nodes + 1, 0
+        n_left = counts - np.bincount(at[went_right], minlength=split.size)
+        levels.append((owner, count, split, normals, intercepts))
+        owner = np.repeat(owner[split], 2)
+        start = np.column_stack((starts, starts + n_left)).ravel()
+        count = np.column_stack((n_left, counts - n_left)).ravel()
+    subtree = [np.ones(len(level[1]), dtype=np.int64) for level in levels]  # each node's subtree node count
+    for k in range(len(levels) - 2, -1, -1):  # the deepest level's nodes are all leaves
+        subtree[k][levels[k][2]] += subtree[k + 1][0::2] + subtree[k + 1][1::2]
+    first = np.cumsum(subtree[0]) - subtree[0]  # tree j's nodes are the rows first[j] on
+    total = int(first[-1] + subtree[0][-1])
+    normal, intercept = np.zeros((total, dim)), np.zeros((total, dim))
+    left, right = np.full(total, -1, dtype=np.int64), np.full(total, -1, dtype=np.int64)
+    size = np.zeros(total, dtype=np.int64)
+    row = first  # each node's row, at the roots' depth
+    for k, (owner, count, split, normals, intercepts) in enumerate(levels):
+        size[row] = count
+        if split.size:
+            parent, left_size = row[split], subtree[k + 1][0::2]
+            local = parent - first[owner[split]]
+            normal[parent], intercept[parent] = normals, intercepts
+            left[parent], right[parent], size[parent] = local + 1, local + 1 + left_size, 0
+            row = np.column_stack((parent + 1, parent + 1 + left_size)).ravel()
+    bounds = np.append(first, total).tolist()
     return [IsolationTree(normal=normal[a:b], intercept=intercept[a:b], left=left[a:b], right=right[a:b],
                           size=size[a:b], angle=angles[j] if angles else None)
-            for j, (a, b) in enumerate(zip(first[:-1].tolist(), first[1:].tolist()))]
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def _split_margins(points, at, normal, intercept, kept) -> np.ndarray:
@@ -591,8 +609,9 @@ def _split_margins(points, at, normal, intercept, kept) -> np.ndarray:
     place.
     """
     if kept.shape[1] == points.shape[0]:
-        points -= intercept.T.take(at, axis=1)
-        points *= normal.T.take(at, axis=1)
+        for d, row in enumerate(points):  # a row at a time: a whole (dimension, points) term block would be a copy
+            row -= intercept[:, d].take(at)
+            row *= normal[:, d].take(at)
         return np.add.reduce(points, axis=0)
     flat, width = points.ravel(), points.shape[1]
     split, column = np.arange(len(normal)), np.arange(width)
@@ -663,7 +682,7 @@ def _grow_chunks(x, t, psi, extension_level, seed, rotated=False):
     Per tree i, in this order: derive stream i from the seed's root stream,
     draw the psi-row subsample from it, and, for a rotated forest, draw the
     tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
-    the tree on the same stream, in lockstep with the rest of its chunk. Tree
+    the tree on the same stream, level by level with the rest of its chunk. Tree
     i reads only stream i, so neither build order nor chunking can change a
     tree. The settings must have passed ``_check_settings``.
     """

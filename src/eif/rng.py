@@ -18,18 +18,22 @@ not, even when its value is whole. :func:`_check_count` adds a lower bound.
 
 The Gaussian, uniform and bounded-integer transforms are the ones numpy's
 ``Generator`` applies on top of the Philox bit stream. :data:`RNG_FAMILY`
-names the draw contract serialized models are built under, ``eif-philox/3``:
+names the draw contract serialized models are built under, ``eif-philox/4``:
 the key scheme and :func:`derive_stream`; numpy's normal, ``random``,
 ``uniform`` and ``integers`` transforms over Philox, the last through
 :func:`choose_indices`; and the draw order and zero rules of
-``forest._draw_splits``: at an intermediate level each node zeroes the
-coordinates of its smallest uniform keys, and at level 0 it keeps its first
-largest ``|z|``. ``eif-philox/2`` zeroed intermediate levels by a
-Fisher-Yates draw, and ``eif-philox/1`` level 0 as well. A change to what
-any stream consumes, or to what a build makes of the draws, bumps the
-contract id. NEP 19 lets numpy change a transform in a feature release, so
-the module checks, once on import, that the running numpy still makes the
-draws: a SHA-256 over draws from fixed keys must equal ``_CONTRACT_SHA256``.
+``forest._draw_splits``: a tree draws the splits of its nodes at one depth
+together, left to right, all their normals, then at an intermediate level
+all their keys, then any redraws, then all their intercepts; at an
+intermediate level each node zeroes the coordinates of its smallest uniform
+keys, and at level 0 it keeps its first largest ``|z|``. ``eif-philox/3``
+drew a tree's splits node by node, in preorder; ``eif-philox/2`` also
+zeroed intermediate levels by a Fisher-Yates draw, and ``eif-philox/1``
+level 0 as well. A change to what any stream consumes, or to what a build
+makes of the draws, bumps the contract id. NEP 19 lets numpy change a
+transform in a feature release, so the module checks, once on import, that
+the running numpy still makes the draws: a SHA-256 over draws from fixed
+keys must equal ``_CONTRACT_SHA256``.
 If it does not, :data:`RNG_FAMILY` is ``numpy-philox4x64/{numpy version}``,
 so no model claims a contract that its numpy does not meet.
 
@@ -186,4 +190,4 @@ def _meets_contract() -> bool:
 
 
 #: The draw contract named in serialized models (see the module docstring).
-RNG_FAMILY = "eif-philox/3" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"
+RNG_FAMILY = "eif-philox/4" if _meets_contract() else f"numpy-philox4x64/{np.__version__}"

@@ -10,8 +10,7 @@ import numpy as np
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance, grid_points
 from eif.forest import (
-    Forest, IsolationTree, _grow_trees, _rotate, build_forest, c_factor, height_limit_for,
-    sample_hyperplane, score_batch,
+    Forest, IsolationTree, _grow_trees, _rotate, build_forest, c_factor, height_limit_for, score_batch,
 )
 from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION, _fail, _floats, _require, format_score
 from eif.rng import RNG_FAMILY, choose_indices, derive_stream, make_rng, subsample
@@ -233,28 +232,39 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 
 
-def draw_split_oracle(rng, dim, n_zero, lo, hi):
-    """``_draw_splits`` for one node, with numpy's own uniform transform: the
-    same normal draws, then the intercept from ``Generator.uniform(lo, hi)``.
-    At an intermediate level the node draws ``dim`` uniform keys and one
-    Python sort, stable, orders the coordinates by key: the first ``n_zero``
-    are zeroed. At level 0 a row of zeros is redrawn whole, then a loop keeps
-    the first entry of largest magnitude: a later one must be strictly larger."""
-    normal = rng.standard_normal(dim)
-    keep = np.ones(dim, dtype=bool)
+def draw_level_oracle(rng, dim, n_zero, spans):
+    """``_draw_splits`` for the nodes one tree splits at one depth, left to
+    right, each node's ``(lo, hi)`` in ``spans``, with one numpy call per node
+    and numpy's own uniform transform. In this order: every node's normals;
+    at an intermediate level every node's ``dim`` uniform keys, each node's
+    then ordered by one stable Python sort, its first ``n_zero`` zeroed;
+    node by node, the redraws of a node whose kept entries are all zero (at
+    level 0 the whole row); then every node's intercept, from
+    ``Generator.uniform(lo, hi)``. At level 0 a loop keeps each node's first
+    entry of largest magnitude: a later one must be strictly larger."""
+    normals = [rng.standard_normal(dim) for _ in spans]
+    keeps = [np.ones(dim, dtype=bool) for _ in spans]
     if 0 < n_zero < dim - 1:
-        keys = rng.random(dim).tolist()
-        keep[sorted(range(dim), key=keys.__getitem__)[:n_zero]] = False
-        normal[~keep] = 0.0
-    while not np.any(normal != 0.0):
-        normal[keep] = rng.standard_normal(int(keep.sum()))
+        for normal, keep in zip(normals, keeps):
+            keys = rng.random(dim).tolist()
+            keep[sorted(range(dim), key=keys.__getitem__)[:n_zero]] = False
+            normal[~keep] = 0.0
+    for normal, keep in zip(normals, keeps):
+        while not np.any(normal != 0.0):
+            normal[keep] = rng.standard_normal(int(keep.sum()))
     if 0 < n_zero == dim - 1:
-        first = 0
-        for d in range(1, dim):
-            if abs(normal[d]) > abs(normal[first]):
-                first = d
-        normal = np.where(np.arange(dim) == first, normal, 0.0)
-    return normal, rng.uniform(lo, hi)
+        for k, normal in enumerate(normals):
+            first = 0
+            for d in range(1, dim):
+                if abs(normal[d]) > abs(normal[first]):
+                    first = d
+            normals[k] = np.where(np.arange(dim) == first, normal, 0.0)
+    return [(normal, rng.uniform(lo, hi)) for normal, (lo, hi) in zip(normals, spans)]
+
+
+def draw_split_oracle(rng, dim, n_zero, lo, hi):
+    """One node's split, alone on its level: ``draw_level_oracle`` of one node."""
+    return draw_level_oracle(rng, dim, n_zero, [(lo, hi)])[0]
 
 
 def check_tree_oracle(tree: IsolationTree, where: str, psi: int, nonzeros: int, limit: int) -> None:
@@ -335,30 +345,33 @@ def tree_from_rows(rows, dimension: int, angle: float | None = None) -> Isolatio
 
 
 def grow_oracle(x, *, limit, extension_level, rng, angle=None):
-    """One tree grown alone, recursively, on row-major data, the reference
-    for ``_grow_trees``: each node copies its rows with a mask,
-    draws its split with ``sample_hyperplane`` and adds the margin terms of
-    the nonzero normal entries one coordinate at a time, in index order."""
-    rows = []
-
-    def grow(x, height):
-        n = x.shape[0]
-        if height >= limit or n <= 1 or bool((x == x[0]).all()):
-            rows.append([None, None, -1, -1, n])
-            return
-        normal, intercept = sample_hyperplane(x, extension_level, rng)
-        row = [normal, intercept, len(rows) + 1, -1, 0]
-        rows.append(row)
-        margins = np.zeros(n)
-        for d in np.flatnonzero(normal).tolist():
-            margins += (x[:, d] - intercept[d]) * normal[d]
-        went_left = margins <= 0.0
-        grow(x[went_left], height + 1)
-        row[3] = len(rows)
-        grow(x[~went_left], height + 1)
-
-    grow(x, 0)
-    return tree_from_rows(rows, x.shape[1], angle)
+    """One tree grown alone, breadth first, on row-major data, the reference
+    for ``_grow_trees``: each node copies its rows with a mask, the nodes
+    that split at a depth draw their splits left to right with
+    ``draw_level_oracle``, and each adds the margin terms of its nonzero
+    normal entries one coordinate at a time, in index order. The tree is
+    written in preorder by ``tree_from_nested``."""
+    dim = x.shape[1]
+    top = [None]
+    level = [(x, top, 0)]  # each node's rows, and where its nested value goes
+    for height in range(limit + 1):
+        splitting = []
+        for rows, holder, key in level:
+            if height >= limit or len(rows) <= 1 or bool((rows == rows[0]).all()):
+                holder[key] = len(rows)
+            else:
+                splitting.append((rows, holder, key))
+        spans = [(rows.min(axis=0), rows.max(axis=0)) for rows, _, _ in splitting]
+        level = []
+        for (rows, holder, key), (normal, intercept) in zip(
+                splitting, draw_level_oracle(rng, dim, dim - 1 - extension_level, spans)):
+            margins = np.zeros(len(rows))
+            for d in np.flatnonzero(normal).tolist():
+                margins += (rows[:, d] - intercept[d]) * normal[d]
+            went_left = margins <= 0.0
+            holder[key] = node = [normal, intercept, None, None]
+            level += [(rows[went_left], node, 2), (rows[~went_left], node, 3)]
+    return tree_from_nested(top[0], dim, angle)
 
 
 def forest_oracle(data, t, psi, extension_level, seed, rotated=False):

@@ -436,6 +436,19 @@ class TestConverge:
         assert code == 1
         assert not (tmp_path / "c.csv").exists()
 
+    def test_t_of_2_to_the_63_or_more_is_a_data_error_before_any_tree_grows(self, tmp_path, blob_csv, capsys,
+                                                                            monkeypatch):
+        def no_growth(*args, **kwargs):
+            raise AssertionError("a tree grew before t was checked")
+
+        monkeypatch.setattr("eif.forest._grow_trees", no_growth)
+        code, _, err = invoke(capsys, "converge", "--data", str(blob_csv), "--probe", str(blob_csv),
+                              "--t-values", "1,99999999999999999999", "--psi", "8", "--extension", "0",
+                              "--seed", "1", "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert err == "error: t_values[1] must be in [1, 2**63), got 99999999999999999999\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_probe_width_mismatch_is_data_error(self, tmp_path, blob_csv, capsys):
         probe = tmp_path / "probe.csv"
         write_dataset_csv(probe, gen_gaussian_blob(10, 3, seed=9))

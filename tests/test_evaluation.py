@@ -359,6 +359,18 @@ class TestConvergence:
         with pytest.raises(AssertionError, match="a tree grew"):  # good probes do reach the patched grower
             convergence_curve(blob_2d, blob_2d[:5], [5, 10], 64, 1, seed=1)
 
+    def test_rejects_t_of_2_to_the_63_before_building(self, blob_2d, monkeypatch):
+        def no_growth(*args, **kwargs):
+            raise AssertionError("a tree grew before t was checked")
+
+        monkeypatch.setattr("eif.forest._grow_trees", no_growth)
+        with pytest.raises(ValueError, match=r"^t_values\[1\] must be in \[1, 2\*\*63\), got 9223372036854775808$"):
+            convergence_curve(blob_2d, blob_2d[:5], [1, 2**63, 2**64], 8, 0, seed=1)
+        with pytest.raises(ValueError, match=r"^t must be in \[1, 2\*\*63\), got 9223372036854775808$"):
+            build_forest(blob_2d, 2**63, 8, 0, seed=1)
+        with pytest.raises(AssertionError, match="a tree grew"):  # the largest t allowed does reach the grower
+            convergence_curve(blob_2d, blob_2d[:5], [1, 2**63 - 1], 8, 0, seed=1)
+
     def test_memory_does_not_grow_with_the_largest_t(self):
         data = gen_gaussian_blob(2000, 4, seed=1)
         probe = gen_gaussian_blob(100, 4, seed=2)

@@ -51,7 +51,7 @@ class TestModelRoundTrip:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "eif-model"
         assert doc["version"] == 2
-        assert doc["rng_family"] == "eif-philox/3"
+        assert doc["rng_family"] == "eif-philox/4"
 
     def test_metadata_survives(self, model_path, small_forest):
         loaded = load_forest(model_path)
@@ -870,28 +870,26 @@ def test_model_bytes_equal_scalar_draw_build(tmp_path, monkeypatch, build):
     assert (tmp_path / "words.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
 
 
-# SHA-256 of the model file and of the score bytes of four small builds. The
-# full score hash dates from before trees became node arrays, the level-0 and
-# rotated ones from eif-philox/2, and level-1's from eif-philox/3, which
-# changed the intermediate zero choice. Every model file hash was recorded
-# in format version 2 under eif-philox/3.
+# SHA-256 of the model file and of the score bytes of four small builds,
+# recorded in format version 2 under eif-philox/4, which draws each tree's
+# splits a level at a time.
 PINNED = {
-    "level-0": ("85dc5aae054b279f60f42565a2d046843a9b10b499ef965734e53146c46f5f7c",
-                "916f6eb837d3c2d21e622a02110afbb1d06d24ac21060afaa46805cbaa2128a3"),
-    "level-1": ("568366301223201c43b701a9132cd28204acecbdeb3f24835cfd6eb82cc9f823",
-                "63d043ad701a7863b166115c098c0bfa6d6c6fa3f4be9125ada7a0beb18a33f9"),
-    "full": ("3aed245617945d276acfc60b5469415aa12e4e4ce58c5f4a78fc8e2b10e39c78",
-             "aacbb2bcb382280805ad7d9ecab028402c489a20f23a5ba0757731b60be37436"),
-    "rotated": ("3aa4185a505cd89f2fed8380ae2166aa1624df9792c9ac358343d841d27e2660",
-                "5ac53b7904ca0bddaa6ebd94f05bc9463dfa8303dac6f8fee7707de6546d3512"),
+    "level-0": ("286ff012ff5b29ae700e275b6b5130552e495c664e91dfdc163c8e8df5867bb2",
+                "76361d01b2347224631ea532da7f0e3c676fa9edfc18025f222370d386564c1a"),
+    "level-1": ("2677df2c5fc35183b188430a29c6292b9274d66df5a9ce389d5a076fc5ce9c59",
+                "a37bffcd009d90096c5f5ba122aa314d7b0016f676ed27e5ede6c29f171ca7fe"),
+    "full": ("78f8de1764938d1f08f62e71f3b6fe5e543c4fd53ef699e8a255e99dfa9c7725",
+             "ff6ff162e9f2dcd1218b6885511333efd64e3ea3b7da9ffc0bf9c35c2e22fcb2"),
+    "rotated": ("21804cf89188ae4bd1cf066beb4235d58543203b3970c4b568ce4213cdc331ff",
+                "6207613c7959c9e44fa4c48403d614b3fe9cafdf6afbdede16e2234449390d92"),
 }
 # SHA-256 of the same builds' tree arrays alone (``_tree_arrays_sha``),
 # recorded under numpy 2.4.6.
 PINNED_TREE_ARRAYS = {
-    "level-0": "6e58115e4c0bdba862b73d24a6bd91b797a69ebe8d43b143503b801f43a94016",
-    "level-1": "934885e395a4c9100f0c03d45cafb8c1ae19c703b68c44144be158c583398aa4",
-    "full": "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
-    "rotated": "18df6a1ce5604842a68226e46ed09bc99ed2058f0a8b913b4a2c4c1a7a36075e",
+    "level-0": "0c7fcf46e3dd95b2a0f3d65ebd4b3c667b7b16f2c35d0cde2731c0a2f699262b",
+    "level-1": "76842b25eaec6c67992ae3f13af5d50caad91bb3d2ec8787a617a062b750e129",
+    "full": "dfbe7c7813d17bf614ad11aa85e52200e4cf455f19ef384828b747c180a6ce24",
+    "rotated": "f311ad5488b2221d4ba8e63f2aa6e41b88956463c7901b9b0a81eeffc2a9d78a",
 }
 
 
@@ -942,13 +940,12 @@ FIXTURE_SCORES = {
     "rotated": "aede7a0103bc7c706170d9c824f6774939bba5cc3239c021aac6396061761722",
 }
 # SHA-256 of each fixture saved again, in format version 2 under
-# eif-philox/3. The full fixture's trees are still those of a fresh build, so
-# it saves as PINNED["full"]; the level-0 and rotated ones were drawn by the
-# eif-philox/1 level-0 rule.
+# eif-philox/4: its trees are those it was written with, whatever the
+# current draw contract grows.
 FIXTURE_RESAVED = {
-    "level-0": "8193a57943bb30c97febfecbc7e78f292bdba54ecc8b2716ad819944fd27d554",
-    "full": PINNED["full"][0],
-    "rotated": "11b1c039d8eaa92a0159b58a37ec2876aad3bdfbaa02a3b8cbd2666fca1b405a",
+    "level-0": "1ec1a42a40ef70609cb46b7f33628b147160354c6e5be91b2bfe0fdf884457c1",
+    "full": "6b4f4723137e911b55c20f147fed7dd3abca47848366b7ab0a49c7f08b82a888",
+    "rotated": "26dc6aa2154af3c6801ddbd22103fd6639d3d76e72b0473bfc2d0ceff575fdba",
 }
 
 
@@ -966,6 +963,39 @@ def test_v1_fixture_scores_as_written_and_resaves_as_v2(tmp_path, recwarn, kind)
     assert (doc["version"], doc["rng_family"]) == (2, RNG_FAMILY)
     assert _tree_arrays_sha(load_forest(tmp_path / "m.json")) == _tree_arrays_sha(forest)
     assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == FIXTURE_RESAVED[kind]
+
+
+# The four PINNED builds as format version 2 files saved under eif-philox/3,
+# the last contract whose trees drew a tree's splits node by node in
+# preorder: the SHA-256 of each file, of its tree arrays, and of its scores
+# on the RNG-free probes above, all recorded then (numpy 2.4.6).
+V2_FIXTURE_SHA = {
+    "level-0": ("85dc5aae054b279f60f42565a2d046843a9b10b499ef965734e53146c46f5f7c",
+                "6e58115e4c0bdba862b73d24a6bd91b797a69ebe8d43b143503b801f43a94016",
+                "1a86717de9af3412fa3f7aa44808f16837ba85989a8107900ace2f55c947e239"),
+    "level-1": ("568366301223201c43b701a9132cd28204acecbdeb3f24835cfd6eb82cc9f823",
+                "934885e395a4c9100f0c03d45cafb8c1ae19c703b68c44144be158c583398aa4",
+                "f32ad2325db098c19809e3329a59673389d9fd4d8bed3fb67f038113735d3e6c"),
+    "full": ("3aed245617945d276acfc60b5469415aa12e4e4ce58c5f4a78fc8e2b10e39c78",
+             "0b0096365963b34a19132352c551c5f530b468c6020d680d4dd8e98fd35d4d19",
+             "90025ef0d705439c7aa1657998a4297625ca8da8a356976215a2e2a117c17973"),
+    "rotated": ("3aa4185a505cd89f2fed8380ae2166aa1624df9792c9ac358343d841d27e2660",
+                "18df6a1ce5604842a68226e46ed09bc99ed2058f0a8b913b4a2c4c1a7a36075e",
+                "40c3005e57e5bcde2e33fc3038b8c3a356db9630a0e1eb60d9867e4f47cb4f5e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(V2_FIXTURE_SHA))
+def test_v2_fixture_of_the_older_contract_loads_and_scores_as_written(recwarn, kind):
+    fixture = FIXTURES / f"model_v2_{kind}.json"
+    file_sha, arrays_sha, scores_sha = V2_FIXTURE_SHA[kind]
+    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == file_sha
+    with pytest.warns(UserWarning, match="rng family 'eif-philox/3'") as caught:
+        forest = load_forest(fixture)
+    assert len(caught) == 1 and not recwarn.list
+    assert _tree_arrays_sha(forest) == arrays_sha
+    probes = (np.arange(200.0).reshape(50, 4) / 25.0 - 4.0)[:, :forest.dimension]
+    assert hashlib.sha256(score_batch(probes, forest).tobytes()).hexdigest() == scores_sha
 
 
 @st.composite

@@ -267,7 +267,7 @@ def test_choose_indices_sequence_matches_numpy_integers(seed, calls):
 
 
 def test_running_numpy_meets_the_draw_contract():
-    assert (rng_module._meets_contract(), RNG_FAMILY) == (True, "eif-philox/3")
+    assert (rng_module._meets_contract(), RNG_FAMILY) == (True, "eif-philox/4")
 
 
 def _one_draw_off(method):
@@ -293,7 +293,7 @@ def test_draw_contract_check_sees_one_altered_draw(monkeypatch, method):
 
 # Run in a fresh interpreter, since the package checks the contract once, on
 # import: numpy with one normal draw off, then a model trained and saved, then
-# the same file stamped eif-philox/3 and loaded.
+# the same file stamped eif-philox/4 and loaded.
 _FALLBACK_RUN = """
 import json, sys, warnings
 from pathlib import Path
@@ -307,7 +307,7 @@ from eif.rng import RNG_FAMILY
 path = Path(sys.argv[1])
 save_forest(build_forest(np.arange(40.0).reshape(20, 2), 3, 8, 1, seed=5), path)
 trained = json.loads(path.read_text())["rng_family"]
-path.write_text(path.read_text().replace(json.dumps(trained), json.dumps("eif-philox/3")))
+path.write_text(path.read_text().replace(json.dumps(trained), json.dumps("eif-philox/4")))
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     load_forest(path)
@@ -323,6 +323,6 @@ def test_numpy_off_the_contract_falls_back_to_its_version(tmp_path):
     assert done.returncode == 0, done.stderr
     version, family, trained, warned = json.loads(done.stdout)
     assert family == trained == f"numpy-philox4x64/{version}"
-    assert warned == [f"model {tmp_path / 'm.json'} was built under rng family 'eif-philox/3', "
+    assert warned == [f"model {tmp_path / 'm.json'} was built under rng family 'eif-philox/4', "
                       f"this build runs {family!r}: it scores as before, but retraining from its "
                       "seed may not reproduce it"]
