@@ -25,20 +25,26 @@ tree, at one depth, so a chunk takes at most one step per depth, and draws
 the step's splits in one call (``_draw_splits``). There each tree draws its
 own nodes' splits from its own stream, left to right, one kind of draw at a
 time. So a tree is the same grown alone or with others, and the forest is
-the same for any chunk size. ``Forest`` checks the trees a chunk per pass
-too, all in one ``_check_trees``.
+the same for any chunk size. A chunk grows on one (dimension, points)
+block of its trees' samples, which the step reorders in place, a row at a
+time, so that the points of the nodes that may still split are its leading
+columns; no step copies it, and it is freed before the chunk's node arrays
+are made (16-D full, 100 trees at psi 256: a tracemalloc peak of 2.5 times
+the block). ``Forest`` checks the trees a chunk per pass too, all in one
+``_check_trees``.
 
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
 Building and scoring hold the points column-major, as a (dimension, points)
-block. Scoring's ``_margins`` and training's ``_split_margins`` add the
-terms one at a time, or, where every normal entry is nonzero (in scoring,
-of more than two), sum them by an axis-0 reduce over a C-contiguous block
-of two or more points, which adds its rows in order. A reduce over one
-point's (k, 1) block, over an F-ordered view or along ``axis=1`` must never
-sum them: numpy sums those pairwise, which changes the bits from 9 terms
-up. ``_prefix_scores`` is the one place depths are summed in tree order and
-turned into scores. It reads trees once, in order, from any iterable:
+block. Training's ``_split_margins`` adds the terms one at a time, a row of
+terms per coordinate at full extension. Scoring's ``_margins`` does too,
+or, where every normal entry of more than two is nonzero, sums them by an
+axis-0 reduce over a C-contiguous block of two or more points, which adds
+its rows in order: the same bits. A reduce over one point's (k, 1) block,
+over an F-ordered view or along ``axis=1`` must never sum them: numpy sums
+those pairwise, which changes the bits from 9 terms up. ``_prefix_scores``
+is the one place depths are summed in tree order and turned into scores.
+It reads trees once, in order, from any iterable:
 ``score_batch`` gives it a forest's trees, and ``convergence_curve`` gives it
 ``_tree_stream``, which grows and checks one chunk at a time, so the curve
 holds one chunk of trees, not the whole forest (on 20k 8-D rows at level 0
@@ -65,12 +71,12 @@ EULER_GAMMA = 0.5772156649
 TWO_PI = 2.0 * math.pi
 
 #: Trees that ``_grow_chunks`` grows together, level by level, and that
-#: ``Forest`` checks in one pass. The block of their points, and each step's
-#: copy of it, grow with it; fewer trees share each step's numpy calls among
-#: fewer nodes. In two sets of 8 alternated rounds of 500 level-0 trees on
-#: 20k 8-D rows (CPU seconds), 50 took a median 1.08x and 1.01x as long as
-#: 100, and 200 took 1.02x and 0.97x but held 1.8 MB more at its tracemalloc
-#: peak (15.6 against 13.7 MB).
+#: ``Forest`` checks in one pass. The block of their points grows with it;
+#: fewer trees share each step's numpy calls among fewer nodes. In two sets
+#: of 8 alternated rounds of 500 level-0 trees on 20k 8-D rows (CPU
+#: seconds), 50 took a median 1.08x and 1.01x as long as 100, and 200 took
+#: 1.02x and 0.97x but held 1.8 MB more at its tracemalloc peak (15.6
+#: against 13.7 MB).
 _CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
@@ -365,9 +371,10 @@ def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.
     add a signed zero, or NaN where x - p overflows). When every entry is
     nonzero, more than two coordinates and more than one point, the points
     are gathered as one C-contiguous (dimension, points) block, the terms are
-    formed in place, and an axis-0 reduce adds its rows in order, as
-    training's ``_split_margins`` does. Each guard keeps a case where that is
-    slower or changes bits:
+    formed in place, and an axis-0 reduce adds its rows in order, which gives
+    the bits of training's ``_split_margins``, whose sum adds one row of
+    terms at a time. Each guard keeps a case where the block is slower or
+    changes bits:
 
     - two coordinates: the block took 1.00-1.21x as long as two column terms
       on a 200x200 2-D score map, so 2-D scoring keeps its code;
@@ -495,11 +502,15 @@ def _draw_splits(streams, counts, dim: int, n_zero: int, lo: np.ndarray, span: n
     return normal, lo.T + span.T * u, kept
 
 
-def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
+def _grow_trees(held, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
     """Grow one tree per stream on the points that are the columns of the
-    C-contiguous (dimension, points) ``block``, which it reorders in place:
-    tree j on the j-th of ``len(streams)`` equal column ranges, drawing its
-    splits from ``streams[j]``. Record ``angles[j]`` on it if angles are given.
+    C-contiguous (dimension, points) block that the list ``held`` holds
+    alone: tree j on the j-th of ``len(streams)`` equal column ranges,
+    drawing its splits from ``streams[j]``. Record ``angles[j]`` on it if
+    angles are given. The grower takes the block out of ``held``, reorders
+    its columns in place, and drops it once the trees have grown, before it
+    makes their node arrays, so a caller that keeps no other reference has
+    the block freed then.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
@@ -507,39 +518,43 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
 
     The trees grow level by level, one step per depth. A step holds every
     node of every tree at its depth, tree by tree and, in a tree, from left
-    to right, each as a column range of ``block``. It takes the span hi - lo
-    of each node that may split in one numpy pass. The span is both the leaf
-    test (a zero span in every coordinate means identical points; for finite
-    doubles hi - lo == 0 only when hi == lo) and the width of the intercept
-    draw, and at the root it must be finite, which bounds every span below.
-    The step draws the splits of all its splitting nodes in one call
-    (``_draw_splits``): each tree draws its own nodes' splits from its own
-    stream, left to right, so a tree reads its stream as it would grown
-    alone. The step then takes the splitting nodes' margins in one pass
-    (``_split_margins``) and sorts each node's range in place, stably: left
-    points first, each side in order. Their children, left then right, are
-    the next step's nodes.
+    to right. The points of the nodes that may split there (more than one
+    point) are the block's leading ``m`` columns, node after node in that
+    order; the points of the other nodes lie behind them and are not read
+    again. The step takes the span hi - lo of each such node in one numpy
+    pass over those columns. The span is both the leaf test (a zero span in
+    every coordinate means identical points; for finite doubles hi - lo == 0
+    only when hi == lo) and the width of the intercept draw, and at the root
+    it must be finite, which bounds every span below. Nodes of identical
+    points move their columns behind the others'. The step draws the splits
+    of all its splitting nodes in one call (``_draw_splits``): each tree
+    draws its own nodes' splits from its own stream, left to right, so a
+    tree reads its stream as it would grown alone. It then takes their
+    margins in one pass (``_split_margins``), which reads the block and does
+    not change it. Their children, left then right, are the next step's
+    nodes, and one permutation of the leading columns, applied a row at a
+    time, packs the points of the children that may split next in their
+    order (each child's points in their order), with the rest behind. The
+    last step below the height limit skips it: no child splits.
 
     After the last step, subtree sizes summed from the deepest level up give
     every node its place in its tree's preorder, level by level from the
     roots down, and each level's split rows are written once into the
     chunk-wide node arrays, of which every tree's are row ranges.
     """
+    block = held.pop()
     dim, n = block.shape[0], block.shape[1] // len(streams)
     n_zero = dim - 1 - extension_level
-    # the nodes of the step's depth, in order: each one's tree and column range [start, start + count)
-    owner = np.arange(len(streams))
-    start, count = owner * n, np.full(len(streams), n)
+    owner, count = np.arange(len(streams)), np.full(len(streams), n)  # the step's nodes: each one's tree and size
     levels = []  # per depth: owner, count, the splitting nodes' positions, and their normals and intercepts
     for height in range(limit + 1):
         split = np.flatnonzero(count > 1) if height < limit else owner[:0]
-        if split.size:
-            starts, counts = start[split], count[split]
+        if split.size:  # the columns [0, m) hold these nodes' points, node after node
+            counts = count[split]
             offsets = np.cumsum(counts) - counts
-            idx = np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
-            points = block.take(idx, axis=1)
-            lo = np.minimum.reduceat(points, offsets, axis=1)
-            hi = np.maximum.reduceat(points, offsets, axis=1)
+            m = int(offsets[-1] + counts[-1])
+            lo = np.minimum.reduceat(block[:, :m], offsets, axis=1)
+            hi = np.maximum.reduceat(block[:, :m], offsets, axis=1)
             if height == 0:
                 with np.errstate(over="ignore"):
                     wide = np.flatnonzero(~np.isfinite(hi - lo).all(axis=0))
@@ -547,10 +562,9 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
                     _require_finite_span(lo[:, wide[0]], hi[:, wide[0]], "training sample")
             span = hi - lo
             splitting = span.any(axis=0)
-            if not splitting.all():  # identical points: these nodes stay leaves
-                keep = np.repeat(splitting, counts)
-                points, idx = points.compress(keep, axis=1), idx[keep]
-                split, starts, counts = split[splitting], starts[splitting], counts[splitting]
+            if not splitting.all():  # identical points: these nodes stay leaves, their columns go behind
+                _permute_columns(block, np.argsort(~np.repeat(splitting, counts), kind="stable"))
+                split, counts = split[splitting], counts[splitting]
                 lo, span = lo[:, splitting], span[:, splitting]
         if not split.size:  # every node here is a leaf, so there is no deeper level
             levels.append((owner, count, split, None, None))
@@ -561,17 +575,18 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
         at = np.repeat(np.arange(split.size), counts)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                went_right = _split_margins(points, at, normals, intercepts, kept) > 0.0
+                went_right = _split_margins(block, at, normals, intercepts, kept) > 0.0
         except FloatingPointError as err:
             raise ValueError("a split margin overflowed float64 while training: the sample's columns span "
                              "too wide a range for a split's terms to sum within the float limit") from err
-        del points  # before the partition's copy, so that two copies of the block are never held
-        block[:, idx] = block.take(idx[np.argsort(2 * at + went_right, kind="stable")], axis=1)
         n_left = counts - np.bincount(at[went_right], minlength=split.size)
         levels.append((owner, count, split, normals, intercepts))
         owner = np.repeat(owner[split], 2)
-        start = np.column_stack((starts, starts + n_left)).ravel()
         count = np.column_stack((n_left, counts - n_left)).ravel()
+        if height + 1 < limit:  # each point's child, ranked behind every splitting child if its own will not split
+            child = 2 * at + went_right
+            _permute_columns(block, np.argsort(np.where(count[child] > 1, child, len(count)), kind="stable"))
+    del block  # the trees have grown: the node arrays below are made with the block freed
     subtree = [np.ones(len(level[1]), dtype=np.int64) for level in levels]  # each node's subtree node count
     for k in range(len(levels) - 2, -1, -1):  # the deepest level's nodes are all leaves
         subtree[k][levels[k][2]] += subtree[k + 1][0::2] + subtree[k + 1][1::2]
@@ -595,36 +610,49 @@ def _grow_trees(block, streams, angles=None, *, limit, extension_level) -> list[
             for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
-def _split_margins(points, at, normal, intercept, kept) -> np.ndarray:
-    """(x - p) . n for each column x of the C-contiguous (dimension, points)
-    block ``points``, under split ``at[c]`` for column c: the rows
-    ``normal[at[c]]`` and ``intercept[at[c]]``, whose coordinates
-    ``kept[at[c]]`` (ascending, as ``_draw_splits`` returns them) add terms.
+def _permute_columns(block: np.ndarray, order: np.ndarray) -> None:
+    """Put column ``order[c]`` of ``block`` at column c, for c below ``len(order)``, a row at a time."""
+    m = len(order)
+    for row in block:
+        row[:m] = row[:m].take(order)
+
+
+def _split_margins(block, at, normal, intercept, kept) -> np.ndarray:
+    """(x - p) . n for each column x of the first ``len(at)`` columns of the
+    C-contiguous (dimension, points) ``block``, under split ``at[c]`` for
+    column c: the rows ``normal[at[c]]`` and ``intercept[at[c]]``, whose
+    coordinates ``kept[at[c]]`` (ascending, as ``_draw_splits`` returns them)
+    add terms. The block is read, not changed, and no column past those is
+    read.
 
     As in ``_margins``, the terms are those of the kept entries, added in
-    index order. At full extension, where every coordinate is kept, the
-    terms are formed in place in ``points`` and summed by an axis-0 reduce,
-    which adds the rows in order. Below it, each term gathers one coordinate
-    per column, the next kept one of its split's normal, and is added in
+    index order. At full extension, where every coordinate is kept, each term
+    is formed from one row of the block and added to the sum in turn, which
+    gives the bits of ``_margins``' axis-0 reduce. Below it, each term
+    gathers one coordinate per column, the next kept one of its split's
+    normal, from the flat block at ``d * width + column``, and is added in
     place.
     """
-    if kept.shape[1] == points.shape[0]:
-        for d, row in enumerate(points):  # a row at a time: a whole (dimension, points) term block would be a copy
-            row -= intercept[:, d].take(at)
-            row *= normal[:, d].take(at)
-        return np.add.reduce(points, axis=0)
-    flat, width = points.ravel(), points.shape[1]
-    split, column = np.arange(len(normal)), np.arange(width)
+    m = len(at)
+    if kept.shape[1] == len(block):  # full extension: the i-th kept coordinate of every split is i
 
-    def term(d):
-        x = flat.take(d.take(at) * width + column)
-        x -= intercept[split, d].take(at)
-        x *= normal[split, d].take(at)
-        return x
+        def term(i):
+            x = block[i, :m] - intercept[:, i].take(at)
+            x *= normal[:, i].take(at)
+            return x
+    else:
+        flat, width, column, split = block.ravel(), block.shape[1], np.arange(m), np.arange(len(normal))
 
-    total = term(kept[:, 0])
-    for d in kept.T[1:]:
-        total += term(d)
+        def term(i):
+            d = kept[:, i]
+            x = flat.take(d.take(at) * width + column)
+            x -= intercept[split, d].take(at)
+            x *= normal[split, d].take(at)
+            return x
+
+    total = term(0)
+    for i in range(1, kept.shape[1]):
+        total += term(i)
     return total
 
 
@@ -695,14 +723,14 @@ def _grow_chunks(x, t, psi, extension_level, seed, rotated=False):
             stream = derive_stream(root, i)
             sample = subsample(stream, x, psi)
             if j == 0:  # subsample has checked psi against the rows: the block can be made
-                block = np.empty((x.shape[1], len(chunk) * psi))
+                held = [np.empty((x.shape[1], len(chunk) * psi))]  # the grower takes it out, and frees it
             angle = None
             if rotated:
                 angle = float(stream.uniform(0.0, TWO_PI))
-            block[:, j * psi:(j + 1) * psi] = sample.T if angle is None else _rotate(sample.T, angle)
+            held[0][:, j * psi:(j + 1) * psi] = sample.T if angle is None else _rotate(sample.T, angle)
             streams.append(stream)
             angles.append(angle)
-        yield _grow_trees(block, streams, angles, limit=limit, extension_level=extension_level)
+        yield _grow_trees(held, streams, angles, limit=limit, extension_level=extension_level)
 
 
 def _tree_stream(x, t, psi, extension_level, seed):

@@ -227,7 +227,7 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
     streams = [derive_stream(root, i) for i in range(t)]
     angles = [float(angles[i]) for i in range(t)]
     samples = [_rotate(subsample(stream, data, psi).T, angle) for stream, angle in zip(streams, angles)]
-    trees = _grow_trees(np.concatenate(samples, axis=1), streams, angles, limit=height_limit_for(psi),
+    trees = _grow_trees([np.concatenate(samples, axis=1)], streams, angles, limit=height_limit_for(psi),
                         extension_level=0)
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 

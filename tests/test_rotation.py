@@ -71,7 +71,7 @@ class TestBuildRotatedForest:
             angle = float(stream.uniform(0.0, 2 * math.pi))
             assert tree.angle == angle
             turned = _rotate(sample.T, angle)
-            replayed += _grow_trees(turned, [stream], [angle], limit=7, extension_level=0)
+            replayed += _grow_trees([turned], [stream], [angle], limit=7, extension_level=0)
         g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
         assert document_oracle(g) == document_oracle(f)
 
