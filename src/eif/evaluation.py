@@ -176,8 +176,8 @@ def convergence_curve(
     ``Forest`` checks them, and are scored one chunk of 100 at a time, and
     each chunk is dropped before the next one grows, so working memory does
     not grow with ``max(t_values)``. On 20k 8-D rows at level 0 with psi 256
-    and 1,000 probes, its tracemalloc peak is 6.1 MB at 500 trees and 6.2 MB
-    at 2,000, where building the whole forest first took 13.6 and 43.4 MB.
+    and 1,000 probes, its tracemalloc peak is 4.3 MB at 500 trees and at
+    2,000, where building the whole forest first took 12.1 and 41.9 MB.
     The settings and the probes are checked before any tree grows.
     """
     t_values = [_check_count(f"t_values[{k}]", t, 1) for k, t in enumerate(t_values)]

@@ -19,19 +19,21 @@ which x lands in a tree plus a credit of ``c(size)`` for the unresolved leaf
 population, and c(n) is the expected unsuccessful-search depth in a binary
 search tree of n points.
 
-Training grows the trees of a forest a chunk at a time, level by level
-(``_grow_trees``): each step makes one numpy pass over every node, of every
-tree, at one depth, so a chunk takes at most one step per depth, and draws
-the step's splits in one call (``_draw_splits``). There each tree draws its
-own nodes' splits from its own stream, left to right, one kind of draw at a
-time. So a tree is the same grown alone or with others, and the forest is
-the same for any chunk size. A chunk grows on one (dimension, points)
-block of its trees' samples, which the step reorders in place, a row at a
-time, so that the points of the nodes that may still split are its leading
-columns; no step copies it, and it is freed before the chunk's node arrays
-are made (16-D full, 100 trees at psi 256: a tracemalloc peak of 2.5 times
-the block). ``Forest`` checks the trees a chunk per pass too, all in one
-``_check_trees``.
+Training grows the trees of a forest a chunk at a time (``_grow_chunk``),
+level by level (``_grow_levels``): each step makes one numpy pass over every
+node, of every tree, at one depth, so a chunk takes at most one step per
+depth, and draws the step's splits in one call (``_draw_splits``). There
+each tree draws its own nodes' splits from its own stream, left to right,
+one kind of draw at a time. So a tree is the same grown alone or with
+others, and the forest is the same for any chunk size. A chunk grows on one
+(dimension, points) block of its trees' samples, which the step reorders in
+place, a row at a time, so that the points of the nodes that may still split
+are its leading columns; no step copies it, and it is freed, with the step's
+temporaries, before the chunk's node arrays are made (``_tree_arrays``; 16-D
+full, 100 trees at psi 256: a tracemalloc peak of 2.3 times the block). The
+trees are checked a chunk per pass too, in one ``_check_trees`` call, which
+``Forest`` and ``_tree_stream`` both make, so both name the first faulty
+tree in tree order.
 
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
@@ -48,8 +50,8 @@ It reads trees once, in order, from any iterable:
 ``score_batch`` gives it a forest's trees, and ``convergence_curve`` gives it
 ``_tree_stream``, which grows and checks one chunk at a time, so the curve
 holds one chunk of trees, not the whole forest (on 20k 8-D rows at level 0
-with 1,000 probes, a tracemalloc peak of 6.2 MB at 2,000 trees, where the
-whole forest took 43.4 MB). ``path_lengths`` gives its per-tree terms. A
+with 1,000 probes, a tracemalloc peak of 4.3 MB at 2,000 trees, where the
+whole forest took 41.9 MB). ``path_lengths`` gives its per-tree terms. A
 point scores the same alone or in any batch, and replays with an equal seed
 reproduce every output bit-for-bit.
 """
@@ -70,13 +72,13 @@ EULER_GAMMA = 0.5772156649
 
 TWO_PI = 2.0 * math.pi
 
-#: Trees that ``_grow_chunks`` grows together, level by level, and that
-#: ``Forest`` checks in one pass. The block of their points grows with it;
-#: fewer trees share each step's numpy calls among fewer nodes. In two sets
-#: of 8 alternated rounds of 500 level-0 trees on 20k 8-D rows (CPU
-#: seconds), 50 took a median 1.08x and 1.01x as long as 100, and 200 took
-#: 1.02x and 0.97x but held 1.8 MB more at its tracemalloc peak (15.6
-#: against 13.7 MB).
+#: Trees that ``_grow_chunk`` grows together, level by level, and that
+#: ``Forest`` and ``_tree_stream`` check in one ``_check_trees`` call. The
+#: block of their points grows with it; fewer trees share each step's numpy
+#: calls among fewer nodes. In two sets of 8 alternated rounds of 500
+#: level-0 trees on 20k 8-D rows (CPU seconds), 50 took a median 1.08x and
+#: 1.01x as long as 100, and 200 took 1.02x and 0.97x but held 1.8 MB more
+#: at its tracemalloc peak (15.6 against 13.7 MB).
 _CHUNK_TREES = 100
 
 VARIANT_STANDARD = "standard-equivalent"
@@ -128,14 +130,15 @@ class Forest:
     """Trees plus the settings they were grown with. ``t``, ``dimension`` (the
     trees' split width), ``normalizer`` (c(psi)) and ``variant`` derive from them.
 
-    Making one checks every model invariant, in ``_check_arrays``,
-    ``_check_settings`` (the rotated variant's rules too) and
-    ``_check_trees``, so built, loaded and hand-made forests pass the same
-    checks. ``_check_trees`` states the tree invariants once: it runs over
-    ``_CHUNK_TREES`` trees per pass and names the first fault, with no
-    second path. The settings must be integers, not
-    floats or bools, and are stored as Python ints. It is frozen, with its
-    trees in a tuple, so it stays as checked.
+    Making one checks every model invariant, so built, loaded and hand-made
+    forests pass the same checks, in this order: tree 0's node arrays
+    (``_check_arrays``: its ``normal`` sets the dimension), the settings
+    (``_check_settings``, the rotated variant's rules too), then
+    ``_check_trees`` once per ``_CHUNK_TREES`` trees, which states the tree
+    invariants once and names the first faulty tree in tree order, with no
+    second path. The settings must be integers, not floats or bools, and are
+    stored as Python ints. It is frozen, with its trees in a tuple, so it
+    stays as checked.
     """
 
     trees: tuple[IsolationTree, ...]
@@ -145,16 +148,15 @@ class Forest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trees", tuple(self.trees))
-        for k, tree in enumerate(self.trees):  # tree 0's normal sets the dimension
-            _check_arrays(tree, f"tree {k}", self.dimension if k else None)
+        if self.trees:
+            _check_arrays(self.trees[0], "tree 0", None)
         dim = self.dimension if self.trees else 0
         rotated = bool(self.trees) and self.trees[0].angle is not None
         _, psi, level, seed = _check_settings(len(self.trees), self.psi, self.extension_level, self.seed, dim, rotated)
         for name, value in (("psi", psi), ("extension_level", level), ("seed", seed)):
             object.__setattr__(self, name, value)  # a numpy integer would not save as JSON
-        limit = height_limit_for(self.psi)
         for start in range(0, self.t, _CHUNK_TREES):
-            _check_trees(self.trees[start:start + _CHUNK_TREES], start, self.trees[0].angle, psi, level + 1, limit)
+            _check_trees(self.trees[start:start + _CHUNK_TREES], start, self.trees[0].angle, psi, level, dim)
 
     @property
     def t(self) -> int:
@@ -210,11 +212,13 @@ def _check_extension_level(extension_level: int, dimension: int) -> None:
 
 
 def _check_arrays(tree: IsolationTree, where: str, dim: int | None) -> None:
-    """Raise ValueError naming the first node array of ``tree`` of the wrong
-    kind or shape: ``left``, ``right`` and ``size`` 1-D integer arrays of one
-    entry per node (at least one), and ``normal`` and ``intercept`` 2-D float
-    arrays, no wider than float64, of one row per node, ``dim`` wide if ``dim``
-    is given."""
+    """Raise ValueError if ``tree`` is not an IsolationTree, or naming the
+    first node array of it of the wrong kind or shape: ``left``, ``right``
+    and ``size`` 1-D integer arrays of one entry per node (at least one), and
+    ``normal`` and ``intercept`` 2-D float arrays, no wider than float64, of
+    one row per node, ``dim`` wide if ``dim`` is given."""
+    if not isinstance(tree, IsolationTree):
+        raise ValueError(f"{where} is {type(tree).__name__}, expected an IsolationTree")
     n = len(tree.left) if tree.left.ndim == 1 else 0
     for name, kind, ndim in (("left", np.integer, 1), ("right", np.integer, 1), ("size", np.integer, 1),
                              ("normal", np.floating, 2), ("intercept", np.floating, 2)):
@@ -237,28 +241,40 @@ def _joined(arrays) -> np.ndarray:
     return np.concatenate([np.minimum(a, 2**63 - 1) if a.dtype == np.uint64 else a for a in arrays], dtype=np.int64)
 
 
-def _check_trees(trees, first: int, angle, psi: int, nonzeros: int, limit: int) -> None:
+def _check_trees(trees, first: int, angle, psi: int, extension_level: int, dim: int) -> None:
     """Raise ValueError naming the first fault in ``trees``, trees ``first``
-    on of a forest whose tree 0 has ``angle``. In tree order, and in each tree
-    in this order, a fault is: an angle set where tree 0's is not (or unset
-    where it is), or not a finite float; for internal rows (``left >= 0``),
-    children out of range or equal; a node that a level-by-level walk from the
-    root reaches twice, beyond ``limit`` or never; leaf sizes below 0 or not
-    summing to psi; non-finite split vectors, or normals without ``nonzeros``
-    nonzero entries.
+    on of a forest of ``psi`` and ``extension_level`` whose tree 0 has
+    ``angle`` and splits in ``dim`` dimensions. In tree order, and in each
+    tree in this order, a fault is: node arrays of the wrong kind or shape
+    (``_check_arrays``); an angle set where tree 0's is not (or unset where it
+    is), or not a finite float; for internal rows (``left >= 0``), children
+    out of range or equal; a node that a level-by-level walk from the root
+    reaches twice, beyond psi's height limit or never; leaf sizes below 0 or
+    not summing to psi; non-finite split vectors, or normals without
+    ``extension_level + 1`` nonzero entries.
 
-    Each check runs once over the chunk, on its node arrays joined end to end
-    with child indices offset into global node ids, and looks only at the
-    trees before the first fault found so far (``end``), so a later check can
-    only name an earlier tree. The walk starts at every root at once and keeps
-    each tree's frontier order: per split, left child, then right. Leaf sizes
-    are summed exactly, in 32-bit halves.
+    The array checks run first, tree by tree, up to the first faulty tree.
+    Each other check runs once over the trees before it, on their node arrays
+    joined end to end with child indices offset into global node ids, and
+    looks only at the trees before the first fault found so far (``end``), so
+    a later check can only name an earlier tree. The walk starts at every
+    root at once and keeps each tree's frontier order: per split, left child,
+    then right. Leaf sizes are summed exactly, in 32-bit halves.
     """
+    end, fault = len(trees), None  # the trees before the first fault found so far, and its message
+    for k, tree in enumerate(trees):
+        try:
+            _check_arrays(tree, f"tree {first + k}", dim)
+        except ValueError as err:
+            if k == 0:  # no tree is left to check before it
+                raise
+            end, fault = k, str(err)
+            break
+    trees, limit, nonzeros = trees[:end], height_limit_for(psi), extension_level + 1
     lens = [len(tree.left) for tree in trees]
     bounds = np.cumsum([0] + lens)  # tree k's nodes have the global ids bounds[k] to bounds[k + 1] - 1
     roots, owner = bounds[:-1], np.repeat(np.arange(len(trees)), lens)
     left, right, size = (_joined([getattr(tree, name) for tree in trees]) for name in ("left", "right", "size"))
-    end, fault = len(trees), None  # the trees before the first fault found so far, and its message
 
     def fail(nodes, message) -> None:
         """Make ``message(k, node, where)`` the fault if the global id ``nodes[0]`` is in a tree k before end."""
@@ -413,16 +429,16 @@ def sample_hyperplane(node_data: np.ndarray, extension_level: int, rng: RngStrea
     """Draw one split ``(normal, intercept)`` for the points at a node, as
     training draws the split of a node alone on its level (see
     ``_draw_splits``, where the nodes that share a level take each kind of
-    draw in turn). The points must be finite, each column's range must have
-    a finite width, and ``extension_level`` must be an integer in
+    draw in turn). The points must be a finite (rows, dimension) dataset
+    (``as_dataset``) of at least 2 rows, each column's range must have a
+    finite width, and ``extension_level`` must be an integer in
     [0, dimension - 1]; nothing is drawn otherwise."""
-    x = np.asarray(node_data, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    x = as_dataset(node_data, "node_data")
+    if x.shape[0] < 2:
         raise ValueError("sample_hyperplane requires at least 2 points")
     dim = x.shape[1]
     level = _check_integer("extension_level", extension_level)
     _check_extension_level(level, dim)
-    _require_finite(x, "node_data")
     lo, hi = x.min(axis=0), x.max(axis=0)
     _require_finite_span(lo, hi, "node_data")
     normal, intercept, _ = _draw_splits([rng], [1], dim, dim - 1 - level, lo[:, None], (hi - lo)[:, None])
@@ -502,15 +518,14 @@ def _draw_splits(streams, counts, dim: int, n_zero: int, lo: np.ndarray, span: n
     return normal, lo.T + span.T * u, kept
 
 
-def _grow_trees(held, streams, angles=None, *, limit, extension_level) -> list[IsolationTree]:
+def _grow_levels(block, streams, *, limit, extension_level) -> list[tuple]:
     """Grow one tree per stream on the points that are the columns of the
-    C-contiguous (dimension, points) block that the list ``held`` holds
-    alone: tree j on the j-th of ``len(streams)`` equal column ranges,
-    drawing its splits from ``streams[j]``. Record ``angles[j]`` on it if
-    angles are given. The grower takes the block out of ``held``, reorders
-    its columns in place, and drops it once the trees have grown, before it
-    makes their node arrays, so a caller that keeps no other reference has
-    the block freed then.
+    C-contiguous (dimension, points) ``block``: tree j on the j-th of
+    ``len(streams)`` equal column ranges, drawing its splits from
+    ``streams[j]``. The block's columns are reordered in place. Return, per
+    depth, the records ``_tree_arrays`` makes the node arrays from: each
+    node's tree and point count, the positions of the nodes that split, and
+    their normals and intercepts. No record refers to the block.
 
     A node becomes a leaf when the height limit is reached, one point or
     fewer remains, or every remaining point is identical (no hyperplane can
@@ -536,13 +551,7 @@ def _grow_trees(held, streams, angles=None, *, limit, extension_level) -> list[I
     time, packs the points of the children that may split next in their
     order (each child's points in their order), with the rest behind. The
     last step below the height limit skips it: no child splits.
-
-    After the last step, subtree sizes summed from the deepest level up give
-    every node its place in its tree's preorder, level by level from the
-    roots down, and each level's split rows are written once into the
-    chunk-wide node arrays, of which every tree's are row ranges.
     """
-    block = held.pop()
     dim, n = block.shape[0], block.shape[1] // len(streams)
     n_zero = dim - 1 - extension_level
     owner, count = np.arange(len(streams)), np.full(len(streams), n)  # the step's nodes: each one's tree and size
@@ -586,7 +595,17 @@ def _grow_trees(held, streams, angles=None, *, limit, extension_level) -> list[I
         if height + 1 < limit:  # each point's child, ranked behind every splitting child if its own will not split
             child = 2 * at + went_right
             _permute_columns(block, np.argsort(np.where(count[child] > 1, child, len(count)), kind="stable"))
-    del block  # the trees have grown: the node arrays below are made with the block freed
+    return levels
+
+
+def _tree_arrays(levels, dim: int, angles=None) -> list[IsolationTree]:
+    """The trees of ``_grow_levels``' records ``levels``, of splits ``dim``
+    wide; tree j records ``angles[j]`` if angles are given. Subtree sizes
+    summed from the deepest level up give every node its place in its tree's
+    preorder, level by level from the roots down, and each level's split rows
+    are written once into the chunk-wide node arrays, of which every tree's
+    are row ranges.
+    """
     subtree = [np.ones(len(level[1]), dtype=np.int64) for level in levels]  # each node's subtree node count
     for k in range(len(levels) - 2, -1, -1):  # the deepest level's nodes are all leaves
         subtree[k][levels[k][2]] += subtree[k + 1][0::2] + subtree[k + 1][1::2]
@@ -670,13 +689,7 @@ def height_limit_for(psi: int) -> int:
     return (_check_count("psi", psi, 1) - 1).bit_length()
 
 
-def build_forest(
-    data: np.ndarray,
-    t: int,
-    psi: int,
-    extension_level: int,
-    seed: int,
-) -> Forest:
+def build_forest(data: np.ndarray, t: int, psi: int, extension_level: int, seed: int) -> Forest:
     """Train a forest of t trees, each on its own psi-point subsample.
 
     Tree i consumes only the child stream derived at index i, so any prefix
@@ -696,41 +709,43 @@ def build_rotated_forest(data: np.ndarray, t: int, psi: int, seed: int) -> Fores
 
 
 def _build_forest(x, t, psi, extension_level, seed, rotated=False) -> Forest:
-    """The forest of ``_grow_chunks``' trees. The settings, and a rotated
+    """The forest of ``_grow_chunk``'s trees. The settings, and a rotated
     forest's rules, are checked before any stream is derived."""
     t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1], rotated)
-    trees = [tree for chunk in _grow_chunks(x, t, psi, extension_level, seed, rotated) for tree in chunk]
+    chunks = (_grow_chunk(x, first, t, psi, extension_level, seed, rotated) for first in range(0, t, _CHUNK_TREES))
+    trees = [tree for chunk in chunks for tree in chunk]
     return Forest(trees=trees, psi=psi, extension_level=extension_level, seed=seed)
 
 
-def _grow_chunks(x, t, psi, extension_level, seed, rotated=False):
-    """Yield the t trees of a forest on ``x`` as lists of ``_CHUNK_TREES``
-    (the last may be shorter), growing each list when it is asked for.
+def _grow_chunk(x, first, t, psi, extension_level, seed, rotated=False) -> list[IsolationTree]:
+    """Trees ``first`` on of the t-tree forest on ``x``, ``_CHUNK_TREES`` of
+    them or the rest.
 
     Per tree i, in this order: derive stream i from the seed's root stream,
     draw the psi-row subsample from it, and, for a rotated forest, draw the
-    tree's angle uniform on [0, 2*pi) and turn the subsample by it; then grow
-    the tree on the same stream, level by level with the rest of its chunk. Tree
-    i reads only stream i, so neither build order nor chunking can change a
-    tree. The settings must have passed ``_check_settings``.
+    tree's angle uniform on [0, 2*pi) and turn the subsample by it; then the
+    trees grow on the same streams, level by level together, on one block of
+    their samples (``_grow_levels``). Tree i reads only stream i, so neither
+    build order nor chunking can change a tree. The settings must have passed
+    ``_check_settings``.
+
+    The block is freed here, its one reference, before the node arrays are
+    made (``_tree_arrays``), and the growth records go when this returns, so
+    a caller that reads the chunk's trees, or grows the next chunk, holds
+    neither.
     """
-    limit = height_limit_for(psi)
-    root = make_rng(seed)
-    for first in range(0, t, _CHUNK_TREES):
-        chunk = range(first, min(first + _CHUNK_TREES, t))
-        streams, angles = [], []
-        for j, i in enumerate(chunk):
-            stream = derive_stream(root, i)
-            sample = subsample(stream, x, psi)
-            if j == 0:  # subsample has checked psi against the rows: the block can be made
-                held = [np.empty((x.shape[1], len(chunk) * psi))]  # the grower takes it out, and frees it
-            angle = None
-            if rotated:
-                angle = float(stream.uniform(0.0, TWO_PI))
-            held[0][:, j * psi:(j + 1) * psi] = sample.T if angle is None else _rotate(sample.T, angle)
-            streams.append(stream)
-            angles.append(angle)
-        yield _grow_trees(held, streams, angles, limit=limit, extension_level=extension_level)
+    root, angles = make_rng(seed), []
+    streams = [derive_stream(root, i) for i in range(first, min(first + _CHUNK_TREES, t))]
+    for j, stream in enumerate(streams):
+        sample = subsample(stream, x, psi)
+        if j == 0:  # subsample has checked psi against the rows: the block can be made
+            block = np.empty((x.shape[1], len(streams) * psi))
+        angle = float(stream.uniform(0.0, TWO_PI)) if rotated else None
+        block[:, j * psi:(j + 1) * psi] = sample.T if angle is None else _rotate(sample.T, angle)
+        angles.append(angle)
+    levels = _grow_levels(block, streams, limit=height_limit_for(psi), extension_level=extension_level)
+    del block  # the trees have grown: their node arrays are made with the block freed
+    return _tree_arrays(levels, x.shape[1], angles)
 
 
 def _tree_stream(x, t, psi, extension_level, seed):
@@ -739,22 +754,17 @@ def _tree_stream(x, t, psi, extension_level, seed):
 
     The settings are checked here, with ``build_forest``'s messages. The
     iterator grows each chunk when its first tree is asked for, and checks it
-    as ``Forest`` does (each tree's arrays, then ``_check_trees`` from the
-    chunk's first tree index) before it yields any of its trees, so a faulty
-    tree is named as ``build_forest`` names it.
+    with ``Forest``'s ``_check_trees`` call for that chunk before it yields
+    any of its trees, so a faulty tree is named as ``build_forest`` names it.
     """
     t, psi, extension_level, seed = _check_settings(t, psi, extension_level, seed, x.shape[1], False)
-    limit = height_limit_for(psi)
 
     def trees():
-        first = 0
-        for chunk in _grow_chunks(x, t, psi, extension_level, seed):
-            for k, tree in enumerate(chunk, first):
-                _check_arrays(tree, f"tree {k}", x.shape[1] if k else None)
-            _check_trees(chunk, first, None, psi, extension_level + 1, limit)
-            first += len(chunk)
+        for first in range(0, t, _CHUNK_TREES):
+            chunk = _grow_chunk(x, first, t, psi, extension_level, seed)
+            _check_trees(chunk, first, None, psi, extension_level, x.shape[1])
             yield from chunk
-            del chunk, tree  # so that the next chunk grows without this one (a tree is a view into it)
+            del chunk  # so that the next chunk grows without this one (a tree is a view into it)
 
     return c_factor(psi), trees()
 

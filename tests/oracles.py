@@ -10,7 +10,8 @@ import numpy as np
 from eif.errors import CsvFormatError
 from eif.evaluation import ConvergenceSeries, _population_variance, grid_points
 from eif.forest import (
-    Forest, IsolationTree, _grow_trees, _rotate, build_forest, c_factor, height_limit_for, score_batch,
+    Forest, IsolationTree, _grow_levels, _rotate, _tree_arrays, build_forest, c_factor, height_limit_for,
+    score_batch,
 )
 from eif.model_io import FORMAT_MAGIC, FORMAT_VERSION, _fail, _floats, _require, format_score
 from eif.rng import RNG_FAMILY, choose_indices, derive_stream, make_rng, subsample
@@ -219,6 +220,15 @@ def convergence_curve_oracle(data, probe_points, t_values, psi, extension_level,
     return ConvergenceSeries(t_values=list(t_values), means=means, variances=variances)
 
 
+def grow_trees(block, streams, angles=None, *, limit, extension_level):
+    """The trees that training grows, one per stream, on the columns of the
+    (dimension, points) ``block``, which it reorders in place: tree j on the
+    j-th of ``len(streams)`` equal column ranges, with ``angles[j]`` if
+    angles are given (``_grow_levels``, then ``_tree_arrays``)."""
+    levels = _grow_levels(block, streams, limit=limit, extension_level=extension_level)
+    return _tree_arrays(levels, len(block), angles)
+
+
 def rotated_forest_with_angles(data, t, psi, seed, angles):
     """Rotated forest whose tree i is grown on its subsample turned by
     ``angles[i]``. No angle is drawn, so each stream is consumed as by a
@@ -227,8 +237,8 @@ def rotated_forest_with_angles(data, t, psi, seed, angles):
     streams = [derive_stream(root, i) for i in range(t)]
     angles = [float(angles[i]) for i in range(t)]
     samples = [_rotate(subsample(stream, data, psi).T, angle) for stream, angle in zip(streams, angles)]
-    trees = _grow_trees([np.concatenate(samples, axis=1)], streams, angles, limit=height_limit_for(psi),
-                        extension_level=0)
+    trees = grow_trees(np.concatenate(samples, axis=1), streams, angles, limit=height_limit_for(psi),
+                       extension_level=0)
     return Forest(trees=trees, psi=psi, extension_level=0, seed=seed)
 
 
@@ -346,7 +356,7 @@ def tree_from_rows(rows, dimension: int, angle: float | None = None) -> Isolatio
 
 def grow_oracle(x, *, limit, extension_level, rng, angle=None):
     """One tree grown alone, breadth first, on row-major data, the reference
-    for ``_grow_trees``: each node copies its rows with a mask, the nodes
+    for ``grow_trees``: each node copies its rows with a mask, the nodes
     that split at a depth draw their splits left to right with
     ``draw_level_oracle``, and each adds the margin terms of its nonzero
     normal entries one coordinate at a time, in index order. The tree is

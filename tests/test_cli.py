@@ -441,7 +441,7 @@ class TestConverge:
         def no_growth(*args, **kwargs):
             raise AssertionError("a tree grew before t was checked")
 
-        monkeypatch.setattr("eif.forest._grow_trees", no_growth)
+        monkeypatch.setattr("eif.forest._grow_levels", no_growth)
         code, _, err = invoke(capsys, "converge", "--data", str(blob_csv), "--probe", str(blob_csv),
                               "--t-values", "1,99999999999999999999", "--psi", "8", "--extension", "0",
                               "--seed", "1", "--out", str(tmp_path / "c.csv"))

@@ -16,9 +16,9 @@ from eif.forest import (
     _CHUNK_TREES,
     Forest,
     IsolationTree,
+    _check_arrays,
     _columns,
     _draw_splits,
-    _grow_trees,
     _margins,
     _prefix_scores,
     _split_margins,
@@ -35,7 +35,7 @@ from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
 from oracles import (
     bounded_integer, check_tree_oracle, document_oracle, draw_level_oracle, draw_split_oracle, forest_oracle,
-    grow_oracle, knife_edge_points, leaf_depths, path_length_oracle, score_oracle, tree_from_nested,
+    grow_oracle, grow_trees, knife_edge_points, leaf_depths, path_length_oracle, score_oracle, tree_from_nested,
 )
 
 EULER = 0.5772156649
@@ -144,6 +144,17 @@ class TestHyperplaneSampling:
         data[5, 2] = value
         self.assert_rejected_before_drawing(
             data, 1, rf"^node_data contains non-finite value {value} at row 5, column 2$")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data,match", [
+        (np.zeros(5), r"^node_data must be 2-D \(rows, dimension\), got shape \(5,\)$"),
+        (np.zeros((4, 3, 2)), r"^node_data must be 2-D \(rows, dimension\), got shape \(4, 3, 2\)$"),
+        (1.5, r"^node_data must be 2-D \(rows, dimension\), got shape \(\)$"),
+        (np.zeros((5, 0)), r"^node_data must have dimension >= 1$"),
+        (np.zeros((1, 3)), r"^sample_hyperplane requires at least 2 points$"),
+    ], ids=["1-D", "3-D", "scalar", "no-columns", "one-row"])
+    def test_rejects_node_data_of_the_wrong_shape(self, data, match):
+        self.assert_rejected_before_drawing(data, 0, match)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_span_that_overflows(self):
@@ -382,32 +393,32 @@ def is_single_leaf(tree, size):
 
 class TestBuildTree:
     def test_singleton_becomes_leaf(self):
-        tree = _grow_trees([_columns(np.array([[1.0, 2.0]]))], [make_rng(1)], limit=8, extension_level=1)[0]
+        tree = grow_trees(_columns(np.array([[1.0, 2.0]])), [make_rng(1)], limit=8, extension_level=1)[0]
         assert is_single_leaf(tree, 1)
 
     def test_identical_points_become_leaf(self):
         data = np.tile([1.5, -2.0], (20, 1))
-        tree = _grow_trees([_columns(data)], [make_rng(1)], limit=8, extension_level=1)[0]
+        tree = grow_trees(_columns(data), [make_rng(1)], limit=8, extension_level=1)[0]
         assert is_single_leaf(tree, 20)
 
     def test_height_limit_reached_becomes_leaf(self):
         data = gen_gaussian_blob(10, 2, seed=1)
-        tree = _grow_trees([_columns(data)], [make_rng(1)], limit=0, extension_level=1)[0]
+        tree = grow_trees(_columns(data), [make_rng(1)], limit=0, extension_level=1)[0]
         assert is_single_leaf(tree, 10)
 
     def test_four_points_depth_two(self):
         data = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = _grow_trees([_columns(data)], [make_rng(3)], limit=2, extension_level=0)[0]
+        tree = grow_trees(_columns(data), [make_rng(3)], limit=2, extension_level=0)[0]
         assert max_depth(tree) == 2
         assert sum(leaf_sizes(tree)) == 4
 
     def test_leaf_mass_conservation(self):
         data = gen_gaussian_blob(256, 3, seed=4)
-        tree = _grow_trees([_columns(data)], [make_rng(9)], limit=8, extension_level=2)[0]
+        tree = grow_trees(_columns(data), [make_rng(9)], limit=8, extension_level=2)[0]
         assert sum(leaf_sizes(tree)) == 256
 
     def test_nodes_are_in_preorder(self):
-        tree = _grow_trees([_columns(gen_gaussian_blob(64, 2, seed=5))], [make_rng(2)], limit=6, extension_level=1)[0]
+        tree = grow_trees(_columns(gen_gaussian_blob(64, 2, seed=5)), [make_rng(2)], limit=6, extension_level=1)[0]
         internal = np.flatnonzero(tree.left >= 0)
         assert tree.left[internal].tolist() == (internal + 1).tolist()
         assert np.all(tree.right[internal] > tree.left[internal])
@@ -581,6 +592,14 @@ class TestBuildForest:
         with pytest.raises(ValueError, match="tree 3 splits in dimension 3, tree 0 in dimension 2"):
             Forest(trees=two.trees + three.trees, psi=32, extension_level=1, seed=1)
 
+    @pytest.mark.parametrize("entry,kind", [(None, "NoneType"), ((1, 2), "tuple"), ({"left": [-1]}, "dict")])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_an_entry_that_is_not_a_tree(self, entry, kind, at):
+        trees = list(build_forest(gen_gaussian_blob(64, 2, seed=1), 1, 16, 1, seed=1).trees)
+        trees.insert(at, entry)
+        with pytest.raises(ValueError, match=rf"^tree {at} is {kind}, expected an IsolationTree$"):
+            Forest(trees=trees, psi=16, extension_level=1, seed=1)
+
     def test_rejects_rotated_and_unrotated_trees_together(self, blob_2d):
         plain = build_forest(blob_2d, 2, 64, 0, seed=1)
         rotated = build_rotated_forest(blob_2d, 2, 64, seed=1)
@@ -612,7 +631,7 @@ class TestBuildForest:
         for i in reversed(range(8)):
             stream = derive_stream(root, i)
             sample = _columns(subsample(stream, blob_2d, 128))
-            reversed_trees[i] = _grow_trees([sample], [stream], limit=7, extension_level=1)[0]
+            reversed_trees[i] = grow_trees(sample, [stream], limit=7, extension_level=1)[0]
         g = Forest(trees=reversed_trees, psi=128, extension_level=1, seed=21)
         assert json.dumps(document_oracle(f)) == json.dumps(document_oracle(g))
 
@@ -988,7 +1007,7 @@ def test_lone_knife_edge_points_score_as_the_scalar_oracle(seed):
 @given(seed=st.integers(0, 2**32), dim=st.integers(9, 20), full=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
-    """_grow_trees' node arrays equal the row-major oracle's on wide-scale data
+    """Training's node arrays equal the row-major oracle's on wide-scale data
     that holds points whose side of the root split depends on the order the
     margin terms are added in (from 9 nonzero normal entries; the points lie
     inside the data's box, so the root draws the same split)."""
@@ -997,7 +1016,7 @@ def test_grow_adds_margin_terms_in_index_order(seed, dim, full):
     normal, intercept = sample_hyperplane(data, level, make_rng(seed))
     data = np.vstack([data, knife_edge_points(normal, intercept, data.min(axis=0), data.max(axis=0))])
     limit = height_limit_for(len(data))
-    grown = _grow_trees([_columns(data)], [make_rng(seed)], limit=limit, extension_level=level)[0]
+    grown = grow_trees(_columns(data), [make_rng(seed)], limit=limit, extension_level=level)[0]
     oracle = grow_oracle(data, limit=limit, extension_level=level, rng=make_rng(seed))
     for name in ("normal", "intercept", "left", "right", "size"):
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
@@ -1049,11 +1068,13 @@ def test_build_memory_is_bounded_by_its_point_block():
     extension and 8-D at level 0, peaks (tracemalloc) at no more than 2.8
     times the (dimension, t * psi) float64 point block the chunk grows on:
     the grower reorders the block in place, with no per-level copy of it,
-    and frees it before it makes the node arrays, into which each split row
-    is written once. Under numpy 2.4.6 it read 2.50 and 2.49 times. The
-    grower that copied each level's points read 3.52 and 3.49, that grower
-    freeing the block 3.15 and 3.40, and this one with the block kept alive
-    through the node arrays 3.50 and 3.47."""
+    and the block and the grower's temporaries are freed before the node
+    arrays are made, into which each split row is written once. Under numpy
+    2.4.6 it read 2.28 and 2.49 times (2.50 and 2.49 while one function grew
+    the trees and made their arrays). The grower that copied each level's
+    points read 3.52 and 3.49, that grower freeing the block 3.15 and 3.40,
+    and this one with the block kept alive through ``_tree_arrays`` 3.09 and
+    2.99."""
     for dim, level in ((16, 15), (8, 0)):
         data = gen_gaussian_blob(20_000, dim, seed=1)
         build_forest(data, 2, 256, level, seed=1)  # imports and caches outside the trace
@@ -1102,12 +1123,14 @@ def test_tree_from_lists_is_held_as_read_only_arrays():
 
 def tree_by_tree_fault(trees, psi, extension_level):
     """The message of the first fault the tree-by-tree checks find in
-    ``trees``, or None: the angle-mix test, then ``check_tree_oracle``, per tree."""
+    ``trees``, or None: per tree, its node arrays (``_check_arrays``, as wide
+    as tree 0's normal), the angle-mix test, then ``check_tree_oracle``."""
     for k, tree in enumerate(trees):
-        if (tree.angle is None) != (trees[0].angle is None):
-            return (f"tree {k} has angle {tree.angle} but tree 0 has angle {trees[0].angle}: "
-                    "either every tree is rotated or none is")
         try:
+            _check_arrays(tree, f"tree {k}", trees[0].normal.shape[1] if k else None)
+            if (tree.angle is None) != (trees[0].angle is None):
+                return (f"tree {k} has angle {tree.angle} but tree 0 has angle {trees[0].angle}: "
+                        "either every tree is rotated or none is")
             check_tree_oracle(tree, f"tree {k}", psi, extension_level + 1, height_limit_for(psi))
         except ValueError as err:
             return str(err)
@@ -1134,6 +1157,8 @@ _FAULTS = {  # tree -> the same tree with one fault
     "nan-split": lambda tree: _replace_entry(tree, "intercept", 0, np.nan),
     "nonzero-count": lambda tree: _replace_entry(tree, "normal", 0, 0.0),
     "angle": lambda tree: dataclasses.replace(tree, angle=0.5),
+    "float-left": lambda tree: dataclasses.replace(tree, left=tree.left.astype(np.float64)),
+    "narrow-normal": lambda tree: dataclasses.replace(tree, normal=tree.normal[:, :-1]),
 }
 
 
@@ -1152,6 +1177,10 @@ def forest_250():
     ({120: "unreachable-node", 180: "nonzero-count"}, 120),
     ({130: "angle", 140: "leaf-mass"}, 130),
     ({99: "nonzero-count", 100: "child-out-of-range"}, 99),
+    ({30: "nan-split", 130: "float-left"}, 30),
+    ({130: "float-left", 140: "leaf-mass"}, 130),
+    ({120: "shared-subtree", 160: "narrow-normal"}, 120),
+    ({99: "leaf-mass", 100: "narrow-normal"}, 99),
 ])
 def test_chunked_checks_name_the_fault_the_tree_by_tree_checks_name(forest_250, faults, named):
     trees = list(forest_250.trees)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eif.forest import (
-    Forest, _grow_trees, _rotate, build_forest, build_rotated_forest, score_batch,
+    Forest, _rotate, build_forest, build_rotated_forest, score_batch,
 )
 from eif.rng import derive_stream, make_rng, subsample
 from eif.synthetic import gen_gaussian_blob
-from oracles import document_oracle, rotated_forest_with_angles
+from oracles import document_oracle, grow_trees, rotated_forest_with_angles
 
 
 def rotate_point(x, angle):
@@ -71,7 +71,7 @@ class TestBuildRotatedForest:
             angle = float(stream.uniform(0.0, 2 * math.pi))
             assert tree.angle == angle
             turned = _rotate(sample.T, angle)
-            replayed += _grow_trees([turned], [stream], [angle], limit=7, extension_level=0)
+            replayed += grow_trees(turned, [stream], [angle], limit=7, extension_level=0)
         g = Forest(trees=replayed, psi=128, extension_level=0, seed=17)
         assert document_oracle(g) == document_oracle(f)
 
