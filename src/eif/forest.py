@@ -35,25 +35,34 @@ trees are checked a chunk per pass too, in one ``_check_trees`` call, which
 ``Forest`` and ``_tree_stream`` both make, so both name the first faulty
 tree in tree order.
 
+Scoring walks a group of trees at a time (``_tree_depths``) in one of two
+ways, chosen by the batch size alone. A batch of at most
+``_LEVEL_WALK_ROWS`` (2,048) rows takes the level walk (``_level_walk``):
+each step moves every (tree, row) pair of the group one level down, with
+the step's margins from training's kernel, ``_split_margins``. A larger
+batch takes the node walk (``_path_lengths``): each node reached takes the
+margins of its rows in one ``_margins`` call. Both give the same bits.
+
 Numerical contract: a margin ``(x - p) . n`` sums the terms of n's nonzero
 coordinates in index order, and per-tree depths are summed in tree order.
 Building and scoring hold the points column-major, as a (dimension, points)
-block. Training's ``_split_margins`` adds the terms one at a time, a row of
-terms per coordinate at full extension. Scoring's ``_margins`` does too,
-or, where every normal entry of more than two is nonzero, sums them by an
-axis-0 reduce over a C-contiguous block of two or more points, which adds
-its rows in order: the same bits. A reduce over one point's (k, 1) block,
-over an F-ordered view or along ``axis=1`` must never sum them: numpy sums
-those pairwise, which changes the bits from 9 terms up. ``_prefix_scores``
-is the one place depths are summed in tree order and turned into scores.
-It reads trees once, in order, from any iterable:
-``score_batch`` gives it a forest's trees, and ``convergence_curve`` gives it
-``_tree_stream``, which grows and checks one chunk at a time, so the curve
-holds one chunk of trees, not the whole forest (on 20k 8-D rows at level 0
-with 1,000 probes, a tracemalloc peak of 4.3 MB at 2,000 trees, where the
-whole forest took 41.9 MB). ``path_lengths`` gives its per-tree terms. A
-point scores the same alone or in any batch, and replays with an equal seed
-reproduce every output bit-for-bit.
+block. ``_split_margins`` adds the terms one at a time, a row of terms per
+coordinate at full extension. ``_margins`` does too, or, where every
+normal entry of more than two is nonzero, sums them by an axis-0 reduce
+over a C-contiguous block of two or more points, which adds its rows in
+order: the same bits. A reduce over one point's (k, 1) block, over an
+F-ordered view or along ``axis=1`` must never sum them: numpy sums those
+pairwise, which changes the bits from 9 terms up. ``_prefix_scores`` is
+the one place depths are summed in tree order and turned into scores. It
+reads trees once, in order, from any iterable, in groups that end at every
+requested t and at every 100th tree (``_tree_rows``): ``score_batch`` gives
+it a forest's trees, and ``convergence_curve`` gives it ``_tree_stream``,
+which grows and checks one chunk at a time, so the curve holds one chunk of
+trees, not the whole forest (on 20k 8-D rows at level 0 with 1,000 probes,
+a tracemalloc peak of 4.3 MB at 2,000 trees, where the whole forest took
+41.9 MB). ``path_lengths`` gives its per-tree terms, from the same groups.
+A point scores the same alone or in any batch, and replays with an equal
+seed reproduce every output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +89,25 @@ TWO_PI = 2.0 * math.pi
 #: 1.01x as long as 100, and 200 took 1.02x and 0.97x but held 1.8 MB more
 #: at its tracemalloc peak (15.6 against 13.7 MB).
 _CHUNK_TREES = 100
+
+#: Batches of at most this many rows are scored by the level walk
+#: (``_level_walk``), larger ones by the node walk (``_path_lengths``): the
+#: largest power of two at or below every crossover measured (CPU time, 100
+#: trees at psi 256, in the groups ``_tree_rows`` reads). At 2,048 rows the
+#: level walk took 0.46-0.71 times the node walk's time, but 0.90 at 16-D
+#: full extension, whose crossover lies between 2,048 and 3,000 rows; the
+#: others lie between 4,096 and about 10,000 (the table in CHANGES.md).
+_LEVEL_WALK_ROWS = 2048
+
+#: Scoring reads trees in groups of ``_GROUP_PAIRS // points`` trees, at
+#: least 1 and at most ``_GROUP_TREES``: a level-walk step's arrays hold at
+#: most ``_GROUP_PAIRS`` (tree, point) pairs, and its joined node arrays a
+#: quarter of a chunk's. On 100 trees at psi 256, a lone point took 7.2 ms
+#: in groups of 25 and 7.1 ms in groups of 100 at 16-D full extension, with
+#: ``score_batch`` peaking (tracemalloc) at 1.3 against 4.7 MB, and 3.0
+#: against 2.5 ms at 8-D level 0.
+_GROUP_PAIRS = 8192
+_GROUP_TREES = 25
 
 VARIANT_STANDARD = "standard-equivalent"
 VARIANT_EXTENDED = "extended"
@@ -381,7 +409,9 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """(x - p) . n for the points that are the columns ``idx`` of the
-    (dimension, points) block ``xt``, as scoring sends them down a tree.
+    (dimension, points) block ``xt``, as the node walk (``_path_lengths``)
+    sends them down a tree; a batch of more than ``_LEVEL_WALK_ROWS`` rows
+    takes that walk, a smaller one ``_split_margins``, with the same bits.
 
     Only n's nonzero entries add a term, in index order (a zero entry would
     add a signed zero, or NaN where x - p overflows). When every entry is
@@ -414,12 +444,12 @@ def _margins(xt: np.ndarray, normal: np.ndarray, intercept: np.ndarray, idx: np.
     return acc
 
 
-def _rotate(xt: np.ndarray, angle: float) -> np.ndarray:
+def _rotate(xt: np.ndarray, angle: float, out: np.ndarray | None = None) -> np.ndarray:
     """Turn each column of the (2, points) block ``xt`` by ``angle`` radians
-    about the origin, into a C-contiguous block of its own."""
+    about the origin, into ``out``, or a C-contiguous block of its own."""
     c = math.cos(angle)
     s = math.sin(angle)
-    out = np.empty(xt.shape)
+    out = np.empty(xt.shape) if out is None else out
     out[0] = xt[0] * c - xt[1] * s
     out[1] = xt[0] * s + xt[1] * c
     return out
@@ -636,31 +666,35 @@ def _permute_columns(block: np.ndarray, order: np.ndarray) -> None:
         row[:m] = row[:m].take(order)
 
 
-def _split_margins(block, at, normal, intercept, kept) -> np.ndarray:
-    """(x - p) . n for each column x of the first ``len(at)`` columns of the
-    C-contiguous (dimension, points) ``block``, under split ``at[c]`` for
-    column c: the rows ``normal[at[c]]`` and ``intercept[at[c]]``, whose
-    coordinates ``kept[at[c]]`` (ascending, as ``_draw_splits`` returns them)
-    add terms. The block is read, not changed, and no column past those is
-    read.
+def _split_margins(block, at, normal, intercept, kept, column=None) -> np.ndarray:
+    """(x - p) . n for each margin c, of the point x that is column
+    ``column[c]`` of the C-contiguous (dimension, points) ``block`` (column c
+    if ``column`` is None), under split ``at[c]``: the rows ``normal[at[c]]``
+    and ``intercept[at[c]]``, whose coordinates ``kept[at[c]]`` (ascending,
+    as ``_draw_splits`` returns them) add terms. The block is read, not
+    changed, and no other column is read. Training takes the margins of a
+    step's leading columns; the level walk (``_level_walk``) takes those of
+    its (row, tree) pairs, each reading its row's column.
 
     As in ``_margins``, the terms are those of the kept entries, added in
     index order. At full extension, where every coordinate is kept, each term
     is formed from one row of the block and added to the sum in turn, which
     gives the bits of ``_margins``' axis-0 reduce. Below it, each term
-    gathers one coordinate per column, the next kept one of its split's
+    gathers one coordinate per margin, the next kept one of its split's
     normal, from the flat block at ``d * width + column``, and is added in
-    place.
+    place. Neither gathers a (dimension, margins) block: at level 0 in 8-D
+    that took 1.2 times as long to score 1,000 rows.
     """
     m = len(at)
     if kept.shape[1] == len(block):  # full extension: the i-th kept coordinate of every split is i
 
         def term(i):
-            x = block[i, :m] - intercept[:, i].take(at)
+            x = (block[i, :m] if column is None else block[i].take(column)) - intercept[:, i].take(at)
             x *= normal[:, i].take(at)
             return x
     else:
-        flat, width, column, split = block.ravel(), block.shape[1], np.arange(m), np.arange(len(normal))
+        flat, width, split = block.ravel(), block.shape[1], np.arange(len(normal))
+        column = np.arange(m) if column is None else column
 
         def term(i):
             d = kept[:, i]
@@ -770,36 +804,121 @@ def _tree_stream(x, t, psi, extension_level, seed):
 
 
 def _path_lengths(xt: np.ndarray, tree: IsolationTree) -> np.ndarray:
-    """Per point, a column of the C-contiguous (dimension, points) block
-    ``xt``: depth at which it lands, plus c(size) credit for the leaf. A
-    rotated tree turns the points into a block of its own.
+    """The node walk: per point, a column of the C-contiguous (dimension,
+    points) block ``xt``, the depth at which it lands in ``tree``, plus c(size)
+    credit for the leaf. Each node reached takes the margins of its points in
+    one ``_margins`` call and sends them on to its children. A rotated tree
+    turns the points into a block of its own. Call it under
+    ``_tree_depths``' error state.
+    """
+    left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
+    out = np.empty(xt.shape[1])
+    stack = [(0, np.arange(xt.shape[1]), 0)]
+    if tree.angle is not None:
+        xt = _rotate(xt, tree.angle)
+    while stack:
+        k, idx, depth = stack.pop()
+        if idx.size == 0:
+            continue
+        if left[k] < 0:
+            out[idx] = depth + c_factor(size[k])
+            continue
+        went_left = _margins(xt, tree.normal[k], tree.intercept[k], idx) <= 0.0
+        stack.append((left[k], idx[went_left], depth + 1))
+        stack.append((right[k], idx[~went_left], depth + 1))
+    return out
+
+
+def _level_walk(xt: np.ndarray, trees) -> np.ndarray:
+    """The level walk: the path lengths of every point, a column of the
+    C-contiguous (dimension, points) block ``xt``, in each of ``trees``, as a
+    (trees, points) array; ``_path_lengths``' values, bit for bit. Call it
+    under ``_tree_depths``' error state.
+
+    Every (tree, point) pair starts at its tree's root, and each step moves
+    every pair still at an internal node one level down: the step's margins
+    come from one ``_split_margins`` call, which reads each pair's point from
+    its column of the block, and each pair then takes its node's left or
+    right child. A pair that reaches a leaf lands at the step's depth plus
+    the leaf's c(size) credit. The trees' node arrays are joined for the
+    walk: their internal nodes' splits in one table, numbered from 0, with
+    each node's kept coordinates, and their leaves numbered ~0, ~1, ... by
+    their credits, so one integer per pair says where it is. Rotated trees
+    turn the points into one block of their own, tree after tree, and each
+    pair reads its tree's copy.
+    """
+    n = xt.shape[1]
+    lens = [len(tree.left) for tree in trees]
+    first = np.cumsum([0] + lens[:-1])  # tree j's nodes are the joined rows first[j] on
+    left, right, size = (_joined([getattr(tree, name) for tree in trees]) for name in ("left", "right", "size"))
+    inner = left >= 0
+    code = np.where(inner, np.cumsum(inner) - 1, ~(np.cumsum(~inner) - 1))
+    child = code[np.column_stack((left[inner], right[inner])) + np.repeat(first, lens)[inner, None]].ravel()
+    sizes, leaf_size = np.unique(size[~inner], return_inverse=True)
+    credit = np.array([c_factor(s) for s in sizes.tolist()])[leaf_size]
+    splits = np.split(inner, first[1:].tolist())
+    normal = np.concatenate([tree.normal[split] for tree, split in zip(trees, splits)])
+    intercept = np.concatenate([tree.intercept[split] for tree, split in zip(trees, splits)])
+    kept = normal.nonzero()[1].reshape(len(normal), np.count_nonzero(normal[:1]))
+    block = xt
+    if trees[0].angle is not None:
+        block = np.empty((2, len(trees) * n))
+        for j, tree in enumerate(trees):
+            _rotate(xt, tree.angle, out=block[:, j * n:(j + 1) * n])
+    width = block.shape[1]  # pair j * n + r reads column r of xt, or column j * n + r of a rotated block
+    out = np.empty(len(trees) * n)
+    node, pair, depth = np.repeat(code[first], n), np.arange(len(trees) * n), 0
+    while pair.size:
+        landed = node < 0
+        if landed.any():
+            out[pair[landed]] = depth + credit[~node[landed]]
+            node, pair = node[~landed], pair[~landed]
+            if not pair.size:
+                break
+        went_right = _split_margins(block, node, normal, intercept, kept, pair % width) > 0.0
+        node, depth = child[2 * node + went_right], depth + 1
+    return out.reshape(len(trees), n)
+
+
+def _tree_depths(xt: np.ndarray, trees):
+    """The path lengths of every point, a column of the C-contiguous
+    (dimension, points) block ``xt``, in each of ``trees``, as one row per
+    tree: by the level walk (``_level_walk``) for a batch of at most
+    ``_LEVEL_WALK_ROWS`` points, else by the node walk (``_path_lengths``).
+    Both give the same bits.
 
     Query rows are finite but not bounded, so a margin (or a rotated
     coordinate) can overflow float64; its sign, and so the branch, is then
     unknown, and a ValueError says so instead of routing the point by an
     inf or NaN margin.
     """
-    left, right, size = tree.left.tolist(), tree.right.tolist(), tree.size.tolist()
-    out = np.empty(xt.shape[1])
-    stack = [(0, np.arange(xt.shape[1]), 0)]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if tree.angle is not None:
-                xt = _rotate(xt, tree.angle)
-            while stack:
-                k, idx, depth = stack.pop()
-                if idx.size == 0:
-                    continue
-                if left[k] < 0:
-                    out[idx] = depth + c_factor(size[k])
-                    continue
-                went_left = _margins(xt, tree.normal[k], tree.intercept[k], idx) <= 0.0
-                stack.append((left[k], idx[went_left], depth + 1))
-                stack.append((right[k], idx[~went_left], depth + 1))
+            if xt.shape[1] <= _LEVEL_WALK_ROWS:
+                return _level_walk(xt, trees)
+            return [_path_lengths(xt, tree) for tree in trees]
     except FloatingPointError as err:
         raise ValueError("a split margin overflowed float64 while scoring: a query row lies too far "
                          "out for this forest's splits to tell its side") from err
-    return out
+
+
+def _tree_rows(xt: np.ndarray, trees, t_values):
+    """Each tree's path lengths of the points, the columns of the C-contiguous
+    (dimension, points) block ``xt``, in tree order, up to the last of the
+    strictly increasing ``t_values``: ``_tree_depths`` of groups of
+    ``_GROUP_PAIRS // points`` trees, from 1 to ``_GROUP_TREES``, cut at
+    every t of ``t_values`` and at every ``_CHUNK_TREES``-th tree. So a group never
+    holds trees of two chunks of an iterator such as ``_tree_stream``: the
+    next chunk grows only once the last group's trees have been scored and
+    dropped.
+    """
+    trees, done = iter(trees), 0
+    size = max(1, min(_GROUP_TREES, _GROUP_PAIRS // max(1, xt.shape[1])))
+    for t in t_values:
+        while done < t:
+            count = min(size, t - done, _CHUNK_TREES - done % _CHUNK_TREES)
+            yield from _tree_depths(xt, list(islice(trees, count)))
+            done += count
 
 
 def score_batch(data, forest: Forest) -> np.ndarray:
@@ -810,11 +929,12 @@ def score_batch(data, forest: Forest) -> np.ndarray:
 
 def path_lengths(data, forest: Forest) -> np.ndarray:
     """(rows, t) path lengths: entry [i, k] is the depth at which row i lands in
-    tree k plus its leaf's c(size) credit, the terms ``score_batch`` sums in tree order."""
+    tree k plus its leaf's c(size) credit, the terms ``score_batch`` sums in tree
+    order, from the same walk (``_tree_rows``)."""
     xt = _query_columns(data, forest)
     out = np.empty((xt.shape[1], forest.t))
-    for k, tree in enumerate(forest.trees):
-        out[:, k] = _path_lengths(xt, tree)
+    for k, depths in enumerate(_tree_rows(xt, forest.trees, [forest.t])):
+        out[:, k] = depths
     return out
 
 
@@ -830,16 +950,17 @@ def _prefix_scores(xt, trees, normalizer: float, t_values):
     """At each t of the strictly increasing ``t_values``, yield the score of
     every point, a column of the C-contiguous (dimension, points) block
     ``xt``, under the first t of ``trees``, with c(psi) ``normalizer``. The
-    only place scores are made: ``trees`` is read once, in order, and each
-    tree's path lengths are added in tree order into one (points,) vector, so
-    no (points, t) matrix is held and no reduce reorders the sum. No name here
-    holds a tree once it has been read: a grown tree's arrays are views into
-    its whole chunk's, so one tree kept would keep the chunk that an iterator
-    such as ``_tree_stream`` has dropped."""
-    trees = iter(trees)
+    only place scores are made: ``trees`` is read once, in order, in the
+    groups of ``_tree_rows``, and each tree's path lengths are added in tree
+    order into one (points,) vector, so no (points, t) matrix is held and no
+    reduce reorders the sum. No name here holds a tree once its group has
+    been scored: a grown tree's arrays are views into its whole chunk's, so
+    one tree kept would keep the chunk that an iterator such as
+    ``_tree_stream`` has dropped."""
+    rows = _tree_rows(xt, trees, t_values)
     total = np.zeros(xt.shape[1])
     for done, t in zip([0, *t_values], t_values):
-        for depths in map(_path_lengths, repeat(xt), islice(trees, t - done)):
+        for depths in islice(rows, t - done):
             total += depths
         # Python's scalar 2.0 ** e, one exponent at a time: np.power and np.exp2
         # differ from it in the last bit on about 5% of exponents, and the PINNED

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from eif.evaluation import convergence_curve
 from eif.forest import (
     _CHUNK_TREES,
+    _LEVEL_WALK_ROWS,
     Forest,
     IsolationTree,
     _check_arrays,
@@ -44,6 +45,19 @@ EULER = 0.5772156649
 def wide_scales(dim):
     """Column scales rising from 1e-6 to 1e6 in index order."""
     return 10.0 ** np.linspace(-6, 6, dim)
+
+
+def both_walks(rows):
+    """``rows``, few enough for the level walk to score them, and the batch of
+    ``_LEVEL_WALK_ROWS + 1`` rows that repeats them, which the node walk scores."""
+    rows = np.asarray(rows, dtype=float)
+    assert len(rows) <= _LEVEL_WALK_ROWS
+    return [rows, np.resize(rows, (_LEVEL_WALK_ROWS + 1, rows.shape[1]))]
+
+
+def score_hexes(rows, forest):
+    """``score_batch``'s scores of the rows, as hex strings."""
+    return [v.hex() for v in score_batch(rows, forest).tolist()]
 
 
 class TestCFactorFormulas:
@@ -692,8 +706,9 @@ class TestPathLengthAndScore:
     def test_overflow_in_a_coordinate_the_split_ignores_does_not_misroute(self):
         # The split reads column 1 only; in column 0, 1e308 - (-1e308) overflows.
         forest = forest_of(tree_from_nested(([0.0, 1.0], [-1e308, 0.5], 1, 7)), psi=8, extension_level=0)
-        far, near = score_batch(np.array([[1e308, 0.0], [0.0, 0.0]]), forest)
-        assert far.hex() == near.hex()
+        for rows in both_walks([[1e308, 0.0], [0.0, 0.0]]):
+            far, near = score_batch(rows, forest)[:2]
+            assert far.hex() == near.hex()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("measure,rows", [
@@ -708,8 +723,9 @@ class TestPathLengthAndScore:
     ])
     def test_margin_overflow_is_an_error_not_a_warning(self, measure, rows):
         data = gen_gaussian_blob(500, len(rows[0]), seed=1)
-        with pytest.raises(ValueError, match="a split margin overflowed float64"):
-            measure(data, np.array(rows))
+        for batch in both_walks(rows):
+            with pytest.raises(ValueError, match="a split margin overflowed float64"):
+                measure(data, batch)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("measure,rows", [
@@ -723,16 +739,18 @@ class TestPathLengthAndScore:
         # right. At 3-D the two rows reach the root as one block.
         dim = len(rows[0])
         forest = forest_of(tree_from_nested(([1e308] * dim, [0.0] * dim, 1, 1)), psi=2, extension_level=dim - 1)
-        with pytest.raises(ValueError, match="a split margin overflowed float64"):
-            measure(np.array(rows), forest)
+        for batch in both_walks(rows):
+            with pytest.raises(ValueError, match="a split margin overflowed float64"):
+                measure(batch, forest)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_overflow_in_a_block_is_an_error(self):
         # Every term is finite, each row's sum is not, and the rows reach the
         # root split as one block: a margin of +-inf must not route them.
         forest = forest_of(tree_from_nested(([1.0] * 3, [0.0] * 3, 1, 1)), psi=2, extension_level=2)
-        with pytest.raises(ValueError, match="a split margin overflowed float64"):
-            score_batch(np.array([[1e308] * 3, [-1e308] * 3]), forest)
+        for rows in both_walks([[1e308] * 3, [-1e308] * 3]):
+            with pytest.raises(ValueError, match="a split margin overflowed float64"):
+                score_batch(rows, forest)
 
     def test_score_at_normalizer_depth_is_half(self, small_forest):
         # when the mean depth equals c(psi) the score is exactly 1/2
@@ -929,6 +947,39 @@ def textbook_standard_iforest_scores(data, t, psi, seed):
     ])
 
 
+class TestBothWalks:
+    """Batches on either side of ``_LEVEL_WALK_ROWS``, the level walk up to it
+    and the node walk past it, of 0, 1, ``_LEVEL_WALK_ROWS`` and one more
+    rows, over 105 trees, so that groups of trees are cut at the end of the
+    first 100-tree chunk."""
+
+    @pytest.fixture(scope="class", params=["level-0", "level-1", "full", "rotated"])
+    def forest_and_oracle(self, request):
+        """The forest, its distinct probes, and each probe's scalar-oracle path lengths as hex strings."""
+        dim = 2 if request.param == "rotated" else 3
+        data = gen_gaussian_blob(300, dim, seed=6)
+        if request.param == "rotated":
+            forest = build_rotated_forest(data, _CHUNK_TREES + 5, 16, seed=6)
+        else:
+            level = {"level-0": 0, "level-1": 1, "full": 2}[request.param]
+            forest = build_forest(data, _CHUNK_TREES + 5, 16, level, seed=6)
+        probes = np.vstack([data[:20], 3.0 * data[20:30], [tree.intercept[0] for tree in forest.trees[:5]]])
+        return forest, probes, [[path_length_oracle(p, tree).hex() for tree in forest.trees] for p in probes]
+
+    @pytest.mark.parametrize("rows", [0, 1, _LEVEL_WALK_ROWS, _LEVEL_WALK_ROWS + 1])
+    def test_path_lengths_are_the_oracle_and_sum_to_the_score(self, forest_and_oracle, rows):
+        forest, probes, oracle = forest_and_oracle
+        batch = np.resize(probes, (rows, probes.shape[1]))
+        lengths = path_lengths(batch, forest)
+        assert lengths.shape == (rows, forest.t)
+        assert [[v.hex() for v in row] for row in lengths.tolist()] == [oracle[i % len(probes)] for i in range(rows)]
+        total = np.zeros(rows)
+        for k in range(forest.t):
+            total += lengths[:, k]
+        expected = [(2.0 ** (-(v / forest.t) / c_factor(forest.psi))).hex() for v in total.tolist()]
+        assert score_hexes(batch, forest) == expected
+
+
 def test_extension_zero_ranks_like_textbook_iforest():
     # 1-D data with an unambiguous anomaly structure; the two ensembles are
     # different stochastic processes, so agreement is in rank order.
@@ -981,8 +1032,9 @@ def test_score_batch_equals_scalar_oracle_bitwise(seed, dim, kind, psi):
     lo, hi = data.min(axis=0), data.max(axis=0)
     probes = np.vstack([probes] + [knife_edge_points(tree.normal[0], tree.intercept[0], lo, hi)
                                    for tree in forest.trees])
-    batch = score_batch(probes, forest)
-    assert [v.hex() for v in batch.tolist()] == [score_oracle(p, forest).hex() for p in probes]
+    expected = [score_oracle(p, forest).hex() for p in probes]
+    for rows in both_walks(probes):
+        assert score_hexes(rows, forest) == [expected[i % len(probes)] for i in range(len(rows))]
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -1001,7 +1053,8 @@ def test_lone_knife_edge_points_score_as_the_scalar_oracle(seed):
     assert [score_batch(p[np.newaxis, :], forest)[0].hex() for p in points] == expected
     for p, want in zip(points, expected):
         assert [v.hex() for v in score_batch(np.vstack([p, p]), forest).tolist()] == [want, want]
-    assert [v.hex() for v in score_batch(points, forest).tolist()] == expected
+    for rows in both_walks(points):
+        assert score_hexes(rows, forest) == [expected[i % len(points)] for i in range(len(rows))]
 
 
 @given(seed=st.integers(0, 2**32), dim=st.integers(9, 20), full=st.booleans())
